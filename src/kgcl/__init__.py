@@ -1,147 +1,11 @@
 """Contrastive knowledge graph embedding with hard negatives and
-structure-aware false-negative debiasing."""
+structure-aware false-negative debiasing.
 
-from .data import (
-    KnowledgeGraph,
-    ParseError,
-    Triple,
-    TripleBatch,
-    Vocabulary,
-    augment_reverse,
-    load_dataset,
-    make_batches,
-)
-from .evaluation import (
-    MetricsReport,
-    RankingResult,
-    evaluate,
-    metrics_from_ranks,
-    rank_from_scores,
-    rank_tail,
-)
-from .graph import (
-    UNREACHABLE,
-    AlphaDistribution,
-    StructureIndex,
-    alpha_distribution,
-    build_structure_index,
-    distances_within,
-    shortest_path_length,
-    two_hop_neighborhoods,
-)
-from .losses import (
-    LossConfig,
-    LossValue,
-    debiased_negative_estimate,
-    hard_infonce,
-    hasa_loss,
-    hasa_plus_loss,
-    mean_exp_estimate,
-    self_normalized_exp_estimate,
-    simple_infonce,
-)
-from .model import (
-    EmbeddingModel,
-    GradientTape,
-    aggregate,
-    aggregate_batch,
-    backward,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
-    score,
-)
-from .sampling import (
-    FalseNegReport,
-    NegativeSampleBatch,
-    assemble_training_negatives,
-    hard_negative_softmax_sample,
-    hard_negative_topk,
-    run_false_negative_experiment,
-    simple_negative_probs,
-    split_retain_missing,
-    write_false_negative_counts,
-    write_false_negative_histogram,
-)
-from .synthetic import (
-    SyntheticKGSpec,
-    generate_knowledge_graph,
-    generate_synthetic_kg,
-    toy_cycle_kg,
-    write_dataset_files,
-)
-from .training import (
-    AdamState,
-    TrainConfig,
-    TrainingDiverged,
-    TrainResult,
-    sweep_tau,
-    train,
-    write_sweep_csv,
-)
+The package re-exports nothing: import names from its submodules, for
+example `from kgcl.training import TrainConfig, train`. The command line
+lives in `kgcl.cli`, which is left out here so that `python -m kgcl.cli`
+runs it without importing it twice."""
+
+from . import data, evaluation, graph, losses, model, sampling, synthetic, training
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "AlphaDistribution",
-    "EmbeddingModel",
-    "FalseNegReport",
-    "GradientTape",
-    "KnowledgeGraph",
-    "LossConfig",
-    "LossValue",
-    "MetricsReport",
-    "NegativeSampleBatch",
-    "ParseError",
-    "RankingResult",
-    "StructureIndex",
-    "SyntheticKGSpec",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDiverged",
-    "Triple",
-    "TripleBatch",
-    "UNREACHABLE",
-    "Vocabulary",
-    "aggregate",
-    "aggregate_batch",
-    "alpha_distribution",
-    "assemble_training_negatives",
-    "augment_reverse",
-    "backward",
-    "build_structure_index",
-    "debiased_negative_estimate",
-    "distances_within",
-    "evaluate",
-    "generate_knowledge_graph",
-    "generate_synthetic_kg",
-    "hard_infonce",
-    "hard_negative_softmax_sample",
-    "hard_negative_topk",
-    "hasa_loss",
-    "hasa_plus_loss",
-    "init_model",
-    "load_checkpoint",
-    "load_dataset",
-    "make_batches",
-    "mean_exp_estimate",
-    "metrics_from_ranks",
-    "rank_from_scores",
-    "rank_tail",
-    "run_false_negative_experiment",
-    "save_checkpoint",
-    "score",
-    "self_normalized_exp_estimate",
-    "simple_infonce",
-    "simple_negative_probs",
-    "split_retain_missing",
-    "sweep_tau",
-    "toy_cycle_kg",
-    "train",
-    "two_hop_neighborhoods",
-    "write_dataset_files",
-    "write_false_negative_counts",
-    "write_false_negative_histogram",
-    "write_sweep_csv",
-]

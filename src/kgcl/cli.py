@@ -14,8 +14,10 @@ import sys
 
 from .data import KnowledgeGraph, ParseError, augment_reverse, load_dataset
 from .evaluation import default_candidate_limit, evaluate
-from .model import load_checkpoint
+from .losses import DEBIAS_VARIANTS
+from .model import AGGREGATOR_KINDS, load_checkpoint
 from .sampling import (
+    LOSS_MODES,
     run_false_negative_experiment,
     split_retain_missing,
     write_false_negative_counts,
@@ -72,30 +74,26 @@ def read_config_file(path: str) -> dict:
     return overrides
 
 
-def build_train_config(args: argparse.Namespace) -> TrainConfig:
-    values = {}
+def build_train_config(args: argparse.Namespace, **defaults) -> TrainConfig:
+    """Config file values over defaults, then explicit flags over both."""
+    values = {"workers": _default_workers(), **defaults}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
     for name in _CONFIG_FIELDS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    if "workers" not in values:
-        values["workers"] = _default_workers()
     return TrainConfig(**values)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, include_loss: bool = True) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--train", dest="train_path", help="train triples TSV")
     parser.add_argument("--valid", dest="valid_path", help="validation triples TSV")
     parser.add_argument("--test", dest="test_path", help="test triples TSV")
     parser.add_argument("--out-dir", dest="out_dir", help="directory for checkpoints and logs")
-    if include_loss:
-        parser.add_argument(
-            "--loss", dest="loss_mode", choices=("simple", "hard", "hasa", "hasa_plus")
-        )
-    parser.add_argument("--aggregator", choices=("sum", "gru", "mlp"))
+    parser.add_argument("--loss", dest="loss_mode", choices=LOSS_MODES)
+    parser.add_argument("--aggregator", choices=AGGREGATOR_KINDS)
     parser.add_argument("--dim", type=int)
     parser.add_argument("--batch-size", dest="batch_size", type=int)
     parser.add_argument("--epochs", type=int)
@@ -103,7 +101,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, include_loss: bool = True
     parser.add_argument("--weight-decay", dest="weight_decay", type=float)
     parser.add_argument("--tau", type=float)
     parser.add_argument("--m-structure", dest="m_structure", type=int)
-    parser.add_argument("--debias-variant", dest="debias_variant", choices=("eq7", "alg1"))
+    parser.add_argument("--debias-variant", dest="debias_variant", choices=DEBIAS_VARIANTS)
     parser.add_argument("--floor-epsilon", dest="floor_epsilon", type=float)
     parser.add_argument(
         "--self-normalized",
@@ -247,9 +245,7 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> int:
-    cfg = build_train_config(args)
-    if cfg.loss_mode not in ("hasa", "hasa_plus"):
-        cfg = dataclasses.replace(cfg, loss_mode="hasa")
+    cfg = build_train_config(args, loss_mode="hasa")
     kg = _load_kg(cfg, augment=not args.no_augment)
     taus = [float(v) for v in args.taus.split(",") if v]
     rows = sweep_tau(cfg, taus, kg)
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--cap", type=int, default=5)
     p_ana.add_argument("--seed", type=int, default=0)
     p_ana.add_argument("--dim", type=int, default=16)
-    p_ana.add_argument("--aggregator", choices=("sum", "gru", "mlp"), default="gru")
+    p_ana.add_argument("--aggregator", choices=AGGREGATOR_KINDS, default="gru")
     p_ana.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=5)
     p_ana.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=0.01)
     p_ana.add_argument("--max-triples", dest="max_triples", type=int, default=None)

@@ -19,15 +19,15 @@ class StructureIndex:
     """Deduplicated undirected adjacency built from train triples only.
 
     Relation labels and edge direction are discarded; self-loops are dropped.
-    Two-hop neighborhood queries are memoized in a bounded LRU cache so
-    repeated heads during training stay cheap.
+    The structure distribution of each head is memoized in a bounded LRU
+    cache so repeated heads during training stay cheap.
     """
 
     def __init__(self, adjacency: list[np.ndarray], cache_size: int = 1024):
         self.adjacency = adjacency
         self.entity_count = len(adjacency)
         self.cache_size = cache_size
-        self._hop_cache: OrderedDict[int, tuple[frozenset[int], frozenset[int]]] = OrderedDict()
+        self._hop_cache: OrderedDict[int, AlphaDistribution] = OrderedDict()
 
     def neighbors(self, entity: int) -> np.ndarray:
         self._check_entity(entity)
@@ -104,26 +104,8 @@ def shortest_path_length(
 ) -> float:
     """Length of the shortest undirected path, or UNREACHABLE when it exceeds
     the cap (or no path exists). Symmetric in source and target."""
-    idx._check_entity(source)
     idx._check_entity(target)
-    if source == target:
-        return 0
-    dist = {source: 0}
-    frontier = [source]
-    depth = 0
-    while frontier and depth < cap:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            for nb in idx.adjacency[node]:
-                nb = int(nb)
-                if nb == target:
-                    return depth
-                if nb not in dist:
-                    dist[nb] = depth
-                    nxt.append(nb)
-        frontier = nxt
-    return UNREACHABLE
+    return distances_within(idx, source, cap).get(target, UNREACHABLE)
 
 
 def two_hop_neighborhoods(idx: StructureIndex, head: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -131,15 +113,10 @@ def two_hop_neighborhoods(idx: StructureIndex, head: int) -> tuple[frozenset[int
 
     The two sets are disjoint and never contain head itself.
     """
-    cached = idx._cache_get(head)
-    if cached is not None:
-        return cached
     dist = distances_within(idx, head, cap=2)
     n1 = frozenset(node for node, d in dist.items() if d == 1)
     n2 = frozenset(node for node, d in dist.items() if d == 2)
-    result = (n1, n2)
-    idx._cache_put(head, result)
-    return result
+    return n1, n2
 
 
 @dataclass(frozen=True)
@@ -170,6 +147,14 @@ class AlphaDistribution:
 
 
 def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
-    n1, n2 = two_hop_neighborhoods(idx, head)
-    support = np.array(sorted(n1 | n2), dtype=np.int64)
-    return AlphaDistribution(head=head, support=support)
+    """The uniform distribution over head's 1- and 2-hop ring, built once per
+    head and kept in the index's LRU cache. The cached support is read-only."""
+    cached = idx._cache_get(head)
+    if cached is not None:
+        return cached
+    dist = distances_within(idx, head, 2)
+    support = np.array(sorted(node for node, d in dist.items() if d > 0), dtype=np.int64)
+    support.flags.writeable = False
+    alpha = AlphaDistribution(head=head, support=support)
+    idx._cache_put(head, alpha)
+    return alpha

@@ -67,10 +67,6 @@ class EmbeddingModel:
             aggregator={k: v.copy() for k, v in self.aggregator.items()},
         )
 
-    def all_finite(self) -> bool:
-        arrays = [self.entity_table, self.relation_table, *self.aggregator.values()]
-        return all(np.all(np.isfinite(a)) for a in arrays)
-
 
 def init_model(
     num_entities: int,

@@ -16,7 +16,7 @@ from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
 
-NEGATIVE_MODES = ("simple", "hard", "hasa", "hasa_plus")
+LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 
 DEFAULT_HARD_K = 3
 
@@ -52,6 +52,19 @@ def simple_negative_probs(batch: TripleBatch) -> tuple[np.ndarray, np.ndarray]:
     tails = batch.tails()
     ids, counts = np.unique(tails, return_counts=True)
     return ids, counts / float(tails.size)
+
+
+def in_batch_negative_sample(
+    tails: np.ndarray, own_tail: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw count negatives i.i.d. from the batch's tails with every copy of
+    own_tail removed, so each distinct tail is drawn in proportion to how
+    often it occurs. Returns an empty array, drawing nothing, when every
+    tail is own_tail."""
+    pool = tails[tails != own_tail]
+    if pool.size == 0:
+        return pool
+    return rng.choice(pool, size=count, replace=True)
 
 
 def _select_topk(
@@ -95,7 +108,7 @@ def hard_negative_softmax_sample(
     candidate_ids: np.ndarray,
     model: EmbeddingModel,
     count: int,
-    seed: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw count candidates i.i.d. from the softmax of their scores against
     the query."""
@@ -104,7 +117,6 @@ def hard_negative_softmax_sample(
         raise ValueError("cannot sample from an empty candidate set")
     scores = model.entity_table[candidate_ids] @ np.asarray(e_hr, dtype=np.float64)
     probs = _softmax(scores)
-    rng = np.random.default_rng(seed)
     return rng.choice(candidate_ids, size=count, replace=True, p=probs)
 
 
@@ -133,8 +145,8 @@ def assemble_training_negatives(
     empty sample array. Only the structure draws consume randomness, so the
     other components are fully determined by the model and the batch.
     """
-    if mode not in NEGATIVE_MODES:
-        raise ValueError(f"unknown negative mode {mode!r}, expected one of {NEGATIVE_MODES}")
+    if mode not in LOSS_MODES:
+        raise ValueError(f"unknown negative mode {mode!r}, expected one of {LOSS_MODES}")
     needs_structure = mode in ("hasa", "hasa_plus")
     if needs_structure and idx is None:
         raise ValueError(f"mode {mode!r} requires a structure index")
@@ -274,22 +286,18 @@ def _experiment_batch(
         rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
         support = np.unique(np.concatenate([heads, tails]))
         queries, _ = aggregate_batch(model, heads, rels)
-        support_emb = model.entity_table[support]
     false_count = 0
     hist: Counter = Counter()
     for i, triple in enumerate(triples):
         if sampler == "simple":
-            pool = tails[tails != triple.tail]
-            if pool.size == 0:
-                continue
-            draws = rng.choice(pool, size=k, replace=True)
+            draws = in_batch_negative_sample(tails, triple.tail, k, rng)
         else:
-            keep = support != triple.tail
-            cand = support[keep]
+            cand = support[support != triple.tail]
             if cand.size == 0:
                 continue
-            probs = _softmax(support_emb[keep] @ queries[i])
-            draws = rng.choice(cand, size=k, replace=True, p=probs)
+            draws = hard_negative_softmax_sample(queries[i], cand, model, k, rng)
+        if draws.size == 0:
+            continue
         dist = distances_within(idx, triple.head, cap - 1)
         for neg in draws.tolist():
             label = "false" if Triple(triple.head, triple.relation, neg) in missing_set else "true"
@@ -315,9 +323,10 @@ def run_false_negative_experiment(
 
     For each K the retained triples are batched with B = (K+1)/2 rounded
     down, matching K = 2B - 1 in-batch negatives per positive. The simple
-    sampler draws from the batch tail-frequency distribution, the hard
-    sampler from the softmax of model scores over the distinct batch
-    entities; both exclude the triple's own tail and renormalize. Every
+    sampler draws from the batch tail-frequency distribution
+    (in_batch_negative_sample), the hard sampler from the softmax of model
+    scores over the distinct batch entities (hard_negative_softmax_sample);
+    both exclude the triple's own tail and renormalize. Every
     sampled negative t is labeled false when (h, r, t) is one of the hidden
     facts, and its graph distance from h (in the retained graph) is
     bucketed."""

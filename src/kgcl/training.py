@@ -1,5 +1,6 @@
-"""Training loop: sparse Adam with decoupled weight decay, deterministic
-batch and sampling streams, JSON-lines logging, and checkpointing.
+"""Training loop: lazy Adam over the touched rows with decoupled weight
+decay, deterministic batch and sampling streams, JSON-lines logging, and
+checkpointing.
 
 Reproducibility contract: a (config, seed) pair pins the initial model, the
 batch order of every epoch, and every random draw, so two runs produce
@@ -18,9 +19,7 @@ from .evaluation import MetricsReport, default_candidate_limit, evaluate
 from .graph import StructureIndex, build_structure_index
 from .losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
 from .model import EmbeddingModel, GradientTape, init_model, save_checkpoint
-from .sampling import assemble_training_negatives
-
-LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
+from .sampling import LOSS_MODES, assemble_training_negatives
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -69,11 +68,17 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.hard_k < 0:
+            raise ValueError(f"hard_k must be >= 0, got {self.hard_k}")
+        if self.self_normalized and self.loss_mode != "hard":
+            raise ValueError(
+                f"self_normalized applies to the hard loss only, got loss_mode {self.loss_mode!r}"
+            )
         # delegate range checks for the loss knobs
         self.loss_config()
 
     def loss_config(self) -> LossConfig:
-        if self.loss_mode == "hard" and self.self_normalized:
+        if self.self_normalized:
             # the self-normalized estimator at tau 0 with no structure term
             # is the hard loss with the ratio-form negative mass
             return LossConfig(
@@ -98,75 +103,48 @@ class TrainResult:
     final_valid: MetricsReport | None
 
 
-def _derived_seed(*keys: int) -> list[int]:
-    return [int(k) for k in keys]
-
-
 class AdamState:
-    """Adam moments stored sparsely per touched table row, with one global
-    step counter for bias correction. Weight decay is decoupled from the
+    """Adam with dense moments per table and per aggregator parameter, and
+    one global step counter for bias correction. Updates are lazy: only the
+    rows a step touched get their moments, decay and step, so an untouched
+    row keeps its moments and its value. Weight decay is decoupled from the
     gradient and from the learning rate: every touched row is shrunk by
     (1 - weight_decay) before the Adam step, so a zero learning rate leaves
     pure shrinkage."""
 
     def __init__(self, model: EmbeddingModel):
         self.step = 0
-        self.entity_m: dict[int, np.ndarray] = {}
-        self.entity_v: dict[int, np.ndarray] = {}
-        self.relation_m: dict[int, np.ndarray] = {}
-        self.relation_v: dict[int, np.ndarray] = {}
+        self.entity_m = np.zeros_like(model.entity_table)
+        self.entity_v = np.zeros_like(model.entity_table)
+        self.relation_m = np.zeros_like(model.relation_table)
+        self.relation_v = np.zeros_like(model.relation_table)
         self.agg_m = {name: np.zeros_like(arr) for name, arr in model.aggregator.items()}
         self.agg_v = {name: np.zeros_like(arr) for name, arr in model.aggregator.items()}
-
-    def _update_table(self, table, m_store, v_store, ids, grads, lr, decay, bc1, bc2):
-        for pos in range(ids.size):
-            row = int(ids[pos])
-            g = grads[pos]
-            m = m_store.get(row)
-            if m is None:
-                m = np.zeros_like(g)
-                v = np.zeros_like(g)
-            else:
-                v = v_store[row]
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_store[row] = m
-            v_store[row] = v
-            if decay:
-                table[row] *= 1.0 - decay
-            table[row] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
     def apply(self, model: EmbeddingModel, tape: GradientTape, lr: float, decay: float) -> None:
         self.step += 1
         bc1 = 1.0 - ADAM_BETA1**self.step
         bc2 = 1.0 - ADAM_BETA2**self.step
         ent_ids, ent_grads = tape.entity_rows()
-        self._update_table(
-            model.entity_table, self.entity_m, self.entity_v, ent_ids, ent_grads, lr, decay, bc1, bc2
-        )
         rel_ids, rel_grads = tape.relation_rows()
-        self._update_table(
-            model.relation_table,
-            self.relation_m,
-            self.relation_v,
-            rel_ids,
-            rel_grads,
-            lr,
-            decay,
-            bc1,
-            bc2,
-        )
-        for name, g in tape.aggregator.items():
-            m = self.agg_m[name]
-            v = self.agg_v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            param = model.aggregator[name]
+        # (parameter, first moment, second moment, rows, gradient of those
+        # rows); the rows ... select a whole aggregator parameter
+        groups = [
+            (model.entity_table, self.entity_m, self.entity_v, ent_ids, ent_grads),
+            (model.relation_table, self.relation_m, self.relation_v, rel_ids, rel_grads),
+        ]
+        groups += [
+            (model.aggregator[name], self.agg_m[name], self.agg_v[name], ..., g)
+            for name, g in tape.aggregator.items()
+        ]
+        for param, m, v, rows, g in groups:
+            m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
+            v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g * g
+            m[rows] = m_rows
+            v[rows] = v_rows
             if decay:
-                param *= 1.0 - decay
-            param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+                param[rows] *= 1.0 - decay
+            param[rows] -= lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPSILON)
 
 
 def _loss_step(cfg: TrainConfig, batch, negatives, model, tape):
@@ -251,13 +229,13 @@ def train(
     sample_mode = cfg.loss_mode
     for epoch in range(cfg.epochs):
         batch_seed = np.random.SeedSequence(
-            _derived_seed(cfg.seed, _STREAM_BATCHES, epoch)
+            [cfg.seed, _STREAM_BATCHES, epoch]
         ).generate_state(1)[0]
         batches = make_batches(kg, cfg.batch_size, int(batch_seed))
         for batch in batches:
             step += 1
             structure_seed = np.random.SeedSequence(
-                _derived_seed(cfg.seed, _STREAM_STRUCTURE, step)
+                [cfg.seed, _STREAM_STRUCTURE, step]
             ).generate_state(1)[0]
             negatives = assemble_training_negatives(
                 batch,

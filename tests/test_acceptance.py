@@ -44,6 +44,7 @@ from kgcl.model import EmbeddingModel, GradientTape, aggregate, init_model
 from kgcl.sampling import (
     NegativeSampleBatch,
     hard_negative_softmax_sample,
+    in_batch_negative_sample,
     run_false_negative_experiment,
     simple_negative_probs,
     split_retain_missing,
@@ -290,9 +291,7 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     tails = [1, 1, 2, 2, 2, 3, 4, 1]
     batch = make_batch([Triple(9 + i, 0, t) for i, t in enumerate(tails)])
     own = batch.triples[0].tail
-    tail_arr = batch.tails()
-    pool = tail_arr[tail_arr != own]
-    draws = np.random.default_rng(11).choice(pool, size=draws_n, replace=True)
+    draws = in_batch_negative_sample(batch.tails(), own, draws_n, np.random.default_rng(11))
     ids, probs = simple_negative_probs(batch)
     keep = ids != own
     renorm = probs[keep] / probs[keep].sum()
@@ -305,7 +304,9 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     model = init_model(12, 2, 6, kind="gru", seed=3, init_scale=1.0)
     candidates = np.arange(1, 10, dtype=np.int64)
     query = aggregate(model, 0, 1)
-    draws = hard_negative_softmax_sample(query, candidates, model, draws_n, seed=5)
+    draws = hard_negative_softmax_sample(
+        query, candidates, model, draws_n, np.random.default_rng(5)
+    )
     scores = [float(model.entity_table[c] @ query) for c in candidates]
     z = math.fsum(math.exp(s) for s in scores)
     exact = {int(c): math.exp(s) / z for c, s in zip(candidates, scores)}

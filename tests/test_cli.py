@@ -192,12 +192,13 @@ def test_analyze_negatives_writes_both_csv_reports(tmp_path, capsys):
 
 
 def test_sweep_tau_writes_the_table(tmp_path, capsys):
+    # no loss given: the sweep runs the hasa loss
     data, _ = gen_dataset(tmp_path, capsys)
     out_csv = tmp_path / "sweep.csv"
     code = main(["sweep-tau", "--train", str(data / "train.tsv"),
                  "--valid", str(data / "valid.tsv"),
                  "--test", str(data / "test.tsv"),
-                 "--loss", "hasa", "--aggregator", "sum", "--dim", "6",
+                 "--aggregator", "sum", "--dim", "6",
                  "--epochs", "1", "--m-structure", "2", "--seed", "0",
                  "--taus", "0,0.1", "--out", str(out_csv)])
     assert code == 0
@@ -206,3 +207,20 @@ def test_sweep_tau_writes_the_table(tmp_path, capsys):
     csv_lines = out_csv.read_text().splitlines()
     assert csv_lines[0] == "tau,mr,mrr,hit1,hit3,hit10,triple_count"
     assert len(csv_lines) == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_tau_rejects_a_loss_that_is_not_debiased(tmp_path, capsys, source):
+    data, _ = gen_dataset(tmp_path, capsys)
+    if source == "flag":
+        loss_args = ["--loss", "hard"]
+    else:
+        loss_args = ["--config", write_config(tmp_path, "loss_mode=simple\n")]
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["sweep-tau", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"),
+                 "--test", str(data / "test.tsv"),
+                 *loss_args, "--epochs", "1", "--taus", "0,0.1", "--out", str(out_csv)])
+    assert code == 2
+    assert "the tau sweep applies to the debiased loss modes" in capsys.readouterr().err
+    assert not out_csv.exists()

@@ -126,10 +126,15 @@ def test_two_hop_neighborhoods_match_distance_slices():
 def test_hop_cache_eviction_keeps_answers_correct():
     chain = [Triple(i, 0, i + 1) for i in range(9)]
     idx = _index_from_triples(chain, 10, cache_size=2)
-    fresh = [two_hop_neighborhoods(idx, h) for h in range(10)]
-    again = [two_hop_neighborhoods(idx, h) for h in range(10)]
+    fresh = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
+    again = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
     assert fresh == again
+    assert fresh[0] == [1, 2] and fresh[5] == [3, 4, 6, 7]
     assert len(idx._hop_cache) <= 2
+    cached = alpha_distribution(idx, 9)
+    assert alpha_distribution(idx, 9) is cached
+    with pytest.raises(ValueError):
+        cached.support[0] = 0
 
 
 def test_structure_index_uses_train_split_only():

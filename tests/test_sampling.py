@@ -15,6 +15,7 @@ from kgcl.sampling import (
     bucket_labels,
     hard_negative_softmax_sample,
     hard_negative_topk,
+    in_batch_negative_sample,
     run_false_negative_experiment,
     simple_negative_probs,
     split_retain_missing,
@@ -83,7 +84,7 @@ def test_hard_softmax_sample_matches_analytic_distribution():
     scores = model.entity_table[candidates] @ q
     expected = np.exp(scores - scores.max())
     expected /= expected.sum()
-    draws = hard_negative_softmax_sample(q, candidates, model, count=60000, seed=11)
+    draws = hard_negative_softmax_sample(q, candidates, model, 60000, np.random.default_rng(11))
     freq = np.array([(draws == c).mean() for c in candidates])
     tv = 0.5 * np.abs(freq - expected).sum()
     assert tv < 0.02
@@ -92,13 +93,27 @@ def test_hard_softmax_sample_matches_analytic_distribution():
 def test_hard_softmax_sample_is_seeded():
     model = init_model(4, 1, 2, kind="sum", seed=3)
     q = aggregate(model, 0, 0)
-    a = hard_negative_softmax_sample(q, np.arange(4), model, count=16, seed=5)
-    b = hard_negative_softmax_sample(q, np.arange(4), model, count=16, seed=5)
-    c = hard_negative_softmax_sample(q, np.arange(4), model, count=16, seed=6)
+
+    def draw(seed):
+        return hard_negative_softmax_sample(q, np.arange(4), model, 16, np.random.default_rng(seed))
+
+    a, b, c = draw(5), draw(5), draw(6)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        hard_negative_softmax_sample(q, np.zeros(0, dtype=np.int64), model, 4, 0)
+        hard_negative_softmax_sample(
+            q, np.zeros(0, dtype=np.int64), model, 4, np.random.default_rng(0)
+        )
+
+
+def test_in_batch_sample_excludes_own_tail_and_draws_nothing_from_an_empty_pool():
+    tails = np.array([4, 7, 4, 9], dtype=np.int64)
+    draws = in_batch_negative_sample(tails, 4, 50, np.random.default_rng(2))
+    assert draws.size == 50 and set(draws.tolist()) <= {7, 9}
+    rng = np.random.default_rng(3)
+    assert in_batch_negative_sample(np.array([4, 4]), 4, 5, rng).size == 0
+    # the empty pool consumed no randomness
+    assert rng.integers(1 << 30) == np.random.default_rng(3).integers(1 << 30)
 
 
 # ---------------------------------------------------------------------------

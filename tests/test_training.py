@@ -135,6 +135,12 @@ def test_config_validation():
         TrainConfig(debias_variant="eq8")
     with pytest.raises(ValueError):
         TrainConfig(floor_epsilon=-1e-6)
+    with pytest.raises(ValueError):
+        TrainConfig(loss_mode="hard", hard_k=-1)
+    TrainConfig(loss_mode="hard", hard_k=0)
+    for mode in ("simple", "hasa", "hasa_plus"):
+        with pytest.raises(ValueError):
+            TrainConfig(loss_mode=mode, self_normalized=True)
 
 
 def test_self_normalized_hard_mode_maps_to_ratio_estimator_config():
