@@ -33,7 +33,7 @@ negatives = NegativeSampleBatch(
 # mass. tau is the assumed rate of false negatives among the negatives;
 # the structure samples estimate the mass those false negatives contribute,
 # which is subtracted back out.
-cfg = LossConfig(tau=0.1, m_structure=2)
+cfg = LossConfig(tau=0.1)
 for label, value in [
     ("simple ", simple_infonce(batch, negatives, model)),
     ("hard   ", hard_infonce(batch, negatives, model)),

@@ -142,19 +142,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_fitting_checkpoint(path: str, kg: KnowledgeGraph):
+    """The checkpoint's model, provided its tables match the dataset's
+    entity and relation counts."""
+    model = load_checkpoint(path)
+    for what, have, want in (
+        ("entities", model.num_entities(), kg.num_entities()),
+        ("relations", model.num_relations(), kg.num_relations()),
+    ):
+        if have != want:
+            raise ValueError(f"checkpoint holds {have} {what} but the dataset has {want}")
+    return model
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     kg = _load_kg(args, augment=not args.no_augment)
-    model = load_checkpoint(args.checkpoint)
-    if model.num_entities() != kg.num_entities():
-        raise ValueError(
-            f"checkpoint holds {model.num_entities()} entities "
-            f"but the dataset has {kg.num_entities()}"
-        )
-    if model.num_relations() != kg.num_relations():
-        raise ValueError(
-            f"checkpoint holds {model.num_relations()} relations "
-            f"but the dataset has {kg.num_relations()}"
-        )
+    model = _load_fitting_checkpoint(args.checkpoint, kg)
     limit = default_candidate_limit(kg.num_entities(), args.candidates)
     if args.split == "test":
         limit = 0 if args.candidates == 0 else limit
@@ -198,15 +201,26 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _parse_k_grid(text: str) -> list[int]:
+    try:
+        k_values = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--k-grid must be comma-separated integers, got {text!r}") from None
+    if not k_values or min(k_values) < 1:
+        raise ValueError(f"--k-grid needs at least one K and every K >= 1, got {text!r}")
+    return k_values
+
+
 def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     from .synthetic import generate_knowledge_graph
 
+    k_values = _parse_k_grid(args.k_grid)
     if args.synthetic:
         kg = generate_knowledge_graph(_spec_from_args(args))
     else:
         kg = _load_kg(args, augment=args.augment)
     if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
+        model = _load_fitting_checkpoint(args.checkpoint, kg)
     else:
         retain, _ = split_retain_missing(kg.train, args.removal_fraction, args.seed)
         pre_cfg = TrainConfig(
@@ -220,7 +234,6 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         model = train(pre_cfg, kg.replace_train(retain)).model
-    k_values = [int(v) for v in args.k_grid.split(",") if v]
     workers = args.workers if args.workers else _default_workers()
     reports = [
         run_false_negative_experiment(

@@ -5,6 +5,7 @@ estimate the false-negative term."""
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -16,28 +17,33 @@ DEFAULT_DISTANCE_CAP = 5
 
 
 class StructureIndex:
-    """Deduplicated undirected adjacency built from train triples only.
+    """Deduplicated undirected adjacency built from train triples only, in
+    CSR form: the neighbours of entity n are indices[indptr[n]:indptr[n+1]],
+    in ascending order. Both arrays are read-only.
 
     Relation labels and edge direction are discarded; self-loops are dropped.
     The structure distribution of each head is memoized in a bounded LRU
     cache so repeated heads during training stay cheap.
     """
 
-    def __init__(self, adjacency: list[np.ndarray], cache_size: int = 1024):
-        self.adjacency = adjacency
-        self.entity_count = len(adjacency)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, cache_size: int = 1024):
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.indptr = indptr
+        self.indices = indices
+        self.entity_count = indptr.size - 1
         self.cache_size = cache_size
         self._hop_cache: OrderedDict[int, AlphaDistribution] = OrderedDict()
 
     def neighbors(self, entity: int) -> np.ndarray:
         self._check_entity(entity)
-        return self.adjacency[entity]
+        return self.indices[self.indptr[entity] : self.indptr[entity + 1]]
 
     def degree(self, entity: int) -> int:
         return int(self.neighbors(entity).size)
 
     def edge_count(self) -> int:
-        return sum(a.size for a in self.adjacency) // 2
+        return self.indices.size // 2
 
     def _check_entity(self, entity: int) -> None:
         if not 0 <= entity < self.entity_count:
@@ -60,17 +66,21 @@ class StructureIndex:
 def _index_from_triples(
     triples: list[Triple], entity_count: int, cache_size: int = 1024
 ) -> StructureIndex:
-    pairs = set()
-    for h, _, t in triples:
-        if h == t:
-            continue
-        pairs.add((h, t) if h < t else (t, h))
-    buckets: list[list[int]] = [[] for _ in range(entity_count)]
-    for u, v in pairs:
-        buckets[u].append(v)
-        buckets[v].append(u)
-    adjacency = [np.array(sorted(b), dtype=np.int64) for b in buckets]
-    return StructureIndex(adjacency, cache_size=cache_size)
+    flat = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
+    ends = flat.reshape(-1, 3)[:, [0, 2]]
+    if ends.size and not 0 <= ends.min() <= ends.max() < entity_count:
+        raise ValueError(f"triple entity ids must lie in [0, {entity_count})")
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    # one key lo * N + hi per undirected pair, then both directions in
+    # (source, neighbour) order
+    pairs = np.unique(ends.min(axis=1) * entity_count + ends.max(axis=1))
+    lo, hi = pairs // entity_count, pairs % entity_count
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.argsort(src * entity_count + dst)
+    indptr = np.zeros(entity_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=entity_count), out=indptr[1:])
+    return StructureIndex(indptr, dst[order], cache_size=cache_size)
 
 
 def build_structure_index(kg: KnowledgeGraph, cache_size: int = 1024) -> StructureIndex:
@@ -86,12 +96,12 @@ def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, in
     dist = {source: 0}
     frontier = [source]
     depth = 0
+    indptr, indices = idx.indptr, idx.indices
     while frontier and depth < cap:
         depth += 1
         nxt = []
         for node in frontier:
-            for nb in idx.adjacency[node]:
-                nb = int(nb)
+            for nb in indices[indptr[node] : indptr[node + 1]].tolist():
                 if nb not in dist:
                     dist[nb] = depth
                     nxt.append(nb)

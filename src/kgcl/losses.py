@@ -1,19 +1,21 @@
 """Contrastive losses over (head, relation, tail) triples.
 
-All four losses share the same positive term exp(e_hr . e_t) and differ in
-how the negative mass in the denominator is built:
+Every loss is InfoNCE, -log(exp(s+) / (exp(s+) + NegMass)) per triple with
+s = e_hr . e, computed by one per-triple core. Only the negative mass
+differs between the two forms the core knows:
 
-  simple_infonce   negative mass is the sum of exponentiated scores of the
-                   in-batch negatives
-  hard_infonce     identical form; the negative ids are expected to come
-                   from the model-ranked hard sampler
-  hasa_loss        debiased negative mass: an estimate of the full negative
-                   expectation minus a tau-weighted estimate of the
-                   likely-false-negative expectation taken over structure
-                   samples from the head's 1-/2-hop ring, scaled back to K
-                   negatives and clamped to a positive floor
-  hasa_plus_loss   hasa_loss plus a reversed term that pushes the tail away
-                   from the other (head, relation) queries of the batch
+  plain      NegMass is the sum of exp(s) over the triple's negatives:
+             simple_infonce (in-batch negatives) and hard_infonce (the
+             model-ranked hard negatives appended), the same function
+  debiased   NegMass is an estimate of the full negative expectation minus
+             a tau-weighted estimate of the likely-false-negative
+             expectation taken over structure samples from the head's
+             1-/2-hop ring, scaled back to K negatives and clamped to a
+             positive floor: hasa_loss
+
+hasa_plus_loss adds a reversed term to hasa_loss: the same plain softmax
+with the tail as the anchor and the batch's other (head, relation) queries
+as its negatives.
 
 Losses return the batch sum plus diagnostics, and accumulate exact analytic
 gradients into a GradientTape when one is passed. Every formula here is
@@ -47,9 +49,8 @@ class LossConfig:
     """Knobs of the debiased losses.
 
     tau is the prior probability that a sampled negative is actually a true
-    fact; m_structure is how many structure samples estimate the
-    false-negative term; floor_epsilon bounds the debiased negative mass
-    away from zero (the clamp is K * floor_epsilon).
+    fact; floor_epsilon bounds the debiased negative mass away from zero
+    (the clamp is K * floor_epsilon).
 
     The eq7 variant uses self-normalized estimates sum(exp(2s))/sum(exp(s))
     for both terms and divides their difference by (1 - tau); the alg1
@@ -58,15 +59,12 @@ class LossConfig:
     """
 
     tau: float = 0.0
-    m_structure: int = 0
     floor_epsilon: float = 1e-6
     debias_variant: str = "eq7"
 
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must lie in [0, 1), got {self.tau}")
-        if self.m_structure < 0:
-            raise ValueError(f"m_structure must be >= 0, got {self.m_structure}")
         if self.floor_epsilon <= 0.0:
             raise ValueError(f"floor_epsilon must be > 0, got {self.floor_epsilon}")
         if self.debias_variant not in DEBIAS_VARIANTS:
@@ -174,64 +172,115 @@ def debiased_negative_estimate(
     return value
 
 
-def _batch_arrays(batch: TripleBatch):
-    return batch.heads(), batch.relations(), batch.tails()
+def _softmax_term(s_pos: float, scores: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """-log(exp(s_pos) / (exp(s_pos) + sum exp(scores))), evaluated stably,
+    with the softmax weights of the positive and of each score."""
+    m = max(s_pos, float(scores.max()))
+    w_pos = math.exp(s_pos - m)
+    w = np.exp(scores - m)
+    z = w_pos + float(w.sum())
+    return (m + math.log(z)) - s_pos, w_pos / z, w / z
 
 
-def _check_sizes(batch: TripleBatch, negatives: NegativeSampleBatch, need_structure: bool):
-    if len(negatives.hard_and_batch_negatives) != len(batch):
-        raise ValueError("negative sample batch does not match the triple batch size")
-    if need_structure and len(negatives.structure_samples) != len(batch):
-        raise ValueError("structure samples missing for some triples")
-
-
-def _infonce(
+def _contrastive(
     batch: TripleBatch,
     negatives: NegativeSampleBatch,
     model: EmbeddingModel,
+    cfg: LossConfig | None,
     tape: GradientTape | None,
+    bidirectional: bool = False,
 ) -> LossValue:
-    _check_sizes(batch, negatives, need_structure=False)
-    heads, rels, _ = _batch_arrays(batch)
-    queries, cache = aggregate_batch(model, heads, rels)
+    """The per-triple loop behind every loss. cfg None makes the negative
+    mass the plain sum of exp(s) over the negatives; a LossConfig makes it
+    the clamped debiased estimate of _debias_terms.
+
+    Two facts keep each gradient byte-identical to computing the plain and
+    the debiased forms apart. A triple's tail row goes to the tape after its
+    negative rows, which cannot reorder any id's summation in the tape,
+    because no triple's hard_and_batch_negatives holds its own tail (the
+    slots drop it and top-k filters the train tails of (h, r)). And
+    d_queries[i] is built by += from zero."""
+    n = len(batch)
+    if len(negatives.hard_and_batch_negatives) != n:
+        raise ValueError("negative sample batch does not match the triple batch size")
+    if cfg is not None and len(negatives.structure_samples) != n:
+        raise ValueError("structure samples missing for some triples")
+    queries, cache = aggregate_batch(model, batch.heads(), batch.relations())
     table = model.entity_table
     d_queries = np.zeros_like(queries) if tape is not None else None
-    total = 0.0
-    pos_acc = 0.0
-    neg_acc = 0.0
+    total = pos_acc = neg_acc = false_acc = mass_acc = 0.0
+    clamp_hits = 0
     for i, triple in enumerate(batch.triples):
         q = queries[i]
         e_t = table[triple.tail]
         s_pos = float(q @ e_t)
         pos_acc += _exp(s_pos)
+        d_tail = np.zeros(model.dim)
+        touched = False
         neg_ids = negatives.hard_and_batch_negatives[i]
-        if neg_ids.size == 0:
-            continue
-        neg_emb = table[neg_ids]
-        s_neg = neg_emb @ q
-        m = max(s_pos, float(s_neg.max()))
-        w_pos = math.exp(s_pos - m)
-        w_neg = np.exp(s_neg - m)
-        z = w_pos + float(w_neg.sum())
-        total += (m + math.log(z)) - s_pos
-        neg_acc += float(np.exp(s_neg).sum())
-        if tape is not None:
-            p_pos = w_pos / z
-            p_neg = w_neg / z
-            tape.add_entity(np.array([triple.tail]), ((p_pos - 1.0) * q)[None, :])
-            tape.add_entity(neg_ids, p_neg[:, None] * q[None, :])
-            d_queries[i] = (p_pos - 1.0) * e_t + p_neg @ neg_emb
+        if neg_ids.size:
+            neg_emb = table[neg_ids]
+            sigma = neg_emb @ q
+            # (ids, embeddings, d loss / d score) of each scored block
+            pushes = []
+            if cfg is None:
+                term, p_pos, p_neg = _softmax_term(s_pos, sigma)
+                neg_v = mass = float(np.exp(sigma).sum())
+                pushes.append((neg_ids, neg_emb, p_neg))
+            else:
+                struct_ids = negatives.structure_samples[i]
+                struct_emb = table[struct_ids] if struct_ids.size else np.zeros((0, model.dim))
+                rho = struct_emb @ q
+                mass, clamped, neg_v, false_v, d_neg, d_false, c_neg, c_false = _debias_terms(
+                    sigma, rho, cfg
+                )
+                false_acc += false_v
+                clamp_hits += int(clamped)
+                log_mass = math.log(mass)
+                m = max(s_pos, log_mass)
+                lse = m + math.log(math.exp(s_pos - m) + math.exp(log_mass - m))
+                term = lse - s_pos
+                p_pos = math.exp(s_pos - lse)
+                if not clamped:
+                    # d loss / d mass = (1 - p_pos) / mass, always finite
+                    # because the mass is floored away from zero
+                    d_mass = (1.0 - p_pos) / mass
+                    pushes.append((neg_ids, neg_emb, (d_mass * c_neg) * d_neg))
+                    if rho.size and c_false != 0.0:
+                        pushes.append((struct_ids, struct_emb, (d_mass * c_false) * d_false))
+            total += term
+            neg_acc += neg_v
+            mass_acc += mass
+            if tape is not None:
+                touched = True
+                d_tail += (p_pos - 1.0) * q
+                d_queries[i] += (p_pos - 1.0) * e_t
+                for ids, emb, d_scores in pushes:
+                    tape.add_entity(ids, d_scores[:, None] * q[None, :])
+                    d_queries[i] += d_scores @ emb
+        if bidirectional and negatives.negative_contexts[i].size:
+            # the reversed term: the tail against the batch's other queries
+            ctx = negatives.negative_contexts[i]
+            ctx_queries = queries[ctx]
+            term, p_pos, p_ctx = _softmax_term(s_pos, ctx_queries @ e_t)
+            total += term
+            if tape is not None:
+                touched = True
+                d_tail += (p_pos - 1.0) * q + p_ctx @ ctx_queries
+                d_queries[i] += (p_pos - 1.0) * e_t
+                np.add.at(d_queries, ctx, p_ctx[:, None] * e_t[None, :])
+        if touched:
+            tape.add_entity(np.array([triple.tail]), d_tail[None, :])
     if tape is not None:
         backward(model, cache, d_queries, tape)
-    n = len(batch)
     return LossValue(
         loss=total,
         triple_count=n,
         pos=pos_acc / n,
         neg=neg_acc / n,
-        false_neg=0.0,
-        neg_hasa=neg_acc / n,
-        clamp_hits=0,
+        false_neg=false_acc / n,
+        neg_hasa=mass_acc / n,
+        clamp_hits=clamp_hits,
     )
 
 
@@ -244,7 +293,7 @@ def simple_infonce(
     """Contrastive loss -log(exp(s+) / (exp(s+) + sum_j exp(s_j))) summed
     over the batch, with in-batch negatives. A triple with no negatives
     contributes zero loss and no gradient."""
-    return _infonce(batch, negatives, model, tape)
+    return _contrastive(batch, negatives, model, None, tape)
 
 
 def hard_infonce(
@@ -256,105 +305,7 @@ def hard_infonce(
     """Same functional form as simple_infonce; the difference is only where
     the negatives came from, so with identical negative ids the two losses
     agree exactly."""
-    return _infonce(batch, negatives, model, tape)
-
-
-def _hasa(
-    batch: TripleBatch,
-    negatives: NegativeSampleBatch,
-    model: EmbeddingModel,
-    cfg: LossConfig,
-    tape: GradientTape | None,
-    bidirectional: bool,
-) -> LossValue:
-    _check_sizes(batch, negatives, need_structure=True)
-    heads, rels, _ = _batch_arrays(batch)
-    queries, cache = aggregate_batch(model, heads, rels)
-    table = model.entity_table
-    d_queries = np.zeros_like(queries) if tape is not None else None
-    total = 0.0
-    pos_acc = 0.0
-    neg_acc = 0.0
-    false_acc = 0.0
-    hasa_acc = 0.0
-    clamp_hits = 0
-    for i, triple in enumerate(batch.triples):
-        q = queries[i]
-        e_t = table[triple.tail]
-        s_pos = float(q @ e_t)
-        pos_acc += _exp(s_pos)
-        d_tail = np.zeros(model.dim) if tape is not None else None
-        touched = False
-        neg_ids = negatives.hard_and_batch_negatives[i]
-        if neg_ids.size:
-            neg_emb = table[neg_ids]
-            sigma = neg_emb @ q
-            struct_ids = negatives.structure_samples[i]
-            if struct_ids.size:
-                struct_emb = table[struct_ids]
-                rho = struct_emb @ q
-            else:
-                struct_emb = None
-                rho = np.zeros(0)
-            value, clamped, neg_v, false_v, d_neg, d_false, c_neg, c_false = _debias_terms(
-                sigma, rho, cfg
-            )
-            neg_acc += neg_v
-            false_acc += false_v
-            hasa_acc += value
-            clamp_hits += int(clamped)
-            log_mass = math.log(value)
-            m = max(s_pos, log_mass)
-            z = math.exp(s_pos - m) + math.exp(log_mass - m)
-            lse = m + math.log(z)
-            total += lse - s_pos
-            if tape is not None:
-                touched = True
-                p_pos = math.exp(s_pos - lse)
-                d_tail += (p_pos - 1.0) * q
-                d_queries[i] += (p_pos - 1.0) * e_t
-                if not clamped:
-                    # d loss / d mass = (1 - p_pos) / mass, always finite
-                    # because the mass is floored away from zero
-                    d_mass = (1.0 - p_pos) / value
-                    d_sigma = (d_mass * c_neg) * d_neg
-                    tape.add_entity(neg_ids, d_sigma[:, None] * q[None, :])
-                    d_queries[i] += d_sigma @ neg_emb
-                    if rho.size and c_false != 0.0:
-                        d_rho = (d_mass * c_false) * d_false
-                        tape.add_entity(struct_ids, d_rho[:, None] * q[None, :])
-                        d_queries[i] += d_rho @ struct_emb
-        if bidirectional:
-            ctx = negatives.negative_contexts[i]
-            if ctx.size:
-                ctx_queries = queries[ctx]
-                ctx_scores = ctx_queries @ e_t
-                m2 = max(s_pos, float(ctx_scores.max()))
-                w_pos = math.exp(s_pos - m2)
-                w_ctx = np.exp(ctx_scores - m2)
-                z2 = w_pos + float(w_ctx.sum())
-                total += (m2 + math.log(z2)) - s_pos
-                if tape is not None:
-                    touched = True
-                    p_pos2 = w_pos / z2
-                    p_ctx = w_ctx / z2
-                    d_tail += (p_pos2 - 1.0) * q + p_ctx @ ctx_queries
-                    d_queries[i] += (p_pos2 - 1.0) * e_t
-                    np.add.at(d_queries, ctx, p_ctx[:, None] * e_t[None, :])
-        if tape is not None and touched:
-            tape.add_entity(np.array([triple.tail]), d_tail[None, :])
-    if tape is not None:
-        backward(model, cache, d_queries, tape)
-    n = len(batch)
-    return LossValue(
-        loss=total,
-        triple_count=n,
-        pos=pos_acc / n,
-        neg=neg_acc / n,
-        false_neg=false_acc / n,
-        neg_hasa=hasa_acc / n,
-        clamp_hits=clamp_hits,
-    )
+    return _contrastive(batch, negatives, model, None, tape)
 
 
 def hasa_loss(
@@ -368,7 +319,7 @@ def hasa_loss(
     where NegMass subtracts a tau-weighted structure-sample estimate of the
     false-negative contribution from the plain negative mass. Triples whose
     head has no 1-/2-hop ring fall back to an uncorrected negative mass."""
-    return _hasa(batch, negatives, model, cfg, tape, bidirectional=False)
+    return _contrastive(batch, negatives, model, cfg, tape)
 
 
 def hasa_plus_loss(
@@ -382,4 +333,4 @@ def hasa_plus_loss(
     sum_j exp(e_t . q_j))) over the other (head, relation) queries q_j of
     the batch, so the tail embedding is also contrasted against competing
     contexts."""
-    return _hasa(batch, negatives, model, cfg, tape, bidirectional=True)
+    return _contrastive(batch, negatives, model, cfg, tape, bidirectional=True)

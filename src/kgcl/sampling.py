@@ -336,6 +336,8 @@ def run_false_negative_experiment(
         raise ValueError("the hard sampler needs a scoring model")
     if not k_values:
         raise ValueError("k_values must not be empty")
+    if min(k_values) < 1:
+        raise ValueError(f"K values must be >= 1, got {min(k_values)}")
     retain, missing = split_retain_missing(kg.train, removal_fraction, seed)
     missing_set = set(missing)
     idx = _index_from_triples(retain, kg.num_entities())
@@ -347,8 +349,6 @@ def run_false_negative_experiment(
     counts = []
     hist: Counter = Counter()
     for k_pos, k in enumerate(k_values):
-        if k < 1:
-            raise ValueError(f"K values must be >= 1, got {k}")
         batch_size = max(1, (k + 1) // 2)
         order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, k_pos]))
         order = order_rng.permutation(len(retain))

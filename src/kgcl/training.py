@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.hard_k < 0:
             raise ValueError(f"hard_k must be >= 0, got {self.hard_k}")
+        if self.m_structure < 0:
+            raise ValueError(f"m_structure must be >= 0, got {self.m_structure}")
         if self.self_normalized and self.loss_mode != "hard":
             raise ValueError(
                 f"self_normalized applies to the hard loss only, got loss_mode {self.loss_mode!r}"
@@ -79,17 +81,12 @@ class TrainConfig:
 
     def loss_config(self) -> LossConfig:
         if self.self_normalized:
-            # the self-normalized estimator at tau 0 with no structure term
-            # is the hard loss with the ratio-form negative mass
-            return LossConfig(
-                tau=0.0,
-                m_structure=0,
-                floor_epsilon=self.floor_epsilon,
-                debias_variant="eq7",
-            )
+            # the self-normalized estimator at tau 0 (the hard mode draws no
+            # structure samples) is the hard loss with the ratio-form
+            # negative mass
+            return LossConfig(tau=0.0, floor_epsilon=self.floor_epsilon, debias_variant="eq7")
         return LossConfig(
             tau=self.tau,
-            m_structure=self.m_structure,
             floor_epsilon=self.floor_epsilon,
             debias_variant=self.debias_variant,
         )
@@ -184,6 +181,13 @@ def train(
     (checkpoint_final.kge, checkpoint_best.kge) and the JSON-lines log
     (train_log.jsonl) are written to cfg.out_dir when it is set; best means
     highest validation MRR seen at any evaluation point."""
+    if cfg.loss_mode != "simple":
+        most_known = max((len(t) for t in kg.train_positive_tails.values()), default=0)
+        if kg.num_entities() - most_known < cfg.hard_k:
+            raise ValueError(
+                f"hard_k {cfg.hard_k} exceeds the {kg.num_entities() - most_known} candidates "
+                f"left for some (head, relation) after filtering its known train tails"
+            )
     needs_structure = cfg.loss_mode in ("hasa", "hasa_plus")
     if needs_structure and idx is None:
         idx = build_structure_index(kg)

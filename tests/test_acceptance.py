@@ -132,7 +132,6 @@ def test_analytic_gradients_match_central_differences_everywhere():
                 n_entities = 12 if trial == 0 else 20
                 cfg = LossConfig(
                     tau=0.25 if trial else 0.0,
-                    m_structure=2,
                     debias_variant="alg1" if trial else "eq7",
                 )
                 model, batch, negatives = random_instance(
@@ -200,7 +199,7 @@ def test_negative_mass_estimators_match_closed_forms_and_converge():
     neg_scores = rng.normal(0.0, 0.8, size=9)
     struct_scores = rng.normal(0.3, 0.8, size=5)
     for variant in ("eq7", "alg1"):
-        cfg = LossConfig(tau=0.2, m_structure=5, debias_variant=variant)
+        cfg = LossConfig(tau=0.2, debias_variant=variant)
         mass = debiased_negative_estimate(neg_scores, struct_scores, cfg)
         k = neg_scores.size
         if variant == "eq7":

@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+import kgcl.cli
 from kgcl.cli import build_train_config, main, read_config_file
+from kgcl.data import load_dataset
+from kgcl.model import init_model, save_checkpoint
 
 
 def write_config(tmp_path, text):
@@ -189,6 +192,43 @@ def test_analyze_negatives_writes_both_csv_reports(tmp_path, capsys):
     assert len(counts_lines) == 1 + 4  # two samplers times two K values
     hist_lines = hist_path.read_text().splitlines()
     assert hist_lines[0] == "sampler,label,d_bucket,count"
+
+
+@pytest.mark.parametrize("grid", ["0", "7,x", ","])
+def test_analyze_negatives_rejects_a_bad_k_grid_before_pretraining(
+        tmp_path, capsys, monkeypatch, grid):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining ran before the K grid was checked")
+
+    monkeypatch.setattr(kgcl.cli, "train", no_training)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--synthetic", "--k-grid", grid,
+                 "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    assert "--k-grid" in capsys.readouterr().err
+    assert not counts_path.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze-negatives"])
+@pytest.mark.parametrize("extra_entities", [1, -1])
+def test_a_checkpoint_that_does_not_fit_the_dataset_exits_2(
+        tmp_path, capsys, command, extra_entities):
+    data, _ = gen_dataset(tmp_path, capsys)
+    paths = ["--train", str(data / "train.tsv"), "--valid", str(data / "valid.tsv"),
+             "--test", str(data / "test.tsv")]
+    kg = load_dataset(*paths[1::2])
+    checkpoint = tmp_path / "model.kge"
+    save_checkpoint(init_model(kg.num_entities() + extra_entities, kg.num_relations(), 4,
+                               kind="sum"), str(checkpoint))
+    counts_path = tmp_path / "counts.csv"
+    extra = (["--no-augment"] if command == "eval" else
+             ["--k-grid", "3", "--out-counts", str(counts_path),
+              "--out-histogram", str(tmp_path / "hist.csv")])
+    code = main([command, "--checkpoint", str(checkpoint), *paths, *extra])
+    assert code == 2
+    assert f"but the dataset has {kg.num_entities()}" in capsys.readouterr().err
+    assert not counts_path.exists()
 
 
 def test_sweep_tau_writes_the_table(tmp_path, capsys):

@@ -78,6 +78,12 @@ def test_direction_relation_and_duplicates_are_ignored():
     assert idx.degree(2) == 0
     np.testing.assert_array_equal(idx.neighbors(0), [1])
     np.testing.assert_array_equal(idx.neighbors(1), [0])
+    # no triples, or only self-loops: no edges, and BFS stays at its source
+    for edgeless in ([], [Triple(0, 0, 0), Triple(2, 1, 2)]):
+        idx = _index_from_triples(edgeless, 3)
+        assert idx.edge_count() == 0
+        assert [idx.degree(e) for e in range(3)] == [0, 0, 0]
+        assert distances_within(idx, 1, 3) == {1: 0}
 
 
 def test_bfs_matches_floyd_warshall_on_random_graphs():
@@ -88,6 +94,10 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
         idx = _index_from_triples(triples, n)
         pairs = {(min(h, t), max(h, t)) for h, _, t in triples if h != t}
         oracle = floyd_warshall(n, pairs)
+        for e in range(n):
+            partners = sorted({v for u, v in pairs if u == e} | {u for u, v in pairs if v == e})
+            np.testing.assert_array_equal(idx.neighbors(e), partners)
+            assert not idx.neighbors(e).flags.writeable
         for src in range(n):
             got = distances_within(idx, src, n)
             for target in range(n):
@@ -158,6 +168,8 @@ def test_entity_range_checks():
         distances_within(idx, -1, 2)
     with pytest.raises(ValueError):
         shortest_path_length(idx, 0, 5)
+    with pytest.raises(ValueError):
+        _index_from_triples([Triple(0, 0, 2)], 2)
 
 
 def test_alpha_distribution_support_and_probability():

@@ -248,7 +248,7 @@ def test_debiased_estimate_tau_zero_keeps_plain_mass(variant):
     rng = np.random.default_rng(5)
     sigma = rng.normal(size=6)
     rho = rng.normal(size=3)
-    cfg = LossConfig(tau=0.0, m_structure=3, debias_variant=variant)
+    cfg = LossConfig(tau=0.0, debias_variant=variant)
     est = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
     np.testing.assert_allclose(
         debiased_negative_estimate(sigma, rho, cfg), 6 * est(sigma.tolist()), rtol=1e-12)
@@ -265,8 +265,7 @@ def test_debiased_estimate_matches_oracle(variant):
     for _ in range(20):
         sigma = rng.normal(size=rng.integers(1, 8))
         rho = rng.normal(size=rng.integers(0, 5))
-        cfg = LossConfig(tau=float(rng.uniform(0, 0.5)), m_structure=8,
-                         debias_variant=variant)
+        cfg = LossConfig(tau=float(rng.uniform(0, 0.5)), debias_variant=variant)
         got = debiased_negative_estimate(sigma, rho, cfg)
         want = oracle_neg_mass(sigma.tolist(), rho.tolist(), cfg)
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -274,7 +273,7 @@ def test_debiased_estimate_matches_oracle(variant):
 
 def test_debiased_estimate_clamps_at_floor():
     # a large false-negative estimate drives the raw mass negative
-    cfg = LossConfig(tau=0.5, m_structure=1, floor_epsilon=1e-6)
+    cfg = LossConfig(tau=0.5, floor_epsilon=1e-6)
     got = debiased_negative_estimate(np.zeros(4), np.array([5.0]), cfg)
     assert got == 4 * 1e-6
 
@@ -289,8 +288,6 @@ def test_loss_config_validation():
         LossConfig(tau=1.0)
     with pytest.raises(ValueError):
         LossConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(m_structure=-1)
     with pytest.raises(ValueError):
         LossConfig(floor_epsilon=0.0)
     with pytest.raises(ValueError):
@@ -322,7 +319,7 @@ def test_hasa_tau_zero_alg1_equals_hard_infonce_exactly():
     rng = np.random.default_rng(19)
     for _ in range(10):
         model, batch, negatives = random_instance(rng, n_triples=3, m_struct=2)
-        cfg = LossConfig(tau=0.0, m_structure=2, debias_variant="alg1")
+        cfg = LossConfig(tau=0.0, debias_variant="alg1")
         a = hasa_loss(batch, negatives, model, cfg)
         b = hard_infonce(batch, negatives, model)
         np.testing.assert_allclose(a.loss, b.loss, rtol=1e-12)
@@ -332,7 +329,7 @@ def test_hasa_tau_zero_eq7_uses_self_normalized_mass():
     rng = np.random.default_rng(23)
     for _ in range(10):
         model, batch, negatives = random_instance(rng, n_triples=2, m_struct=2)
-        cfg = LossConfig(tau=0.0, m_structure=2, debias_variant="eq7")
+        cfg = LossConfig(tau=0.0, debias_variant="eq7")
         out = hasa_loss(batch, negatives, model, cfg)
         expected = 0.0
         for s_pos, sigma, _, _ in instance_scores(model, batch, negatives):
@@ -353,7 +350,7 @@ def test_hasa_single_triple_scalar_oracle(variant):
     ])
     batch = make_batch([Triple(0, 0, 1)])
     negatives = neg_batch([[2, 3]], [[4]])
-    cfg = LossConfig(tau=0.1, m_structure=1, debias_variant=variant)
+    cfg = LossConfig(tau=0.1, debias_variant=variant)
     out = hasa_loss(batch, negatives, model, cfg)
     q = [0.8, -0.3]
     dot = lambda a, b: a[0] * b[0] + a[1] * b[1]
@@ -368,7 +365,7 @@ def test_hasa_batch_matches_oracle(variant):
     rng = np.random.default_rng(29)
     for _ in range(8):
         model, batch, negatives = random_instance(rng, kind="mlp", n_triples=3, m_struct=2)
-        cfg = LossConfig(tau=0.2, m_structure=2, debias_variant=variant)
+        cfg = LossConfig(tau=0.2, debias_variant=variant)
         out = hasa_loss(batch, negatives, model, cfg)
         expected = sum(
             oracle_hasa(s_pos, sigma, rho, cfg)
@@ -380,7 +377,7 @@ def test_hasa_batch_matches_oracle(variant):
 def test_hasa_empty_structure_support_drops_correction():
     rng = np.random.default_rng(31)
     model, batch, negatives = random_instance(rng, n_triples=2, m_struct=0)
-    cfg = LossConfig(tau=0.3, m_structure=0, debias_variant="eq7")
+    cfg = LossConfig(tau=0.3, debias_variant="eq7")
     out = hasa_loss(batch, negatives, model, cfg)
     expected = sum(
         oracle_hasa(s_pos, sigma, [], cfg)
@@ -400,7 +397,7 @@ def test_hasa_clamp_reports_hits_and_freezes_negative_gradients():
     ])
     batch = make_batch([Triple(0, 0, 1)])
     negatives = neg_batch([[2, 2]], [[3]])
-    cfg = LossConfig(tau=0.5, m_structure=1, floor_epsilon=1e-6)
+    cfg = LossConfig(tau=0.5, floor_epsilon=1e-6)
     tape = GradientTape(model)
     out = hasa_loss(batch, negatives, model, cfg, tape)
     assert out.clamp_hits == 1
@@ -420,7 +417,7 @@ def test_hasa_clamp_reports_hits_and_freezes_negative_gradients():
 def test_hasa_plus_zero_contexts_reduces_to_hasa():
     rng = np.random.default_rng(37)
     model, batch, negatives = random_instance(rng, n_triples=2, m_struct=2, with_ctx=False)
-    cfg = LossConfig(tau=0.1, m_structure=2)
+    cfg = LossConfig(tau=0.1)
     a = hasa_plus_loss(batch, negatives, model, cfg)
     b = hasa_loss(batch, negatives, model, cfg)
     assert a.loss == b.loss
@@ -435,7 +432,7 @@ def test_hasa_plus_uniform_context_scores_add_log_j_plus_one():
     negs = [[2, 4], [0, 4], [0, 2]]
     ctxs = [[1, 2], [0, 2], [0, 1]]
     structs = [[], [], []]
-    cfg = LossConfig(tau=0.0, m_structure=0)
+    cfg = LossConfig(tau=0.0)
     out = hasa_plus_loss(batch, neg_batch(negs, structs, ctxs), model, cfg)
     expected = 3 * (math.log(1 + 2) + math.log(2 + 1))
     np.testing.assert_allclose(out.loss, expected, rtol=1e-12)
@@ -447,7 +444,7 @@ def test_hasa_plus_matches_scalar_oracle(variant):
     for _ in range(8):
         model, batch, negatives = random_instance(
             rng, kind="gru", n_triples=3, k_neg=2, m_struct=2, with_ctx=True)
-        cfg = LossConfig(tau=0.15, m_structure=2, debias_variant=variant)
+        cfg = LossConfig(tau=0.15, debias_variant=variant)
         out = hasa_plus_loss(batch, negatives, model, cfg)
         rows = instance_scores(model, batch, negatives)
         queries = [row[3] for row in rows]
@@ -468,7 +465,7 @@ def test_hasa_plus_matches_scalar_oracle(variant):
 def loss_for_tail_offset(model, batch, negatives, offset):
     shifted = model.copy()
     shifted.entity_table[1] = shifted.entity_table[1] + offset
-    cfg = LossConfig(tau=0.1, m_structure=1)
+    cfg = LossConfig(tau=0.1)
     return {
         "simple": simple_infonce(batch, negatives, shifted).loss,
         "hard": hard_infonce(batch, negatives, shifted).loss,
@@ -552,7 +549,7 @@ def test_gradients_match_finite_differences(loss_name, kind):
         model, batch, negatives = random_instance(
             rng, kind=kind, dim=4, n_triples=3, k_neg=3, m_struct=2,
             with_ctx=loss_name == "hasa_plus")
-        cfg = LossConfig(tau=0.2 if trial else 0.0, m_structure=2,
+        cfg = LossConfig(tau=0.2 if trial else 0.0,
                          debias_variant="alg1" if trial == 2 else "eq7")
         err = loss_grad_rel_err(fd_loss_fn(loss_name, batch, negatives, cfg), model, rng)
         assert err < 1e-4, f"{loss_name}/{kind} trial {trial}: rel err {err}"
@@ -567,7 +564,7 @@ def test_duplicate_rows_coalesce_in_gradients():
     negatives = neg_batch([[2, 0], [2, 1], [2, 0]], [[1], [0], [2]],
                           [[1, 2], [0, 2], [0, 1]])
     model = init_model(3, 2, 3, kind="gru", seed=9, init_scale=0.5)
-    cfg = LossConfig(tau=0.1, m_structure=1)
+    cfg = LossConfig(tau=0.1)
     err = loss_grad_rel_err(fd_loss_fn("hasa_plus", batch, negatives, cfg), model, rng,
                             coord_count=60)
     assert err < 1e-4

@@ -138,6 +138,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(loss_mode="hard", hard_k=-1)
     TrainConfig(loss_mode="hard", hard_k=0)
+    with pytest.raises(ValueError):
+        TrainConfig(m_structure=-1)
     for mode in ("simple", "hasa", "hasa_plus"):
         with pytest.raises(ValueError):
             TrainConfig(loss_mode=mode, self_normalized=True)
@@ -147,7 +149,6 @@ def test_self_normalized_hard_mode_maps_to_ratio_estimator_config():
     cfg = TrainConfig(loss_mode="hard", self_normalized=True, tau=0.5, m_structure=9)
     lc = cfg.loss_config()
     assert lc.tau == 0.0
-    assert lc.m_structure == 0
     assert lc.debias_variant == "eq7"
     plain = TrainConfig(loss_mode="hasa", tau=0.5, m_structure=9, debias_variant="alg1")
     assert plain.loss_config().tau == 0.5
@@ -245,6 +246,17 @@ def test_divergence_aborts_and_dumps_the_batch(tmp_path):
     dump = json.loads((out / "diverged_batch.json").read_text())
     assert {"epoch", "step", "loss", "triples"} <= set(dump)
     assert dump["triples"]
+
+
+@pytest.mark.parametrize("mode", ["hard", "hasa", "hasa_plus"])
+def test_hard_k_beyond_the_surviving_candidates_fails_before_any_file(tmp_path, mode):
+    kg = toy_cycle_kg(4)  # 8 entities, one train tail per (head, relation)
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as err:
+        train(small_cfg(loss_mode=mode, hard_k=8, out_dir=str(out)), kg)
+    assert "hard_k 8" in str(err.value) and "7 candidates" in str(err.value)
+    assert not out.exists()
+    train(small_cfg(loss_mode=mode, hard_k=7, epochs=1), kg)
 
 
 def test_output_files_and_log_shape(tmp_path):
