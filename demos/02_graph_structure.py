@@ -7,13 +7,7 @@ Graph distances and the structure distribution around a head
 import numpy as np
 
 from kgcl.data import KnowledgeGraph
-from kgcl.graph import (
-    alpha_distribution,
-    build_structure_index,
-    distances_within,
-    shortest_path_length,
-    two_hop_neighborhoods,
-)
+from kgcl.graph import alpha_distribution, build_structure_index, distances_within
 
 # Build a small knowledge graph: a path a-b-c-d-e plus a shortcut a-f-e.
 rows = [
@@ -38,12 +32,13 @@ dist = distances_within(idx, ident("a"), cap=3)
 print("distances from a (cap 3):",
       {name(v): d for v, d in sorted(dist.items())})
 
-print("shortest a-e path:", shortest_path_length(idx, ident("a"), ident("e"), cap=5))
+print("shortest a-e path:", distances_within(idx, ident("a"), cap=5).get(ident("e")))
 
-# The 1-hop and 2-hop rings around a head entity.
-n1, n2 = two_hop_neighborhoods(idx, ident("a"))
-print("1-hop of a:", sorted(name(v) for v in n1))
-print("2-hop of a:", sorted(name(v) for v in n2))
+# The 1-hop and 2-hop rings around a head entity: the distance-1 and
+# distance-2 slices of a search capped at 2.
+ring = distances_within(idx, ident("a"), cap=2)
+print("1-hop of a:", sorted(name(v) for v, d in ring.items() if d == 1))
+print("2-hop of a:", sorted(name(v) for v, d in ring.items() if d == 2))
 
 # The structure distribution is uniform over that union; the debiased
 # losses draw their likely-false-negative samples from it, because an

@@ -9,16 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import KnowledgeGraph
-from .model import EmbeddingModel, aggregate, aggregate_batch
+from .model import EmbeddingModel, aggregate_batch
 
 FULL_CANDIDATE_THRESHOLD = 20000
 SUBSAMPLE_CANDIDATES = 10000
-
-
-@dataclass(frozen=True)
-class RankingResult:
-    rank: int
-    candidate_count: int
 
 
 @dataclass
@@ -78,79 +72,33 @@ def metrics_from_ranks(ranks: list[int]) -> MetricsReport:
     )
 
 
-def rank_tail(
-    model: EmbeddingModel,
-    head: int,
-    relation: int,
-    gold_tail: int,
-    kg: KnowledgeGraph,
-    filtered: bool = True,
-    candidate_ids: np.ndarray | None = None,
-) -> RankingResult:
-    """Rank the gold tail for (head, relation) against candidate entities.
-
-    Under the filtered protocol every other entity known to be a true tail
-    of (head, relation) in any split is removed from the candidates before
-    ranking; the gold tail itself always stays. candidate_ids restricts the
-    comparison set (the gold tail is added if absent); by default all
-    entities compete.
-    """
-    query = aggregate(model, head, relation)
-    if candidate_ids is None:
-        candidates = np.arange(model.num_entities(), dtype=np.int64)
-    else:
-        candidates = np.unique(np.asarray(candidate_ids, dtype=np.int64))
-        if gold_tail not in candidates:
-            candidates = np.sort(np.append(candidates, gold_tail))
-    if filtered:
-        known = kg.known_positive_tails.get((head, relation), frozenset()) - {gold_tail}
-        if known:
-            known_arr = np.fromiter(known, dtype=np.int64, count=len(known))
-            candidates = candidates[~np.isin(candidates, known_arr)]
-    scores = model.entity_table[candidates] @ query
-    gold_score = float(model.entity_table[gold_tail] @ query)
-    others = scores[candidates != gold_tail]
-    return RankingResult(
-        rank=rank_from_scores(gold_score, others),
-        candidate_count=int(candidates.size),
-    )
+def _check_finite(model: EmbeddingModel) -> None:
+    """Every comparison with NaN is false, so a non-finite model would rank
+    each gold tail first. Refuse such a model instead of scoring it."""
+    params = {"entity table": model.entity_table, "relation table": model.relation_table}
+    params.update({f"aggregator parameter {k!r}": v for k, v in model.aggregator.items()})
+    for what, values in params.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"cannot evaluate: the model's {what} holds non-finite values")
 
 
-def _rank_chunk(model, kg, triples, filtered, base_candidates):
+def _rank_chunk(model, kg, triples, filtered, pool, slot):
     heads = np.fromiter((t.head for t in triples), dtype=np.int64, count=len(triples))
     rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
     queries, _ = aggregate_batch(model, heads, rels)
     table = model.entity_table
-    if base_candidates is None:
-        scores = queries @ table.T
-        pool = None
-    else:
-        scores = queries @ table[base_candidates].T
-        pool = base_candidates
+    scores = queries @ table[pool].T
     ranks = []
     for i, triple in enumerate(triples):
         gold = triple.tail
+        # one spare column at pool.size absorbs entities outside the pool
+        keep = np.ones(pool.size + 1, dtype=bool)
+        keep[slot[gold]] = False
+        if filtered:
+            for entity in kg.known_positive_tails.get((triple.head, triple.relation), ()):
+                keep[slot[entity]] = False
         gold_score = float(table[gold] @ queries[i])
-        row = scores[i]
-        if pool is None:
-            keep = np.ones(row.size, dtype=bool)
-            keep[gold] = False
-            if filtered:
-                known = kg.known_positive_tails.get((triple.head, triple.relation), frozenset())
-                for entity in known:
-                    keep[entity] = False
-            others = row[keep]
-        else:
-            keep = pool != gold
-            if filtered:
-                known = kg.known_positive_tails.get(
-                    (triple.head, triple.relation), frozenset()
-                ) - {gold}
-                if known:
-                    known_arr = np.fromiter(known, dtype=np.int64, count=len(known))
-                    keep &= ~np.isin(pool, known_arr)
-            others = row[keep]
-        ranks.append(rank_from_scores(gold_score, others))
+        ranks.append(rank_from_scores(gold_score, scores[i][keep[: pool.size]]))
     return ranks
 
 
@@ -169,6 +117,7 @@ def evaluate(
     candidate_limit > 0 ranks against a seeded entity subsample of that size
     (plus the gold tail when it falls outside); 0 keeps the full entity set.
     Results are deterministic for a given seed and independent of workers.
+    A model with a non-finite parameter is refused with a ValueError.
     """
     triples = kg.split(split)
     if not triples:
@@ -177,18 +126,24 @@ def evaluate(
         raise ValueError(
             f"model has {model.num_entities()} entities but the dataset has {kg.num_entities()}"
         )
-    base = None
-    if candidate_limit and candidate_limit < kg.num_entities():
+    _check_finite(model)
+    n = kg.num_entities()
+    if candidate_limit and candidate_limit < n:
         rng = np.random.default_rng(seed)
-        base = np.sort(rng.choice(kg.num_entities(), size=candidate_limit, replace=False))
+        pool = np.sort(rng.choice(n, size=candidate_limit, replace=False))
+    else:
+        pool = np.arange(n)
+    slot = np.full(n, pool.size, dtype=np.int64)
+    slot[pool] = np.arange(pool.size)
+    slot = slot.tolist()
     chunks = [triples[i : i + chunk_size] for i in range(0, len(triples), chunk_size)]
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(
-                pool_exec.map(lambda c: _rank_chunk(model, kg, c, filtered, base), chunks)
+                pool_exec.map(lambda c: _rank_chunk(model, kg, c, filtered, pool, slot), chunks)
             )
     else:
-        results = [_rank_chunk(model, kg, c, filtered, base) for c in chunks]
+        results = [_rank_chunk(model, kg, c, filtered, pool, slot) for c in chunks]
     ranks = [r for chunk_ranks in results for r in chunk_ranks]
     return metrics_from_ranks(ranks)
 

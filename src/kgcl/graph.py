@@ -1,8 +1,7 @@
-"""Undirected entity graph over the train split: truncated BFS distances,
-1-/2-hop neighborhoods, and the uniform near-miss distribution used to
+"""Undirected entity graph over the train split: truncated BFS distances
+and the uniform distribution over each head's 1-/2-hop ring, used to
 estimate the false-negative term."""
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
@@ -10,10 +9,6 @@ from itertools import chain
 import numpy as np
 
 from .data import KnowledgeGraph, Triple
-
-UNREACHABLE = math.inf
-
-DEFAULT_DISTANCE_CAP = 5
 
 
 class StructureIndex:
@@ -107,26 +102,6 @@ def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, in
                     nxt.append(nb)
         frontier = nxt
     return dist
-
-
-def shortest_path_length(
-    idx: StructureIndex, source: int, target: int, cap: int = DEFAULT_DISTANCE_CAP
-) -> float:
-    """Length of the shortest undirected path, or UNREACHABLE when it exceeds
-    the cap (or no path exists). Symmetric in source and target."""
-    idx._check_entity(target)
-    return distances_within(idx, source, cap).get(target, UNREACHABLE)
-
-
-def two_hop_neighborhoods(idx: StructureIndex, head: int) -> tuple[frozenset[int], frozenset[int]]:
-    """(N1, N2): entities at exact distance 1 and exact distance 2 from head.
-
-    The two sets are disjoint and never contain head itself.
-    """
-    dist = distances_within(idx, head, cap=2)
-    n1 = frozenset(node for node, d in dist.items() if d == 1)
-    n2 = frozenset(node for node, d in dist.items() if d == 2)
-    return n1, n2
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,6 @@ class NegativeSampleBatch:
         return float(np.mean([ids.size for ids in self.hard_and_batch_negatives]))
 
 
-def simple_negative_probs(batch: TripleBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Tail-frequency distribution of the batch: each distinct tail entity
-    with probability count / batch size. Ids are sorted ascending."""
-    tails = batch.tails()
-    ids, counts = np.unique(tails, return_counts=True)
-    return ids, counts / float(tails.size)
-
-
 def in_batch_negative_sample(
     tails: np.ndarray, own_tail: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -86,21 +78,6 @@ def _select_topk(
     # primary key: score descending; ties broken by lower entity id
     order = np.lexsort((candidate_ids, -scores))
     return candidate_ids[order[:k]]
-
-
-def hard_negative_topk(
-    e_hr: np.ndarray,
-    candidate_ids: np.ndarray,
-    model: EmbeddingModel,
-    k: int,
-    known_positives: frozenset[int] = frozenset(),
-) -> np.ndarray:
-    """The k candidates scoring highest against the query, after dropping
-    every candidate known to be a true tail. Deterministic: score ties are
-    broken toward the lower entity id."""
-    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    scores = model.entity_table[candidate_ids] @ np.asarray(e_hr, dtype=np.float64)
-    return _select_topk(scores, candidate_ids, frozenset(known_positives), k)
 
 
 def hard_negative_softmax_sample(

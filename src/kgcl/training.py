@@ -10,7 +10,7 @@ timestamps."""
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .data import KnowledgeGraph, make_batches
 from .evaluation import MetricsReport, default_candidate_limit, evaluate
 from .graph import StructureIndex, build_structure_index
 from .losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
-from .model import EmbeddingModel, GradientTape, init_model, save_checkpoint
+from .model import AGGREGATOR_KINDS, EmbeddingModel, GradientTape, init_model, save_checkpoint
 from .sampling import LOSS_MODES, assemble_training_negatives
 
 ADAM_BETA1 = 0.9
@@ -62,12 +62,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
+        if self.aggregator not in AGGREGATOR_KINDS:
+            raise ValueError(
+                f"aggregator must be one of {AGGREGATOR_KINDS}, got {self.aggregator!r}"
+            )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.eval_every < 0:
+            raise ValueError(
+                f"eval_every must be >= 0 (0 validates at the end only), got {self.eval_every}"
+            )
         if self.hard_k < 0:
             raise ValueError(f"hard_k must be >= 0, got {self.hard_k}")
         if self.m_structure < 0:
@@ -303,14 +313,19 @@ def sweep_tau(
     tau order."""
     if cfg.loss_mode not in ("hasa", "hasa_plus"):
         raise ValueError("the tau sweep applies to the debiased loss modes")
+    if not tau_values:
+        raise ValueError("the tau sweep needs at least one tau value")
+    # every config is built, and so validated, before the first run writes
+    run_cfgs = [
+        replace(cfg, tau=tau, out_dir=cfg.out_dir and os.path.join(cfg.out_dir, f"tau_{tau:g}"))
+        for tau in tau_values
+    ]
     if idx is None:
         idx = build_structure_index(kg)
     rows = []
-    for tau in tau_values:
-        sub_dir = os.path.join(cfg.out_dir, f"tau_{tau:g}") if cfg.out_dir else ""
-        run_cfg = replace(cfg, tau=tau, out_dir=sub_dir)
+    for run_cfg in run_cfgs:
         result = train(run_cfg, kg, idx)
-        row = {"tau": tau}
+        row = {"tau": run_cfg.tau}
         if result.final_valid is not None:
             row.update(result.final_valid.to_dict())
         rows.append(row)
@@ -324,7 +339,3 @@ def write_sweep_csv(rows: list[dict], path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in fields})
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)

@@ -23,13 +23,8 @@ import pytest
 
 from fdcheck import loss_grad_rel_err
 from kgcl.data import KnowledgeGraph, Triple, TripleBatch, load_dataset
-from kgcl.evaluation import metrics_from_ranks, rank_tail
-from kgcl.graph import (
-    alpha_distribution,
-    build_structure_index,
-    distances_within,
-    two_hop_neighborhoods,
-)
+from kgcl.evaluation import evaluate, metrics_from_ranks
+from kgcl.graph import alpha_distribution, build_structure_index, distances_within
 from kgcl.losses import (
     LossConfig,
     debiased_negative_estimate,
@@ -46,7 +41,6 @@ from kgcl.sampling import (
     hard_negative_softmax_sample,
     in_batch_negative_sample,
     run_false_negative_experiment,
-    simple_negative_probs,
     split_retain_missing,
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph, toy_cycle_kg
@@ -257,7 +251,8 @@ def random_graph_kg(rng, n, n_edges):
 def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
     """On 50 random undirected graphs of up to 50 nodes, capped
     breadth-first distances equal an independently coded Floyd-Warshall
-    exactly, and the 1-/2-hop neighborhoods equal the distance-1 and
+    exactly, and the 1-/2-hop ring that training's structure draws use
+    (the support of alpha_distribution) equals the distance-1 and
     distance-2 slices of that matrix."""
     started = time.monotonic()
     rng = np.random.default_rng(404)
@@ -270,9 +265,8 @@ def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
             got = distances_within(idx, src, cap=n)
             want = {v: d for v, d in enumerate(oracle[src]) if d <= n}
             assert got == want, f"trial {trial} source {src}"
-            n1, n2 = two_hop_neighborhoods(idx, src)
-            assert n1 == {v for v, d in enumerate(oracle[src]) if d == 1}
-            assert n2 == {v for v, d in enumerate(oracle[src]) if d == 2}
+            ring = alpha_distribution(idx, src).support.tolist()
+            assert ring == [v for v, d in enumerate(oracle[src]) if d in (1, 2)]
         # spot-check a tighter cap too
         got = distances_within(idx, 0, cap=2)
         assert got == {v: d for v, d in enumerate(oracle[0]) if d <= 2}
@@ -291,10 +285,9 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     batch = make_batch([Triple(9 + i, 0, t) for i, t in enumerate(tails)])
     own = batch.triples[0].tail
     draws = in_batch_negative_sample(batch.tails(), own, draws_n, np.random.default_rng(11))
-    ids, probs = simple_negative_probs(batch)
-    keep = ids != own
-    renorm = probs[keep] / probs[keep].sum()
-    exact = dict(zip(ids[keep].tolist(), renorm.tolist()))
+    # each other tail in proportion to how often it occurs in the batch
+    pool = Counter(t for t in tails if t != own)
+    exact = {t: c / sum(pool.values()) for t, c in pool.items()}
     values, counts = np.unique(draws, return_counts=True)
     empirical = dict(zip(values.tolist(), (counts / draws_n).tolist()))
     assert total_variation(empirical, exact) <= 0.02
@@ -337,12 +330,16 @@ def exhaustive_rank(gold_score, other_scores):
 
 
 def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
-    """100 random models on small graphs: rank_tail equals the rank read
-    off a full sort (ties at the ceiling of their average position), under
-    both raw and filtered protocols, and the metric arithmetic over ranks
+    """100 random models on small graphs: the ranks evaluate reports equal
+    the rank read off a full sort (ties at the ceiling of their average
+    position) under both raw and filtered protocols, over the full entity
+    set and over a seeded candidate subsample (gold tails inside and
+    outside it), with the triples split across chunks; exact ties are
+    planted in the sum-aggregator trials. The metric arithmetic over ranks
     {1, 2, 10} is exact."""
     started = time.monotonic()
     rng = np.random.default_rng(888)
+    tied = gold_inside = gold_outside = 0
     for trial in range(100):
         n = int(rng.integers(4, 11))
         rows = []
@@ -351,27 +348,41 @@ def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
             rows.append((f"e{h}", f"r{r}", f"e{t}"))
         kg = KnowledgeGraph.from_string_triples(rows[: n + 4], rows[n + 4: n + 6],
                                                 rows[n + 6:])
+        n_ent = kg.num_entities()
         kind = ("sum", "gru", "mlp")[trial % 3]
-        model = init_model(kg.num_entities(), kg.num_relations(), 4, kind=kind,
+        model = init_model(n_ent, kg.num_relations(), 4, kind=kind,
                            seed=trial, init_scale=0.8)
-        # quantize so ties actually occur
-        model.entity_table[:] = np.round(model.entity_table, 1)
-        triple = kg.train[int(rng.integers(len(kg.train)))]
+        if kind == "sum":
+            # rows in multiples of 1/8: every score is exact in any summation
+            # order, so equal scores tie under every BLAS kernel
+            for table in (model.entity_table, model.relation_table):
+                table[:] = rng.integers(-2, 3, size=table.shape) / 8.0
         filtered = bool(trial % 2)
-        result = rank_tail(model, triple.head, triple.relation, triple.tail,
-                           kg, filtered=filtered)
-        q = aggregate(model, triple.head, triple.relation)
-        removed = set()
-        if filtered:
-            removed = set(
-                kg.known_positive_tails[(triple.head, triple.relation)]
-            ) - {triple.tail}
-        others = [float(model.entity_table[e] @ q)
-                  for e in range(kg.num_entities())
-                  if e != triple.tail and e not in removed]
-        gold = float(model.entity_table[triple.tail] @ q)
-        assert result.rank == exhaustive_rank(gold, others), f"trial {trial}"
-        assert result.candidate_count == len(others) + 1
+        limit = int(rng.integers(1, n_ent)) if trial % 4 >= 2 else 0
+        report = evaluate(model, kg, split="train", filtered=filtered,
+                          candidate_limit=limit, seed=trial, chunk_size=3)
+        pool = range(n_ent)
+        if limit:
+            pool = np.random.default_rng(trial).choice(n_ent, size=limit, replace=False)
+            pool = pool.tolist()
+        assert report.triple_count == len(kg.train)
+        for triple, rank in zip(kg.train, report.ranks):
+            q = aggregate(model, triple.head, triple.relation)
+            removed = set()
+            if filtered:
+                removed = set(
+                    kg.known_positive_tails[(triple.head, triple.relation)]
+                ) - {triple.tail}
+            others = [float(model.entity_table[e] @ q)
+                      for e in pool
+                      if e != triple.tail and e not in removed]
+            gold = float(model.entity_table[triple.tail] @ q)
+            assert rank == exhaustive_rank(gold, others), f"trial {trial}"
+            tied += gold in others
+            if limit:
+                gold_inside += triple.tail in pool
+                gold_outside += triple.tail not in pool
+    assert tied and gold_inside and gold_outside
     report = metrics_from_ranks([1, 2, 10])
     np.testing.assert_allclose(report.mrr, 8.0 / 15.0, rtol=1e-12)
     np.testing.assert_allclose(report.mr, 13.0 / 3.0, rtol=1e-12)

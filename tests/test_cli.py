@@ -7,6 +7,7 @@ import os
 import pytest
 
 import kgcl.cli
+import kgcl.training
 from kgcl.cli import build_train_config, main, read_config_file
 from kgcl.data import load_dataset
 from kgcl.model import init_model, save_checkpoint
@@ -264,3 +265,36 @@ def test_sweep_tau_rejects_a_loss_that_is_not_debiased(tmp_path, capsys, source)
     assert code == 2
     assert "the tau sweep applies to the debiased loss modes" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("taus", ["0.1,1.5", "", ","])
+def test_sweep_tau_rejects_bad_taus_before_any_training(tmp_path, capsys, monkeypatch, taus):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a sweep run started before every tau was checked")
+
+    monkeypatch.setattr(kgcl.training, "train", no_training)
+    data, _ = gen_dataset(tmp_path, capsys)
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["sweep-tau", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"),
+                 "--test", str(data / "test.tsv"),
+                 "--epochs", "1", "--taus", taus, "--out", str(out_csv),
+                 "--out-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert "tau" in capsys.readouterr().err
+    assert not out_csv.exists()
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_rejects_a_checkpoint_with_non_finite_parameters(tmp_path, capsys):
+    data, _ = gen_dataset(tmp_path, capsys)
+    paths = [str(data / f"{split}.tsv") for split in ("train", "valid", "test")]
+    kg = load_dataset(*paths)
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum")
+    model.entity_table[0, 0] = float("nan")
+    checkpoint = tmp_path / "model.kge"
+    save_checkpoint(model, str(checkpoint))
+    code = main(["eval", "--checkpoint", str(checkpoint), "--no-augment",
+                 "--train", paths[0], "--valid", paths[1], "--test", paths[2]])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err

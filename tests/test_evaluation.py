@@ -15,7 +15,6 @@ from kgcl.evaluation import (
     evaluate,
     metrics_from_ranks,
     rank_from_scores,
-    rank_tail,
 )
 from kgcl.model import EmbeddingModel, aggregate, init_model
 
@@ -27,6 +26,30 @@ def oracle_rank(gold_score, others):
     ranked = np.sort(-scores)
     positions = [i + 1 for i, s in enumerate(ranked) if -s == gold_score]
     return math.ceil(sum(positions) / len(positions))
+
+
+def seeded_pool(num_entities, limit, seed):
+    """The candidate subsample evaluate documents: limit entities drawn
+    without replacement from a generator seeded with seed, sorted."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(num_entities, size=limit, replace=False))
+
+
+def direct_ranks(model, kg, split, filtered, pool=None):
+    """Rank every triple of a split from scratch: one query per triple, one
+    dot product per candidate, and the sort oracle. Candidates are the pool
+    (all entities by default) plus the gold tail, less its other known
+    tails when filtered."""
+    ranks = []
+    for t in kg.split(split):
+        q = aggregate(model, t.head, t.relation)
+        candidates = set(range(kg.num_entities()) if pool is None else pool.tolist())
+        candidates.discard(t.tail)
+        if filtered:
+            candidates -= kg.known_positive_tails[(t.head, t.relation)]
+        others = [float(model.entity_table[e] @ q) for e in sorted(candidates)]
+        ranks.append(oracle_rank(float(model.entity_table[t.tail] @ q), others))
+    return ranks
 
 
 def ring_kg(n, n_relations=1):
@@ -92,7 +115,7 @@ def test_random_scores_give_harmonic_mean_reciprocal_rank():
 
 
 # ---------------------------------------------------------------------------
-# rank_tail and the filtered protocol
+# evaluate and the filtered protocol
 
 
 def one_hot_model(num_entities, dim_pad=0, kind="sum"):
@@ -105,14 +128,13 @@ def one_hot_model(num_entities, dim_pad=0, kind="sum"):
                           kind="sum", aggregator={})
 
 
-def test_rank_tail_counts_better_candidates():
+def test_evaluate_counts_better_candidates():
     kg = ring_kg(5)
     model = one_hot_model(5)
-    # query of (e0, r0) is e0's basis vector: entity 0 scores 1, all others 0
-    # gold tail e1 scores 0, tying with e2, e3, e4 behind e0
-    result = rank_tail(model, 0, 0, 1, kg, filtered=False)
-    assert result.candidate_count == 5
-    assert result.rank == 1 + 1 + (3 + 1) // 2  # one above, tied with 3 others
+    # the query of (e_i, r0) is e_i's basis vector: entity i scores 1, all
+    # others 0, so each gold tail ties with 3 others behind its head
+    report = evaluate(model, kg, split="train", filtered=False)
+    assert report.ranks == [1 + 1 + (3 + 1) // 2] * 5
 
 
 def test_filtered_ranking_removes_other_known_tails():
@@ -124,16 +146,18 @@ def test_filtered_ranking_removes_other_known_tails():
     model = one_hot_model(kg.num_entities())
     a = kg.entities.id_of("a")
     b = kg.entities.id_of("b")
-    raw = rank_tail(model, a, 0, b, kg, filtered=False)
-    filtered = rank_tail(model, a, 0, b, kg, filtered=True)
+    # b scores below every other candidate, so its rank is the number of
+    # candidates left
+    model.entity_table[b, a] = -1.0
+    raw = evaluate(model, kg, split="train", filtered=False)
+    filtered = evaluate(model, kg, split="train", filtered=True)
+    assert kg.train[0] == (a, 0, b)
     # c, d (train) and e (valid) leave the candidate list; a stays
-    assert raw.candidate_count == 5
-    assert filtered.candidate_count == 2
-    assert filtered.rank <= raw.rank
+    assert raw.ranks[0] == 5
+    assert filtered.ranks[0] == 2
 
 
 def test_filtered_rank_never_exceeds_raw_rank():
-    rng = np.random.default_rng(67)
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("a", "r", "c"), ("b", "r", "c"), ("c", "r", "a")],
         [("a", "r", "d")],
@@ -142,43 +166,50 @@ def test_filtered_rank_never_exceeds_raw_rank():
     for seed in range(20):
         model = init_model(kg.num_entities(), kg.num_relations(), 6, kind="sum",
                            seed=seed, init_scale=1.0)
-        for triple in kg.train + kg.valid + kg.test:
-            raw = rank_tail(model, triple.head, triple.relation, triple.tail, kg,
-                            filtered=False)
-            filt = rank_tail(model, triple.head, triple.relation, triple.tail, kg,
-                             filtered=True)
-            assert filt.rank <= raw.rank
+        for split in ("train", "valid", "test"):
+            raw = evaluate(model, kg, split=split, filtered=False)
+            filt = evaluate(model, kg, split=split, filtered=True)
+            assert all(f <= r for f, r in zip(filt.ranks, raw.ranks))
 
 
 def test_candidate_subset_always_includes_the_gold_tail():
     kg = ring_kg(6)
     model = init_model(6, 1, 4, kind="sum", seed=2)
-    subset = np.array([0, 2, 4])
-    result = rank_tail(model, 0, 0, 1, kg, filtered=False, candidate_ids=subset)
-    assert result.candidate_count == 4  # gold tail 1 joins the pool
-    assert 1 <= result.rank <= 4
+    pool = seeded_pool(6, 3, seed=4)
+    report = evaluate(model, kg, split="train", filtered=False, candidate_limit=3, seed=4)
+    # a gold tail outside the pool joins it
+    assert any(t.tail not in pool for t in kg.train)
+    assert report.ranks == direct_ranks(model, kg, "train", False, pool)
+    assert all(1 <= r <= 4 for r in report.ranks)
 
 
-def test_rank_tail_matches_oracle_for_random_models():
-    rng = np.random.default_rng(71)
+def test_evaluate_matches_oracle_for_random_models():
     kg = ring_kg(8, n_relations=2)
     for seed in range(30):
         model = init_model(8, kg.num_relations(), 5, kind="gru", seed=seed,
                            init_scale=0.9)
-        triple = kg.train[int(rng.integers(len(kg.train)))]
-        result = rank_tail(model, triple.head, triple.relation, triple.tail, kg,
-                           filtered=True)
-        # recompute from scratch
-        q = aggregate(model, triple.head, triple.relation)
-        known = kg.known_positive_tails[(triple.head, triple.relation)] - {triple.tail}
-        others = [
-            float(model.entity_table[e] @ q)
-            for e in range(8)
-            if e != triple.tail and e not in known
-        ]
-        gold = float(model.entity_table[triple.tail] @ q)
-        assert result.rank == oracle_rank(gold, others)
-        assert result.candidate_count == len(others) + 1
+        report = evaluate(model, kg, split="train", filtered=True)
+        assert report.ranks == direct_ranks(model, kg, "train", True)
+
+
+def test_subsample_filters_known_tails_with_the_gold_outside_the_pool():
+    # a head with many known tails, half of them held out in valid
+    tails = ["x%d" % i for i in range(12)]
+    train = [("a", "r", t) for t in tails[::2]] + [("b", "s", t) for t in tails]
+    valid = [("a", "r", t) for t in tails[1::2]]
+    kg = KnowledgeGraph.from_string_triples(train, valid, [])
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="mlp", seed=3,
+                       init_scale=0.8)
+    pool = seeded_pool(kg.num_entities(), 6, seed=9)
+    known = kg.known_positive_tails[(kg.entities.id_of("a"), kg.relations.id_of("r"))]
+    gold_outside = [t.tail for t in kg.valid if t.tail not in pool]
+    assert gold_outside and any(e in known for e in pool.tolist())
+    filtered = evaluate(model, kg, split="valid", filtered=True, candidate_limit=6, seed=9)
+    raw = evaluate(model, kg, split="valid", filtered=False, candidate_limit=6, seed=9)
+    assert filtered.ranks == direct_ranks(model, kg, "valid", True, pool)
+    assert raw.ranks == direct_ranks(model, kg, "valid", False, pool)
+    assert all(f <= r for f, r in zip(filtered.ranks, raw.ranks))
+    assert filtered.ranks != raw.ranks
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +221,7 @@ def test_evaluate_agrees_with_per_triple_ranking():
     model = init_model(10, kg.num_relations(), 4, kind="mlp", seed=7, init_scale=0.8)
     for filtered in (False, True):
         report = evaluate(model, kg, split="train", filtered=filtered, chunk_size=3)
-        direct = [
-            rank_tail(model, t.head, t.relation, t.tail, kg, filtered=filtered).rank
-            for t in kg.train
-        ]
-        assert report.ranks == direct
+        assert report.ranks == direct_ranks(model, kg, "train", filtered)
 
 
 def test_evaluate_is_worker_invariant_and_deterministic():
@@ -204,6 +231,16 @@ def test_evaluate_is_worker_invariant_and_deterministic():
     b = evaluate(model, kg, split="train", chunk_size=2, workers=4)
     assert a.ranks == b.ranks
     assert a.to_dict() == b.to_dict()
+
+
+def test_evaluate_is_worker_invariant_under_a_candidate_limit():
+    kg = ring_kg(40)
+    model = init_model(40, 1, 4, kind="gru", seed=5, init_scale=0.5)
+    one = evaluate(model, kg, split="train", candidate_limit=8, seed=1, chunk_size=3)
+    two = evaluate(model, kg, split="train", candidate_limit=8, seed=1, chunk_size=3,
+                   workers=2)
+    assert one.ranks == two.ranks
+    assert one.ranks == direct_ranks(model, kg, "train", True, seeded_pool(40, 8, 1))
 
 
 def test_evaluate_candidate_limit_bounds_ranks():
@@ -226,6 +263,20 @@ def test_evaluate_validates_entity_count_and_handles_empty_split():
     model = init_model(6, 1, 4, kind="sum", seed=0)
     report = evaluate(model, kg, split="valid")
     assert report.triple_count == 0 and report.mrr == 0.0
+
+
+@pytest.mark.parametrize("poison", ["nan_entity_table", "inf_gru_bias"])
+def test_evaluate_rejects_a_model_with_non_finite_parameters(poison):
+    kg = ring_kg(6)
+    model = init_model(6, 1, 4, kind="gru", seed=0)
+    if poison == "nan_entity_table":
+        model.entity_table[:] = np.nan
+        named = "entity table"
+    else:
+        model.aggregator["b_z"][1] = np.inf
+        named = "'b_z'"
+    with pytest.raises(ValueError, match=named):
+        evaluate(model, kg, split="train")
 
 
 def test_report_serialization(tmp_path):

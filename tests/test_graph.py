@@ -11,15 +11,11 @@ import pytest
 
 from kgcl.data import KnowledgeGraph, Triple
 from kgcl.graph import (
-    DEFAULT_DISTANCE_CAP,
-    UNREACHABLE,
+    _index_from_triples,
     alpha_distribution,
     build_structure_index,
     distances_within,
-    shortest_path_length,
-    two_hop_neighborhoods,
 )
-from kgcl.graph import _index_from_triples
 
 
 def floyd_warshall(n, undirected_edges):
@@ -48,22 +44,22 @@ def random_triples(rng, n_entities, n_edges):
 def test_path_graph_distances():
     # 0 - 1 - 2 - 3 in a line
     idx = _index_from_triples([Triple(0, 0, 1), Triple(1, 0, 2), Triple(2, 0, 3)], 4)
-    assert shortest_path_length(idx, 0, 3) == 3
-    assert shortest_path_length(idx, 3, 0) == 3
-    assert shortest_path_length(idx, 1, 1) == 0
+    assert distances_within(idx, 0, 5).get(3) == 3
+    assert distances_within(idx, 3, 5).get(0) == 3
+    assert distances_within(idx, 1, 5).get(1) == 0
     d = distances_within(idx, 0, 2)
     assert d == {0: 0, 1: 1, 2: 2}
 
 
 def test_unreachable_and_capped_paths():
     idx = _index_from_triples([Triple(0, 0, 1), Triple(2, 0, 3)], 5)
-    assert shortest_path_length(idx, 0, 3) == UNREACHABLE
-    assert shortest_path_length(idx, 0, 4) == UNREACHABLE
-    # a path longer than the cap reports UNREACHABLE too
+    assert distances_within(idx, 0, 5).get(3) is None
+    assert distances_within(idx, 0, 5).get(4) is None
+    # a path longer than the cap is left out too
     chain = [Triple(i, 0, i + 1) for i in range(7)]
     idx2 = _index_from_triples(chain, 8)
-    assert shortest_path_length(idx2, 0, 7, cap=5) == UNREACHABLE
-    assert shortest_path_length(idx2, 0, 7, cap=7) == 7
+    assert distances_within(idx2, 0, 5).get(7) is None
+    assert distances_within(idx2, 0, 7).get(7) == 7
 
 
 def test_direction_relation_and_duplicates_are_ignored():
@@ -104,15 +100,14 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
                 expect = oracle[src, target]
                 if math.isinf(expect):
                     assert target not in got
-                    assert shortest_path_length(idx, src, target, cap=n) == UNREACHABLE
                 else:
                     assert got[target] == int(expect)
         # spot-check the pairwise query with a tight cap
         src, target = int(rng.integers(n)), int(rng.integers(n))
         expect = oracle[src, target]
-        got_d = shortest_path_length(idx, src, target, cap=DEFAULT_DISTANCE_CAP)
-        if math.isinf(expect) or expect > DEFAULT_DISTANCE_CAP:
-            assert got_d == UNREACHABLE
+        got_d = distances_within(idx, src, 5).get(target)
+        if math.isinf(expect) or expect > 5:
+            assert got_d is None
         else:
             assert got_d == int(expect)
 
@@ -126,11 +121,10 @@ def test_two_hop_neighborhoods_match_distance_slices():
         pairs = {(min(h, t), max(h, t)) for h, _, t in triples if h != t}
         oracle = floyd_warshall(n, pairs)
         for head in range(n):
-            n1, n2 = two_hop_neighborhoods(idx, head)
-            assert n1 == {j for j in range(n) if oracle[head, j] == 1}
-            assert n2 == {j for j in range(n) if oracle[head, j] == 2}
-            assert head not in n1 and head not in n2
-            assert not (n1 & n2)
+            # the ring training draws structure samples from
+            ring = alpha_distribution(idx, head).support.tolist()
+            assert ring == [j for j in range(n) if oracle[head, j] in (1, 2)]
+            assert head not in ring
 
 
 def test_hop_cache_eviction_keeps_answers_correct():
@@ -155,7 +149,7 @@ def test_structure_index_uses_train_split_only():
     )
     idx = build_structure_index(kg)
     a, b, c = kg.entities.id_of("a"), kg.entities.id_of("b"), kg.entities.id_of("c")
-    assert shortest_path_length(idx, a, c) == 2  # not 1: the valid edge is unseen
+    assert distances_within(idx, a, 5).get(c) == 2  # not 1: the valid edge is unseen
     d = kg.entities.id_of("d")
     assert idx.degree(d) == 0
 
@@ -167,7 +161,7 @@ def test_entity_range_checks():
     with pytest.raises(ValueError):
         distances_within(idx, -1, 2)
     with pytest.raises(ValueError):
-        shortest_path_length(idx, 0, 5)
+        alpha_distribution(idx, 5)
     with pytest.raises(ValueError):
         _index_from_triples([Triple(0, 0, 2)], 2)
 

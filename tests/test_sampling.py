@@ -4,20 +4,19 @@ experiment."""
 import numpy as np
 import pytest
 
-from kgcl.data import KnowledgeGraph, Triple, TripleBatch, make_batches
+from kgcl.data import KnowledgeGraph, Triple, make_batches
 from kgcl.graph import build_structure_index, alpha_distribution
 from kgcl.model import aggregate, init_model
 from kgcl.sampling import (
     DEFAULT_HARD_K,
     FalseNegReport,
     NegativeSampleBatch,
+    _select_topk,
     assemble_training_negatives,
     bucket_labels,
     hard_negative_softmax_sample,
-    hard_negative_topk,
     in_batch_negative_sample,
     run_false_negative_experiment,
-    simple_negative_probs,
     split_retain_missing,
     write_false_negative_counts,
     write_false_negative_histogram,
@@ -29,22 +28,8 @@ def chain_kg(n=8):
     return KnowledgeGraph.from_string_triples(rows)
 
 
-def batch_of(triples):
-    heads = np.fromiter((t.head for t in triples), dtype=np.int64)
-    tails = np.fromiter((t.tail for t in triples), dtype=np.int64)
-    return TripleBatch(triples=list(triples), batch_entities=np.concatenate([heads, tails]))
-
-
 # ---------------------------------------------------------------------------
 # analytic distributions
-
-
-def test_simple_negative_probs_are_tail_frequencies():
-    batch = batch_of([Triple(0, 0, 5), Triple(1, 0, 5), Triple(2, 0, 6)])
-    ids, probs = simple_negative_probs(batch)
-    np.testing.assert_array_equal(ids, [5, 6])
-    np.testing.assert_allclose(probs, [2.0 / 3.0, 1.0 / 3.0])
-    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_hard_topk_picks_highest_scores_with_id_tiebreak():
@@ -57,19 +42,19 @@ def test_hard_topk_picks_highest_scores_with_id_tiebreak():
     model.entity_table[1, 0] = 1.0
     model.entity_table[4, 0] = 1.0
     q = aggregate(model, 0, 0)
-    picked = hard_negative_topk(q, np.arange(1, 6), model, k=3)
+    ids = np.arange(1, 6)
+    picked = _select_topk(model.entity_table[ids] @ q, ids, frozenset(), 3)
     np.testing.assert_array_equal(picked, [3, 1, 4])
 
 
 def test_hard_topk_filters_known_positives_and_checks_supply():
     model = init_model(5, 1, 2, kind="sum", seed=1)
-    q = aggregate(model, 0, 0)
-    picked = hard_negative_topk(q, np.arange(5), model, k=2,
-                                known_positives=frozenset({0, 1, 2}))
-    assert set(picked.tolist()) <= {3, 4}
+    scores = model.entity_table @ aggregate(model, 0, 0)
+    ids = np.arange(5)
+    picked = _select_topk(scores, ids, frozenset({0, 1, 2}), 2)
+    assert sorted(picked.tolist()) == [3, 4]
     with pytest.raises(ValueError):
-        hard_negative_topk(q, np.arange(5), model, k=3,
-                           known_positives=frozenset({0, 1, 2}))
+        _select_topk(scores, ids, frozenset({0, 1, 2}), 3)
 
 
 def test_hard_softmax_sample_matches_analytic_distribution():

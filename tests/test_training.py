@@ -19,7 +19,6 @@ from kgcl.training import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
-    config_to_dict,
     sweep_tau,
     train,
     write_log,
@@ -140,6 +139,13 @@ def test_config_validation():
     TrainConfig(loss_mode="hard", hard_k=0)
     with pytest.raises(ValueError):
         TrainConfig(m_structure=-1)
+    with pytest.raises(ValueError, match="aggregator"):
+        TrainConfig(aggregator="lstm")
+    with pytest.raises(ValueError, match="dim"):
+        TrainConfig(dim=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        TrainConfig(eval_every=-1)
+    TrainConfig(eval_every=0)
     for mode in ("simple", "hasa", "hasa_plus"):
         with pytest.raises(ValueError):
             TrainConfig(loss_mode=mode, self_normalized=True)
@@ -153,13 +159,6 @@ def test_self_normalized_hard_mode_maps_to_ratio_estimator_config():
     plain = TrainConfig(loss_mode="hasa", tau=0.5, m_structure=9, debias_variant="alg1")
     assert plain.loss_config().tau == 0.5
     assert plain.loss_config().debias_variant == "alg1"
-
-
-def test_config_to_dict_round_trips():
-    cfg = TrainConfig(loss_mode="hasa", tau=0.01)
-    d = config_to_dict(cfg)
-    assert d["loss_mode"] == "hasa"
-    assert TrainConfig(**d) == cfg
 
 
 # ---------------------------------------------------------------------------
