@@ -34,10 +34,16 @@ _BOOL_FALSE = ("0", "false", "no", "off")
 
 def _default_workers() -> int:
     raw = os.environ.get("KGE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"KGE_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _coerce(name: str, raw: str, path: str):
@@ -75,14 +81,17 @@ def read_config_file(path: str) -> dict:
 
 
 def build_train_config(args: argparse.Namespace, **defaults) -> TrainConfig:
-    """Config file values over defaults, then explicit flags over both."""
-    values = {"workers": _default_workers(), **defaults}
+    """Config file values over defaults, then explicit flags over both. The
+    worker count falls back to KGE_WORKERS, read only when none is given."""
+    values = dict(defaults)
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
     for name in _CONFIG_FIELDS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
+    if "workers" not in values:
+        values["workers"] = _default_workers()
     return TrainConfig(**values)
 
 
@@ -299,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test", dest="test_path")
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
     p_eval.add_argument("--raw", action="store_true", help="skip known-positive filtering")
-    p_eval.add_argument("--candidates", type=int, default=0)
+    p_eval.add_argument("--candidates", type=_non_negative, default=0)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--workers", type=int, default=0)
+    p_eval.add_argument("--workers", type=_non_negative, default=0, help="0 reads KGE_WORKERS")
     p_eval.add_argument("--metrics-json", dest="metrics_json")
     p_eval.add_argument("--ranks-csv", dest="ranks_csv")
     p_eval.add_argument("--no-augment", action="store_true")
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=5)
     p_ana.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=0.01)
     p_ana.add_argument("--max-triples", dest="max_triples", type=int, default=None)
-    p_ana.add_argument("--workers", type=int, default=0)
+    p_ana.add_argument("--workers", type=_non_negative, default=0, help="0 reads KGE_WORKERS")
     p_ana.add_argument("--out-counts", dest="out_counts", default="false_negative_counts.csv")
     p_ana.add_argument(
         "--out-histogram", dest="out_histogram", default="false_negative_histogram.csv"

@@ -5,6 +5,7 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -82,23 +83,22 @@ def _check_finite(model: EmbeddingModel) -> None:
             raise ValueError(f"cannot evaluate: the model's {what} holds non-finite values")
 
 
-def _rank_chunk(model, kg, triples, filtered, pool, slot):
+def _rank_chunk(model, kg, filtered, candidates, slot, triples):
     heads = np.fromiter((t.head for t in triples), dtype=np.int64, count=len(triples))
     rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
     queries, _ = aggregate_batch(model, heads, rels)
-    table = model.entity_table
-    scores = queries @ table[pool].T
+    scores = queries @ candidates.T
     ranks = []
     for i, triple in enumerate(triples):
         gold = triple.tail
-        # one spare column at pool.size absorbs entities outside the pool
-        keep = np.ones(pool.size + 1, dtype=bool)
+        # one spare column at the end absorbs entities outside the pool
+        keep = np.ones(len(candidates) + 1, dtype=bool)
         keep[slot[gold]] = False
         if filtered:
             for entity in kg.known_positive_tails.get((triple.head, triple.relation), ()):
                 keep[slot[entity]] = False
-        gold_score = float(table[gold] @ queries[i])
-        ranks.append(rank_from_scores(gold_score, scores[i][keep[: pool.size]]))
+        gold_score = float(model.entity_table[gold] @ queries[i])
+        ranks.append(rank_from_scores(gold_score, scores[i][keep[:-1]]))
     return ranks
 
 
@@ -136,14 +136,14 @@ def evaluate(
     slot = np.full(n, pool.size, dtype=np.int64)
     slot[pool] = np.arange(pool.size)
     slot = slot.tolist()
+    candidates = model.entity_table[pool]
     chunks = [triples[i : i + chunk_size] for i in range(0, len(triples), chunk_size)]
+    rank = partial(_rank_chunk, model, kg, filtered, candidates, slot)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(
-                pool_exec.map(lambda c: _rank_chunk(model, kg, c, filtered, pool, slot), chunks)
-            )
+            results = list(pool_exec.map(rank, chunks))
     else:
-        results = [_rank_chunk(model, kg, c, filtered, pool, slot) for c in chunks]
+        results = [rank(c) for c in chunks]
     ranks = [r for chunk_ranks in results for r in chunk_ranks]
     return metrics_from_ranks(ranks)
 

@@ -1,8 +1,8 @@
 """Contrastive losses over (head, relation, tail) triples.
 
 Every loss is InfoNCE, -log(exp(s+) / (exp(s+) + NegMass)) per triple with
-s = e_hr . e, computed by one per-triple core. Only the negative mass
-differs between the two forms the core knows:
+s = e_hr . e, computed for the whole batch by one core without a per-triple
+loop. Only the negative mass differs between the two forms the core knows:
 
   plain      NegMass is the sum of exp(s) over the triple's negatives:
              simple_infonce (in-batch negatives) and hard_infonce (the
@@ -17,13 +17,16 @@ hasa_plus_loss adds a reversed term to hasa_loss: the same plain softmax
 with the tail as the anchor and the batch's other (head, relation) queries
 as its negatives.
 
-Losses return the batch sum plus diagnostics, and accumulate exact analytic
-gradients into a GradientTape when one is passed. Every formula here is
-paired with an independent scalar oracle in the test suite, and all
-gradients are verified against central finite differences.
+The core scores the batch's queries against the distinct entities of each
+group with one product, forms every row's softmax or mass by segment sums
+over (row, entity) pairs, and turns d loss / d score into one (batch x
+distinct entities) matrix G per group: the entity rows get G^T Q and the
+queries G E. Losses return the batch sum plus diagnostics, and accumulate
+exact analytic gradients into a GradientTape when one is passed. Every
+formula here is paired with an independent scalar oracle in the test suite,
+and all gradients are verified against central finite differences.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +36,6 @@ from .model import EmbeddingModel, GradientTape, aggregate_batch, backward
 from .sampling import NegativeSampleBatch
 
 DEBIAS_VARIANTS = ("eq7", "alg1")
-
-
-def _exp(x: float) -> float:
-    """exp that saturates to inf instead of raising, so a diverging run
-    surfaces as a non-finite loss the training loop can report."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -93,93 +87,91 @@ class LossValue:
         return self.loss / self.triple_count if self.triple_count else 0.0
 
 
-def self_normalized_exp_estimate(scores: np.ndarray) -> float:
-    """sum(exp(2s)) / sum(exp(s)), evaluated stably.
+def _exp_estimate(scores: np.ndarray, rows: np.ndarray, n: int, variant: str):
+    """Per row of n, an estimate of E[exp(s)] from the scores filed under
+    that row, evaluated stably (0 for a row without scores), and d estimate
+    / d score for each score.
 
-    For scores of samples drawn from a proposal distribution this is the
-    self-normalized importance estimate of E[exp(s)] under the proposal
-    tilted by exp(s); it is exact (equals the tilted expectation) when the
-    samples enumerate the support once each.
-    """
-    value, _ = _self_normalized_with_grad(np.asarray(scores, dtype=np.float64))
-    return value
-
-
-def mean_exp_estimate(scores: np.ndarray) -> float:
-    """Plain Monte Carlo average of exp(s), evaluated stably."""
-    value, _ = _mean_exp_with_grad(np.asarray(scores, dtype=np.float64))
-    return value
-
-
-def _self_normalized_with_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
-    c = float(scores.max())
-    w = np.exp(scores - c)
-    s1 = float(w.sum())
-    s2 = float((w * w).sum())
-    value = _exp(c) * s2 / s1
-    # d value / d s_j = exp(s_j) (2 exp(s_j) - value) / sum(exp(s))
-    grad = w * (2.0 * _exp(c) * w - value) / s1
-    return value, grad
+    eq7 is the self-normalized sum(exp(2s)) / sum(exp(s)): for scores of
+    samples drawn from a proposal it estimates E[exp(s)] under the proposal
+    tilted by exp(s), exactly so when the samples enumerate the support
+    once each. alg1 is the plain mean of exp(s)."""
+    c = np.full(n, -np.inf)
+    np.maximum.at(c, rows, scores)
+    w = np.exp(scores - c[rows])
+    scale = np.exp(c)
+    s1 = np.bincount(rows, w, minlength=n)
+    if variant == "eq7":
+        s2 = np.bincount(rows, w * w, minlength=n)
+        value = np.divide(scale * s2, s1, out=np.zeros(n), where=s1 > 0)
+        # d value / d s_j = exp(s_j) (2 exp(s_j) - value) / sum(exp(s))
+        return value, w * (2.0 * scale[rows] * w - value[rows]) / s1[rows]
+    count = np.bincount(rows, minlength=n)
+    value = np.divide(scale * s1, count, out=np.zeros(n), where=count > 0)
+    return value, scale[rows] * w / count[rows]
 
 
-def _mean_exp_with_grad(scores: np.ndarray) -> tuple[float, np.ndarray]:
-    c = float(scores.max())
-    w = np.exp(scores - c)
-    value = _exp(c) * float(w.mean())
-    grad = _exp(c) * w / scores.size
-    return value, grad
-
-
-def _debias_terms(neg_scores: np.ndarray, structure_scores: np.ndarray, cfg: LossConfig):
-    """Assemble the debiased negative mass and everything its gradient
-    needs. Returns (value, clamped, neg, false_neg, d_neg, d_false,
-    coef_neg, coef_false)."""
-    estimator = (
-        _self_normalized_with_grad if cfg.debias_variant == "eq7" else _mean_exp_with_grad
-    )
-    neg, d_neg = estimator(neg_scores)
-    if structure_scores.size:
-        false_neg, d_false = estimator(structure_scores)
-    else:
-        false_neg, d_false = 0.0, None
-    k = neg_scores.size
+def _debiased_mass(sigma, neg_rows, rho, struct_rows, n: int, cfg: LossConfig):
+    """The clamped debiased negative mass of each of n rows, from the scores
+    sigma of its K negatives and rho of its structure samples; a row without
+    structure samples keeps the plain estimate. Returns (mass, clamped,
+    negative estimate, false-negative estimate, d mass / d sigma, d mass /
+    d rho); the derivatives are zero in a clamped row, whose mass is the
+    constant floor."""
+    neg, d_neg = _exp_estimate(sigma, neg_rows, n, cfg.debias_variant)
+    false_neg, d_false = _exp_estimate(rho, struct_rows, n, cfg.debias_variant)
+    k = np.bincount(neg_rows, minlength=n).astype(np.float64)
     tau = cfg.tau
     if cfg.debias_variant == "eq7":
         raw = k * (neg - tau * false_neg) / (1.0 - tau)
-        coef_neg = k / (1.0 - tau)
         coef_false = -k * tau / (1.0 - tau)
     else:
         raw = k * (neg / (1.0 - tau) - tau * false_neg)
-        coef_neg = k / (1.0 - tau)
         coef_false = -k * tau
     floor = k * cfg.floor_epsilon
     clamped = raw < floor
-    value = floor if clamped else raw
-    return value, clamped, neg, false_neg, d_neg, d_false, coef_neg, coef_false
+    d_neg *= np.where(clamped, 0.0, k / (1.0 - tau))[neg_rows]
+    d_false *= np.where(clamped, 0.0, coef_false)[struct_rows]
+    return np.where(clamped, floor, raw), clamped, neg, false_neg, d_neg, d_false
 
 
-def debiased_negative_estimate(
-    neg_scores: np.ndarray, structure_scores: np.ndarray, cfg: LossConfig
-) -> float:
-    """The clamped debiased negative mass for one triple, given the scores
-    of its K negatives and of its structure samples. An empty structure
-    array drops the correction term, leaving the plain estimate."""
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    structure_scores = np.asarray(structure_scores, dtype=np.float64)
-    if neg_scores.size == 0:
-        raise ValueError("need at least one negative score")
-    value, *_ = _debias_terms(neg_scores, structure_scores, cfg)
-    return value
+def _softmax_rows(s_pos: np.ndarray, scores: np.ndarray, rows: np.ndarray):
+    """Per row: -log(exp(s_pos) / (exp(s_pos) + sum of exp over the row's
+    scores)), evaluated stably, with the softmax weight of each positive and
+    of each score. A row without scores has loss 0 and weight 1."""
+    m = s_pos.copy()
+    np.maximum.at(m, rows, scores)
+    w_pos = np.exp(s_pos - m)
+    w = np.exp(scores - m[rows])
+    z = w_pos + np.bincount(rows, w, minlength=s_pos.size)
+    return m + np.log(z) - s_pos, w_pos / z, w / z[rows]
 
 
-def _softmax_term(s_pos: float, scores: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """-log(exp(s_pos) / (exp(s_pos) + sum exp(scores))), evaluated stably,
-    with the softmax weights of the positive and of each score."""
-    m = max(s_pos, float(scores.max()))
-    w_pos = math.exp(s_pos - m)
-    w = np.exp(scores - m)
-    z = w_pos + float(w.sum())
-    return (m + math.log(z)) - s_pos, w_pos / z, w / z
+def _flat(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triple id arrays as (row of each id, ids)."""
+    rows = np.repeat(np.arange(len(lists)), [ids.size for ids in lists])
+    return rows, np.concatenate(lists).astype(np.int64)
+
+
+def _product(queries: np.ndarray, table: np.ndarray, ids: np.ndarray):
+    """One product of the queries with the distinct rows of ids: (distinct
+    ids, their rows, the B x distinct scores, the column of each id)."""
+    distinct, col = np.unique(ids, return_inverse=True)
+    emb = table[distinct]
+    return distinct, emb, queries @ emb.T, col
+
+
+def _push(tape, queries, distinct, emb, entries, pushed) -> np.ndarray:
+    """Fold the (rows, columns, d loss / d score) entries of one product
+    into its B x distinct matrix G. The table rows of the pushed columns get
+    G^T Q in one tape entry; returns the queries' gradient G E."""
+    rows, cols, grads = (np.concatenate(part) for part in zip(*entries))
+    size = distinct.size
+    g = np.bincount(rows * size + cols, grads, minlength=len(queries) * size)
+    g = g.reshape(len(queries), size)
+    keep = np.bincount(pushed, minlength=size) > 0
+    tape.add_entity(distinct[keep], g[:, keep].T @ queries)
+    return g @ emb
 
 
 def _contrastive(
@@ -190,98 +182,82 @@ def _contrastive(
     tape: GradientTape | None,
     bidirectional: bool = False,
 ) -> LossValue:
-    """The per-triple loop behind every loss. cfg None makes the negative
-    mass the plain sum of exp(s) over the negatives; a LossConfig makes it
-    the clamped debiased estimate of _debias_terms.
+    """The batched core behind every loss. cfg None makes the negative mass
+    the plain sum of exp(s) over the negatives; a LossConfig makes it the
+    clamped debiased estimate of _debiased_mass.
 
-    Two facts keep each gradient byte-identical to computing the plain and
-    the debiased forms apart. A triple's tail row goes to the tape after its
-    negative rows, which cannot reorder any id's summation in the tape,
-    because no triple's hard_and_batch_negatives holds its own tail (the
-    slots drop it and top-k filters the train tails of (h, r)). And
-    d_queries[i] is built by += from zero."""
+    One product scores the batch's tails and negatives, and a second one the
+    structure samples, so that they cannot change how the negatives' scores
+    round. The tape gets the tail of each triple with negatives or contexts,
+    the negatives of each unclamped triple and, at tau != 0, the structure
+    samples of each unclamped triple."""
     n = len(batch)
     if len(negatives.hard_and_batch_negatives) != n:
         raise ValueError("negative sample batch does not match the triple batch size")
     if cfg is not None and len(negatives.structure_samples) != n:
         raise ValueError("structure samples missing for some triples")
+    if bidirectional and len(negatives.negative_contexts) != n:
+        raise ValueError("negative contexts missing for some triples")
     queries, cache = aggregate_batch(model, batch.heads(), batch.relations())
-    table = model.entity_table
-    d_queries = np.zeros_like(queries) if tape is not None else None
-    total = pos_acc = neg_acc = false_acc = mass_acc = 0.0
-    clamp_hits = 0
-    for i, triple in enumerate(batch.triples):
-        q = queries[i]
-        e_t = table[triple.tail]
-        s_pos = float(q @ e_t)
-        pos_acc += _exp(s_pos)
-        d_tail = np.zeros(model.dim)
-        touched = False
-        neg_ids = negatives.hard_and_batch_negatives[i]
-        if neg_ids.size:
-            neg_emb = table[neg_ids]
-            sigma = neg_emb @ q
-            # (ids, embeddings, d loss / d score) of each scored block
-            pushes = []
-            if cfg is None:
-                term, p_pos, p_neg = _softmax_term(s_pos, sigma)
-                neg_v = mass = float(np.exp(sigma).sum())
-                pushes.append((neg_ids, neg_emb, p_neg))
-            else:
-                struct_ids = negatives.structure_samples[i]
-                struct_emb = table[struct_ids] if struct_ids.size else np.zeros((0, model.dim))
-                rho = struct_emb @ q
-                mass, clamped, neg_v, false_v, d_neg, d_false, c_neg, c_false = _debias_terms(
-                    sigma, rho, cfg
-                )
-                false_acc += false_v
-                clamp_hits += int(clamped)
-                log_mass = math.log(mass)
-                m = max(s_pos, log_mass)
-                lse = m + math.log(math.exp(s_pos - m) + math.exp(log_mass - m))
-                term = lse - s_pos
-                p_pos = math.exp(s_pos - lse)
-                if not clamped:
-                    # d loss / d mass = (1 - p_pos) / mass, always finite
-                    # because the mass is floored away from zero
-                    d_mass = (1.0 - p_pos) / mass
-                    pushes.append((neg_ids, neg_emb, (d_mass * c_neg) * d_neg))
-                    if rho.size and c_false != 0.0:
-                        pushes.append((struct_ids, struct_emb, (d_mass * c_false) * d_false))
-            total += term
-            neg_acc += neg_v
-            mass_acc += mass
-            if tape is not None:
-                touched = True
-                d_tail += (p_pos - 1.0) * q
-                d_queries[i] += (p_pos - 1.0) * e_t
-                for ids, emb, d_scores in pushes:
-                    tape.add_entity(ids, d_scores[:, None] * q[None, :])
-                    d_queries[i] += d_scores @ emb
-        if bidirectional and negatives.negative_contexts[i].size:
-            # the reversed term: the tail against the batch's other queries
-            ctx = negatives.negative_contexts[i]
-            ctx_queries = queries[ctx]
-            term, p_pos, p_ctx = _softmax_term(s_pos, ctx_queries @ e_t)
-            total += term
-            if tape is not None:
-                touched = True
-                d_tail += (p_pos - 1.0) * q + p_ctx @ ctx_queries
-                d_queries[i] += (p_pos - 1.0) * e_t
-                np.add.at(d_queries, ctx, p_ctx[:, None] * e_t[None, :])
-        if touched:
-            tape.add_entity(np.array([triple.tail]), d_tail[None, :])
-    if tape is not None:
-        backward(model, cache, d_queries, tape)
-    return LossValue(
-        loss=total,
+    rows = np.arange(n)
+    tails = np.fromiter((t.tail for t in batch.triples), dtype=np.int64, count=n)
+    neg_rows, neg_ids = _flat(negatives.hard_and_batch_negatives)
+    ids, emb, scores, col = _product(queries, model.entity_table, np.concatenate([tails, neg_ids]))
+    tail_col, neg_col = col[:n], col[n:]
+    s_pos, sigma = scores[rows, tail_col], scores[neg_rows, neg_col]
+    has_neg = np.bincount(neg_rows, minlength=n) > 0
+    touched = has_neg  # the triples whose tail goes to the tape
+    clamped, false_neg = np.zeros(n, dtype=bool), np.zeros(n)
+    with np.errstate(over="ignore", divide="ignore"):
+        pos = np.exp(s_pos)
+        if cfg is None:
+            term, p_pos, g_neg = _softmax_rows(s_pos, sigma, neg_rows)
+            neg = mass = np.bincount(neg_rows, np.exp(sigma), minlength=n)
+        else:
+            struct_rows, struct_ids = _flat(negatives.structure_samples)
+            # a triple without negatives contributes nothing at all
+            keep = has_neg[struct_rows]
+            struct_rows = struct_rows[keep]
+            s_ids, s_emb, s_scores, s_col = _product(queries, model.entity_table, struct_ids[keep])
+            rho = s_scores[struct_rows, s_col]
+            mass, clamped, neg, false_neg, d_neg, d_false = _debiased_mass(
+                sigma, neg_rows, rho, struct_rows, n, cfg
+            )
+            # a row without negatives has mass 0: log -inf, loss 0, p_pos 1
+            lse = np.logaddexp(s_pos, np.log(mass))
+            term = lse - s_pos
+            p_pos = np.exp(s_pos - lse)
+            d_mass = np.exp(-lse)  # d loss / d mass = 1 / (exp(s+) + mass)
+            g_neg = d_mass[neg_rows] * d_neg
+    entries = [(rows, tail_col, p_pos - 1.0), (neg_rows, neg_col, g_neg)]
+    total = term.sum()
+    if bidirectional:
+        # the reversed term: each tail against the batch's other queries,
+        # whose scores sit in the tail's column of the product
+        ctx_rows, ctx = _flat(negatives.negative_contexts)
+        ctx_term, p_back, p_ctx = _softmax_rows(s_pos, scores[ctx, tail_col[ctx_rows]], ctx_rows)
+        total += ctx_term.sum()
+        entries += [(rows, tail_col, p_back - 1.0), (ctx, tail_col[ctx_rows], p_ctx)]
+        touched = has_neg | (np.bincount(ctx_rows, minlength=n) > 0)
+    value = LossValue(
+        loss=float(total),
         triple_count=n,
-        pos=pos_acc / n,
-        neg=neg_acc / n,
-        false_neg=false_acc / n,
-        neg_hasa=mass_acc / n,
-        clamp_hits=clamp_hits,
+        pos=float(pos.sum()) / n,
+        neg=float(neg.sum()) / n,
+        false_neg=float(false_neg.sum()) / n,
+        neg_hasa=float(mass.sum()) / n,
+        clamp_hits=int(clamped.sum()),
     )
+    if tape is None:
+        return value
+    pushed = np.concatenate([tail_col[touched], neg_col[~clamped[neg_rows]]])
+    d_queries = _push(tape, queries, ids, emb, entries, pushed)
+    if cfg is not None and cfg.tau != 0.0:
+        entry = (struct_rows, s_col, d_mass[struct_rows] * d_false)
+        pushed = s_col[~clamped[struct_rows]]
+        d_queries += _push(tape, queries, s_ids, s_emb, [entry], pushed)
+    backward(model, cache, d_queries, tape)
+    return value
 
 
 def simple_infonce(

@@ -7,6 +7,7 @@ import csv
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -187,11 +188,6 @@ def split_retain_missing(
     return retain, missing
 
 
-def _distance_bucket(dist: dict[int, int], entity: int, cap: int) -> str:
-    d = dist.get(entity)
-    return str(d) if d is not None else f"{cap}+"
-
-
 def bucket_labels(cap: int) -> list[str]:
     return [str(d) for d in range(cap)] + [f"{cap}+"]
 
@@ -251,7 +247,7 @@ def _experiment_batch(
     k: int,
     sampler: str,
     model: EmbeddingModel | None,
-    idx: StructureIndex,
+    reached: MappingProxyType,
     missing_set: set[Triple],
     cap: int,
     seed_key: list[int],
@@ -263,6 +259,7 @@ def _experiment_batch(
         rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
         support = np.unique(np.concatenate([heads, tails]))
         queries, _ = aggregate_batch(model, heads, rels)
+    buckets = bucket_labels(cap)
     false_count = 0
     hist: Counter = Counter()
     for i, triple in enumerate(triples):
@@ -275,12 +272,15 @@ def _experiment_batch(
             draws = hard_negative_softmax_sample(queries[i], cand, model, k, rng)
         if draws.size == 0:
             continue
-        dist = distances_within(idx, triple.head, cap - 1)
-        for neg in draws.tolist():
+        ids, dist = reached[triple.head]
+        at = np.minimum(np.searchsorted(ids, draws), ids.size - 1)
+        # a draw beyond cap - 1 hops, or unreachable, falls in the last bucket
+        hops = np.where(ids[at] == draws, dist[at], cap)
+        for neg, hop in zip(draws.tolist(), hops.tolist()):
             label = "false" if Triple(triple.head, triple.relation, neg) in missing_set else "true"
             if label == "false":
                 false_count += 1
-            hist[(label, _distance_bucket(dist, neg, cap))] += 1
+            hist[(label, buckets[hop])] += 1
     return false_count, hist
 
 
@@ -315,6 +315,8 @@ def run_false_negative_experiment(
         raise ValueError("k_values must not be empty")
     if min(k_values) < 1:
         raise ValueError(f"K values must be >= 1, got {min(k_values)}")
+    if distance_cap < 1:
+        raise ValueError(f"distance_cap must be >= 1, got {distance_cap}")
     retain, missing = split_retain_missing(kg.train, removal_fraction, seed)
     missing_set = set(missing)
     idx = _index_from_triples(retain, kg.num_entities())
@@ -322,6 +324,13 @@ def run_false_negative_experiment(
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         chosen = np.sort(sub_rng.choice(len(retain), size=max_triples, replace=False))
         retain = [retain[i] for i in chosen]
+    # one BFS per distinct head, shared read-only by every batch of every K:
+    # the entities within cap - 1 hops, sorted, over their hop counts, in a
+    # 2 x n array (the BFS's dict takes six times the memory)
+    reached = MappingProxyType({
+        head: np.array(sorted(distances_within(idx, head, distance_cap - 1).items()), np.int32).T
+        for head in {t.head for t in retain}
+    })
     sampler_id = SAMPLER_KINDS.index(sampler)
     counts = []
     hist: Counter = Counter()
@@ -334,7 +343,7 @@ def run_false_negative_experiment(
             for start in range(0, len(order), batch_size)
         ]
         jobs = [
-            (chunk, k, sampler, model, idx, missing_set, distance_cap,
+            (chunk, k, sampler, model, reached, missing_set, distance_cap,
              [seed, 3, sampler_id, k_pos, b])
             for b, chunk in enumerate(batches)
         ]

@@ -82,6 +82,10 @@ class TrainConfig:
             raise ValueError(f"hard_k must be >= 0, got {self.hard_k}")
         if self.m_structure < 0:
             raise ValueError(f"m_structure must be >= 0, got {self.m_structure}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.eval_candidates < 0:
+            raise ValueError(f"eval_candidates must be >= 0, got {self.eval_candidates}")
         if self.self_normalized and self.loss_mode != "hard":
             raise ValueError(
                 f"self_normalized applies to the hard loss only, got loss_mode {self.loss_mode!r}"

@@ -27,12 +27,11 @@ from kgcl.evaluation import evaluate, metrics_from_ranks
 from kgcl.graph import alpha_distribution, build_structure_index, distances_within
 from kgcl.losses import (
     LossConfig,
-    debiased_negative_estimate,
+    _debiased_mass,
+    _exp_estimate,
     hard_infonce,
     hasa_loss,
     hasa_plus_loss,
-    mean_exp_estimate,
-    self_normalized_exp_estimate,
     simple_infonce,
 )
 from kgcl.model import EmbeddingModel, GradientTape, aggregate, init_model
@@ -174,42 +173,54 @@ def test_tail_and_negative_gradients_cancel_and_oppose_along_the_query():
 
 
 def test_negative_mass_estimators_match_closed_forms_and_converge():
-    """The two exp-mass estimators reproduce their closed forms on an
-    enumerated support to 1e-10 relative, the debiased mass decomposes back
-    into the mixture identity to 1e-10, and with 10x-support Monte Carlo
-    draws at a fixed seed both estimators land within 2 percent."""
+    """The row estimators the losses use reproduce the closed forms of the
+    two exp-mass estimates on an enumerated support to 1e-10 relative, the
+    debiased mass decomposes back into the mixture identity to 1e-10, and
+    with 10x-support Monte Carlo draws at a fixed seed both estimates land
+    within 2 percent. Each support is filed under one row of several, the
+    others holding unrelated scores, as in a batch."""
     started = time.monotonic()
     rng = np.random.default_rng(2026)
+    rel = lambda a, b: abs(a - b) / abs(b)
+
+    def one_row(scores, others):
+        """scores filed under row 1 of three; rows 0 and 2 get others."""
+        rows = np.repeat([0, 1, 2], [others.size, scores.size, others.size])
+        return np.concatenate([others, scores, others]), rows
+
+    def estimate(scores, variant):
+        flat, rows = one_row(scores, rng.normal(0.0, 3.0, size=4))
+        return _exp_estimate(flat, rows, 3, variant)[0][1]
+
     support = rng.normal(0.0, 0.5, size=40)
     sum_e = math.fsum(math.exp(s) for s in support)
     true_mean = sum_e / support.size
     true_tilted = math.fsum(math.exp(2 * s) for s in support) / sum_e
-    rel = lambda a, b: abs(a - b) / abs(b)
-    assert rel(mean_exp_estimate(support), true_mean) < 1e-10
-    assert rel(self_normalized_exp_estimate(support), true_tilted) < 1e-10
+    assert rel(estimate(support, "alg1"), true_mean) < 1e-10
+    assert rel(estimate(support, "eq7"), true_tilted) < 1e-10
 
     # mixture identity: un-debiasing the debiased mass recovers the plain
     # negative estimate
     neg_scores = rng.normal(0.0, 0.8, size=9)
     struct_scores = rng.normal(0.3, 0.8, size=5)
+    sigma, neg_rows = one_row(neg_scores, rng.normal(0.0, 3.0, size=2))
+    rho, struct_rows = one_row(struct_scores, rng.normal(0.0, 3.0, size=3))
     for variant in ("eq7", "alg1"):
         cfg = LossConfig(tau=0.2, debias_variant=variant)
-        mass = debiased_negative_estimate(neg_scores, struct_scores, cfg)
+        mass = _debiased_mass(sigma, neg_rows, rho, struct_rows, 3, cfg)[0][1]
         k = neg_scores.size
+        neg_est = estimate(neg_scores, variant)
+        false_est = estimate(struct_scores, variant)
         if variant == "eq7":
-            neg_est = self_normalized_exp_estimate(neg_scores)
-            false_est = self_normalized_exp_estimate(struct_scores)
             recovered = (1 - cfg.tau) * mass / k + cfg.tau * false_est
         else:
-            neg_est = mean_exp_estimate(neg_scores)
-            false_est = mean_exp_estimate(struct_scores)
             recovered = (mass / k + cfg.tau * false_est) * (1 - cfg.tau)
         assert rel(recovered, neg_est) < 1e-10
 
     draws = np.random.default_rng(0).choice(support, size=10 * support.size,
                                             replace=True)
-    assert rel(mean_exp_estimate(draws), true_mean) < 0.02
-    assert rel(self_normalized_exp_estimate(draws), true_tilted) < 0.02
+    assert rel(estimate(draws, "alg1"), true_mean) < 0.02
+    assert rel(estimate(draws, "eq7"), true_tilted) < 0.02
     assert time.monotonic() - started < 60.0
 
 

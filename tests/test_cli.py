@@ -65,14 +65,39 @@ def test_worker_count_falls_back_to_the_environment(monkeypatch):
     monkeypatch.setenv("KGE_WORKERS", "3")
     cfg = build_train_config(argparse.Namespace())
     assert cfg.workers == 3
-    monkeypatch.setenv("KGE_WORKERS", "not-a-number")
-    assert build_train_config(argparse.Namespace()).workers == 1
     monkeypatch.delenv("KGE_WORKERS")
     assert build_train_config(argparse.Namespace()).workers == 1
-    # an explicit value beats the environment
-    monkeypatch.setenv("KGE_WORKERS", "5")
+    # an explicit value beats the environment, which is then not read
+    monkeypatch.setenv("KGE_WORKERS", "not-a-number")
     cfg = build_train_config(argparse.Namespace(workers=2))
     assert cfg.workers == 2
+
+
+@pytest.mark.parametrize("raw", ["not-a-number", "0", "-2"])
+def test_a_bad_worker_count_in_the_environment_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("KGE_WORKERS", raw)
+    with pytest.raises(ValueError, match="KGE_WORKERS"):
+        build_train_config(argparse.Namespace())
+    assert main(["train", "--epochs", "1"]) == 2
+    assert "KGE_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-4"],
+                                   ["--eval-candidates", "-5"]])
+def test_train_rejects_bad_worker_and_candidate_counts(tmp_path, capsys, flags):
+    run = tmp_path / "run"
+    assert main(["train", *flags, "--out-dir", str(run)]) == 2
+    assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--candidates", "-5"], ["eval", "--workers", "-2"],
+                                  ["analyze-negatives", "--workers", "-2"]])
+def test_negative_worker_and_candidate_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--checkpoint", "model.kge"])
+    assert stop.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 def test_missing_dataset_paths_exit_with_an_error(capsys):

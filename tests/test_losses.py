@@ -9,17 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import loss_grad_rel_err
 from kgcl.data import Triple, TripleBatch
 from kgcl.losses import (
     LossConfig,
-    debiased_negative_estimate,
+    _debiased_mass,
+    _exp_estimate,
     hard_infonce,
     hasa_loss,
     hasa_plus_loss,
-    mean_exp_estimate,
-    self_normalized_exp_estimate,
     simple_infonce,
 )
 from kgcl.model import EmbeddingModel, GradientTape, aggregate, init_model
@@ -64,6 +65,27 @@ def oracle_context_term(s_pos, ctx_scores):
     if not ctx_scores:
         return 0.0
     return math.log(math.exp(s_pos) + sum(math.exp(s) for s in ctx_scores)) - s_pos
+
+
+# ---------------------------------------------------------------------------
+# the loss's row estimators, called on a single row
+
+
+def self_normalized_exp_estimate(scores):
+    scores = np.asarray(scores, dtype=np.float64)
+    return float(_exp_estimate(scores, np.zeros(scores.size, dtype=np.int64), 1, "eq7")[0][0])
+
+
+def mean_exp_estimate(scores):
+    scores = np.asarray(scores, dtype=np.float64)
+    return float(_exp_estimate(scores, np.zeros(scores.size, dtype=np.int64), 1, "alg1")[0][0])
+
+
+def debiased_negative_estimate(neg_scores, structure_scores, cfg):
+    sigma = np.asarray(neg_scores, dtype=np.float64)
+    rho = np.asarray(structure_scores, dtype=np.float64)
+    zeros = lambda a: np.zeros(a.size, dtype=np.int64)
+    return float(_debiased_mass(sigma, zeros(sigma), rho, zeros(rho), 1, cfg)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +221,10 @@ def test_mismatched_negative_batch_raises():
     batch = make_batch([Triple(0, 0, 1), Triple(1, 0, 2)])
     with pytest.raises(ValueError):
         simple_infonce(batch, neg_batch([[2]]), model)
+    with pytest.raises(ValueError, match="structure"):
+        hasa_loss(batch, NegativeSampleBatch([np.array([2]), np.array([3])]), model, LossConfig())
+    with pytest.raises(ValueError, match="contexts"):
+        hasa_plus_loss(batch, neg_batch([[2], [3]], ctx_lists=[[1]]), model, LossConfig())
 
 
 def test_loss_value_mean_and_diagnostics():
@@ -278,9 +304,24 @@ def test_debiased_estimate_clamps_at_floor():
     assert got == 4 * 1e-6
 
 
-def test_debiased_estimate_requires_negatives():
-    with pytest.raises(ValueError):
-        debiased_negative_estimate(np.zeros(0), np.zeros(2), LossConfig())
+@pytest.mark.parametrize("variant", ["eq7", "alg1"])
+def test_row_estimators_keep_rows_apart(variant):
+    # the scores of rows 0, 1 and 3 interleaved, row 2 left empty: each
+    # row's estimate and derivatives equal those of that row computed alone
+    rng = np.random.default_rng(59)
+    rows = rng.permutation(np.repeat([0, 1, 3], [3, 1, 5]))
+    scores = rng.normal(0.0, 2.0, size=rows.size)
+    value, grad = _exp_estimate(scores, rows, 4, variant)
+    assert value[2] == 0.0
+    for row in (0, 1, 3):
+        mine = rows == row
+        alone, alone_grad = _exp_estimate(scores[mine], np.zeros(mine.sum(), dtype=np.int64),
+                                          1, variant)
+        np.testing.assert_allclose(value[row], alone[0], rtol=1e-15)
+        np.testing.assert_allclose(grad[mine], alone_grad, rtol=1e-15)
+    oracle = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
+    for row in (0, 1, 3):
+        np.testing.assert_allclose(value[row], oracle(scores[rows == row].tolist()), rtol=1e-12)
 
 
 def test_loss_config_validation():
@@ -412,6 +453,10 @@ def test_hasa_clamp_reports_hits_and_freezes_negative_gradients():
     assert np.all(tape.entity_grad(2) == 0.0)
     assert np.all(tape.entity_grad(3) == 0.0)
     assert np.any(tape.entity_grad(1) != 0.0)
+    # nor are their rows on the tape at all, since lazy Adam would decay and
+    # step a pushed zero row: only the head (through the query) and the tail
+    ids, _ = tape.entity_rows()
+    assert ids.tolist() == [0, 1]
 
 
 def test_hasa_plus_zero_contexts_reduces_to_hasa():
@@ -568,3 +613,96 @@ def test_duplicate_rows_coalesce_in_gradients():
     err = loss_grad_rel_err(fd_loss_fn("hasa_plus", batch, negatives, cfg), model, rng,
                             coord_count=60)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# properties of the batched core
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+LOSSES = {
+    "simple": lambda b, n, m, cfg, t: simple_infonce(b, n, m, t),
+    "hard": lambda b, n, m, cfg, t: hard_infonce(b, n, m, t),
+    "hasa": lambda b, n, m, cfg, t: hasa_loss(b, n, m, cfg, t),
+    "hasa_plus": lambda b, n, m, cfg, t: hasa_plus_loss(b, n, m, cfg, t),
+}
+
+
+def run_with_tape(loss_name, batch, negatives, model, cfg):
+    tape = GradientTape(model)
+    return LOSSES[loss_name](batch, negatives, model, cfg, tape), tape
+
+
+def permuted(batch, negatives, perm):
+    """The batch with old triple perm[j] at position j, its contexts mapped
+    to the new positions."""
+    new_pos = np.argsort(perm)
+    pick = lambda lists: [lists[i] for i in perm]
+    return make_batch(pick(batch.triples)), NegativeSampleBatch(
+        pick(negatives.hard_and_batch_negatives),
+        pick(negatives.structure_samples),
+        [new_pos[negatives.negative_contexts[i]] for i in perm],
+    )
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss_name=st.sampled_from(sorted(LOSSES)),
+    kind=st.sampled_from(["sum", "mlp", "gru"]),
+    floor_epsilon=st.sampled_from([1e-6, 1.0]),
+    data=st.data(),
+)
+def test_permuting_the_batch_changes_no_loss_and_no_gradient(
+    seed, loss_name, kind, floor_epsilon, data
+):
+    # a floor of 1.0 per negative clamps some rows and not others
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 6))
+    model, batch, negatives = random_instance(
+        rng, kind=kind, n_triples=n, k_neg=3, m_struct=2, with_ctx=loss_name == "hasa_plus")
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    cfg = LossConfig(tau=0.2, floor_epsilon=floor_epsilon)
+    a, tape_a = run_with_tape(loss_name, batch, negatives, model, cfg)
+    b, tape_b = run_with_tape(loss_name, *permuted(batch, negatives, perm), model, cfg)
+    for field in ("loss", "pos", "neg", "false_neg", "neg_hasa"):
+        np.testing.assert_allclose(getattr(b, field), getattr(a, field), rtol=1e-12)
+    assert b.clamp_hits == a.clamp_hits
+    pairs = [(tape_a.entity_rows(), tape_b.entity_rows()),
+             (tape_a.relation_rows(), tape_b.relation_rows())]
+    pairs += [((None, tape_a.aggregator[k]), (None, tape_b.aggregator[k]))
+              for k in tape_a.aggregator]
+    for (ids_a, rows_a), (ids_b, rows_b) in pairs:
+        if ids_a is not None:
+            assert np.array_equal(ids_a, ids_b)
+        # summation order moves with the batch order, so entries that
+        # cancel to near zero are held to the scale of their array
+        atol = 1e-12 * np.abs(rows_a).max(initial=0.0)
+        np.testing.assert_allclose(rows_b, rows_a, rtol=1e-12, atol=atol)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss_name=st.sampled_from(["hasa", "hasa_plus"]),
+    kind=st.sampled_from(["sum", "mlp", "gru"]),
+    variant=st.sampled_from(["eq7", "alg1"]),
+)
+def test_structure_samples_change_nothing_at_tau_zero(seed, loss_name, kind, variant):
+    rng = np.random.default_rng(seed)
+    model, batch, negatives = random_instance(
+        rng, kind=kind, n_triples=4, k_neg=3, m_struct=3, with_ctx=loss_name == "hasa_plus")
+    bare = NegativeSampleBatch(
+        negatives.hard_and_batch_negatives,
+        [np.zeros(0, dtype=np.int64)] * len(batch),
+        negatives.negative_contexts,
+    )
+    cfg = LossConfig(tau=0.0, debias_variant=variant)
+    a, tape_a = run_with_tape(loss_name, batch, negatives, model, cfg)
+    b, tape_b = run_with_tape(loss_name, batch, bare, model, cfg)
+    assert a.loss == b.loss
+    for get in ("entity_rows", "relation_rows"):
+        (ids_a, rows_a), (ids_b, rows_b) = getattr(tape_a, get)(), getattr(tape_b, get)()
+        assert np.array_equal(ids_a, ids_b)
+        assert np.array_equal(rows_a, rows_b)
+    for name, grad in tape_a.aggregator.items():
+        assert np.array_equal(grad, tape_b.aggregator[name])

@@ -327,6 +327,10 @@ def test_experiment_validates_inputs():
         run_false_negative_experiment(kg, 0.2, "simple", None, [], seed=0)
     with pytest.raises(ValueError):
         run_false_negative_experiment(kg, 0.2, "simple", None, [0], seed=0)
+    # a cap of 0 used to file draws at the head under "0", a bucket the
+    # histogram CSV never writes
+    with pytest.raises(ValueError, match="distance_cap"):
+        run_false_negative_experiment(kg, 0.2, "simple", None, [3], seed=0, distance_cap=0)
 
 
 def test_max_triples_subsampling_caps_the_workload():

@@ -146,6 +146,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="eval_every"):
         TrainConfig(eval_every=-1)
     TrainConfig(eval_every=0)
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers"):
+            TrainConfig(workers=workers)
+    with pytest.raises(ValueError, match="eval_candidates"):
+        TrainConfig(eval_candidates=-5)
+    TrainConfig(eval_candidates=0)
     for mode in ("simple", "hasa", "hasa_plus"):
         with pytest.raises(ValueError):
             TrainConfig(loss_mode=mode, self_normalized=True)
