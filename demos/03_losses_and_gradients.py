@@ -21,12 +21,13 @@ tails = np.array([t.tail for t in triples])
 batch = TripleBatch(triples=triples,
                     batch_entities=np.concatenate([heads, tails]))
 
-# Negative material per triple: scored negatives, structure samples from
-# the head's hop rings, and the other batch positions as competing queries.
+# Negative material as one row per triple: scored negatives, structure
+# samples from the head's hop rings, and the other batch positions as
+# competing queries. A -1 cell would mark an empty slot.
 negatives = NegativeSampleBatch(
-    hard_and_batch_negatives=[np.array([2, 4, 5]), np.array([0, 6, 7])],
-    structure_samples=[np.array([4, 1]), np.array([6, 6])],
-    negative_contexts=[np.array([1]), np.array([0])],
+    hard_and_batch_negatives=np.array([[2, 4, 5], [0, 6, 7]]),
+    structure_samples=np.array([[4, 1], [6, 6]]),
+    negative_contexts=np.array([[1], [0]]),
 )
 
 # All four losses share the positive term and differ only in the negative

@@ -224,6 +224,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     from .synthetic import generate_knowledge_graph
 
     k_values = _parse_k_grid(args.k_grid)
+    if args.cap < 1:
+        raise ValueError(f"--cap must be >= 1, got {args.cap}")
     if args.synthetic:
         kg = generate_knowledge_graph(_spec_from_args(args))
     else:

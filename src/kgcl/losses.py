@@ -147,18 +147,20 @@ def _softmax_rows(s_pos: np.ndarray, scores: np.ndarray, rows: np.ndarray):
     return m + np.log(z) - s_pos, w_pos / z, w / z[rows]
 
 
-def _flat(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triple id arrays as (row of each id, ids)."""
-    rows = np.repeat(np.arange(len(lists)), [ids.size for ids in lists])
-    return rows, np.concatenate(lists).astype(np.int64)
+def _flat(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's filled cells in row-major order: (row of each id, ids)."""
+    filled = block >= 0
+    return np.nonzero(filled)[0], block[filled]
 
 
 def _product(queries: np.ndarray, table: np.ndarray, ids: np.ndarray):
     """One product of the queries with the distinct rows of ids: (distinct
-    ids, their rows, the B x distinct scores, the column of each id)."""
-    distinct, col = np.unique(ids, return_inverse=True)
+    ids, their rows, the B x distinct scores, the column of each id). The
+    distinct ids come sorted from a presence mask over the table."""
+    present = np.bincount(ids, minlength=len(table)) > 0
+    distinct = np.flatnonzero(present)
     emb = table[distinct]
-    return distinct, emb, queries @ emb.T, col
+    return distinct, emb, queries @ emb.T, np.cumsum(present)[ids] - 1
 
 
 def _push(tape, queries, distinct, emb, entries, pushed) -> np.ndarray:
@@ -214,11 +216,10 @@ def _contrastive(
             term, p_pos, g_neg = _softmax_rows(s_pos, sigma, neg_rows)
             neg = mass = np.bincount(neg_rows, np.exp(sigma), minlength=n)
         else:
-            struct_rows, struct_ids = _flat(negatives.structure_samples)
             # a triple without negatives contributes nothing at all
-            keep = has_neg[struct_rows]
-            struct_rows = struct_rows[keep]
-            s_ids, s_emb, s_scores, s_col = _product(queries, model.entity_table, struct_ids[keep])
+            structure = np.where(has_neg[:, None], negatives.structure_samples, -1)
+            struct_rows, struct_ids = _flat(structure)
+            s_ids, s_emb, s_scores, s_col = _product(queries, model.entity_table, struct_ids)
             rho = s_scores[struct_rows, s_col]
             mass, clamped, neg, false_neg, d_neg, d_false = _debiased_mass(
                 sigma, neg_rows, rho, struct_rows, n, cfg

@@ -6,7 +6,7 @@ facts."""
 import csv
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -24,7 +24,9 @@ DEFAULT_HARD_K = 3
 
 @dataclass
 class NegativeSampleBatch:
-    """Per-triple negative material for one training batch.
+    """The negative material of one training batch as three (B x width)
+    int64 blocks, row i belonging to triple i and -1 marking an empty cell.
+    A loss reads each block's filled cells in row-major order.
 
     hard_and_batch_negatives: entity ids scored against the query; never
     contains the triple's own positive tail.
@@ -34,17 +36,16 @@ class NegativeSampleBatch:
     act as competing queries for the tail; used by the bidirectional loss.
     """
 
-    hard_and_batch_negatives: list[np.ndarray]
-    structure_samples: list[np.ndarray] = field(default_factory=list)
-    negative_contexts: list[np.ndarray] = field(default_factory=list)
+    hard_and_batch_negatives: np.ndarray
+    structure_samples: np.ndarray
+    negative_contexts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.hard_and_batch_negatives)
 
     def mean_negative_count(self) -> float:
-        if not self.hard_and_batch_negatives:
-            return 0.0
-        return float(np.mean([ids.size for ids in self.hard_and_batch_negatives]))
+        filled = np.count_nonzero(self.hard_and_batch_negatives >= 0, axis=1)
+        return float(filled.mean()) if filled.size else 0.0
 
 
 def in_batch_negative_sample(
@@ -60,25 +61,30 @@ def in_batch_negative_sample(
     return rng.choice(pool, size=count, replace=True)
 
 
-def _select_topk(
-    scores: np.ndarray,
-    candidate_ids: np.ndarray,
-    known_positives: frozenset[int],
-    k: int,
-) -> np.ndarray:
-    if known_positives:
-        known = np.fromiter(known_positives, dtype=np.int64, count=len(known_positives))
-        keep = ~np.isin(candidate_ids, known)
-        candidate_ids = candidate_ids[keep]
-        scores = scores[keep]
-    if candidate_ids.size < k:
-        raise ValueError(
-            f"top-{k} requested but only {candidate_ids.size} candidates remain "
-            f"after filtering {len(known_positives)} known positives"
-        )
-    # primary key: score descending; ties broken by lower entity id
-    order = np.lexsort((candidate_ids, -scores))
-    return candidate_ids[order[:k]]
+def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a (B x N) score block, the k columns of highest score that
+    known does not mark, best first. A tie goes to the lower column, and NaN
+    ranks below every number, as in a per-row lexsort of (column, -score).
+    Raises ValueError when a row has fewer than k unmarked columns."""
+    free = np.count_nonzero(~known, axis=1).min(initial=k)
+    if free < k:
+        raise ValueError(f"top-{k} requested but only {free} candidates are not known tails")
+    # an order-preserving int64 key of -score (0.0 - x folds -0.0 into 0.0),
+    # then NaN above +inf and a known column above everything
+    key = np.subtract(0.0, scores, dtype=np.float64).view(np.int64)
+    np.bitwise_xor(key, np.iinfo(np.int64).max, out=key, where=key < 0)
+    key[np.isnan(scores)] = np.iinfo(np.int64).max - 1
+    key[known] = np.iinfo(np.int64).max
+    if k == 0:
+        return np.zeros((len(key), 0), dtype=np.int64)
+    # every key below the k-th smallest, then the lowest columns holding it
+    edge = np.partition(key, k - 1, axis=1)[:, [k - 1]]
+    below, tie = key < edge, key == edge
+    need = k - np.count_nonzero(below, axis=1, keepdims=True)
+    below |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need)
+    ids = np.nonzero(below)[1].reshape(-1, k)
+    order = np.lexsort((ids, np.take_along_axis(key, ids, axis=1)), axis=1)
+    return np.take_along_axis(ids, order, axis=1)
 
 
 def hard_negative_softmax_sample(
@@ -115,60 +121,39 @@ def assemble_training_negatives(
 ) -> NegativeSampleBatch:
     """Build the NegativeSampleBatch for one step.
 
-    Every mode starts from the batch's 2B entity slots with all occurrences
-    of the triple's own positive tail removed. The hard modes append the
-    hard_k highest-scoring entities not known to be true train tails of
-    (h, r). Structure samples are drawn with replacement from the uniform
-    1-/2-hop distribution around the head; heads with an empty ring get an
-    empty sample array. Only the structure draws consume randomness, so the
-    other components are fully determined by the model and the batch.
+    Every mode starts from the batch's 2B entity slots with each copy of
+    the triple's own tail emptied; the hard modes append the hard_k
+    highest-scoring entities not known to be true train tails of (h, r).
+    Structure samples are drawn with replacement from the uniform 1-/2-hop
+    ring of each head in batch order; an empty ring leaves its row empty.
+    Only those draws consume randomness. The hasa_plus contexts of a triple
+    are the batch's other positions.
     """
     if mode not in LOSS_MODES:
         raise ValueError(f"unknown negative mode {mode!r}, expected one of {LOSS_MODES}")
     needs_structure = mode in ("hasa", "hasa_plus")
     if needs_structure and idx is None:
         raise ValueError(f"mode {mode!r} requires a structure index")
-    slots = batch.batch_entities
     size = len(batch)
-    rng = np.random.default_rng(seed)
-    queries = None
-    scores = None
+    slots = batch.batch_entities
+    negatives = np.where(slots == batch.tails()[:, None], -1, slots)
     if mode != "simple":
         queries, _ = aggregate_batch(model, batch.heads(), batch.relations())
         scores = queries @ model.entity_table.T
-    all_ids = np.arange(model.num_entities(), dtype=np.int64)
-    negatives: list[np.ndarray] = []
-    structure: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
-    empty = np.zeros(0, dtype=np.int64)
-    for i, triple in enumerate(batch.triples):
-        base = slots[slots != triple.tail]
-        if mode == "simple":
-            negatives.append(base)
-        else:
-            known = kg.train_positive_tails.get((triple.head, triple.relation), frozenset())
-            top = _select_topk(scores[i], all_ids, known, hard_k)
-            negatives.append(np.concatenate([base, top]))
-        if needs_structure:
+        known = np.zeros(scores.shape, dtype=bool)
+        for i, triple in enumerate(batch.triples):
+            known[i, list(kg.train_positive_tails.get((triple.head, triple.relation), ()))] = True
+        negatives = np.concatenate([negatives, _select_topk(scores, known, hard_k)], axis=1)
+    structure = np.full((size, m_structure if needs_structure else 0), -1, dtype=np.int64)
+    if needs_structure:
+        rng = np.random.default_rng(seed)
+        for i, triple in enumerate(batch.triples):
             alpha = alpha_distribution(idx, triple.head)
-            if alpha.is_empty or m_structure == 0:
-                structure.append(empty)
-            else:
-                structure.append(alpha.sample(m_structure, rng))
-        else:
-            structure.append(empty)
-        if mode == "hasa_plus":
-            others = np.concatenate(
-                [np.arange(i, dtype=np.int64), np.arange(i + 1, size, dtype=np.int64)]
-            )
-            contexts.append(others)
-        else:
-            contexts.append(empty)
-    return NegativeSampleBatch(
-        hard_and_batch_negatives=negatives,
-        structure_samples=structure,
-        negative_contexts=contexts,
-    )
+            if not alpha.is_empty and m_structure:
+                structure[i] = alpha.sample(m_structure, rng)
+    width = size if mode == "hasa_plus" else 0
+    contexts = np.where(np.eye(size, width, dtype=bool), -1, np.arange(width))
+    return NegativeSampleBatch(negatives, structure, contexts)
 
 
 def split_retain_missing(

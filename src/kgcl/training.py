@@ -194,7 +194,8 @@ def train(
     from the train split on demand when not supplied. Checkpoints
     (checkpoint_final.kge, checkpoint_best.kge) and the JSON-lines log
     (train_log.jsonl) are written to cfg.out_dir when it is set; best means
-    highest validation MRR seen at any evaluation point."""
+    highest validation MRR seen at any evaluation point; each is replaced
+    atomically."""
     if cfg.loss_mode != "simple":
         most_known = max((len(t) for t in kg.train_positive_tails.values()), default=0)
         if kg.num_entities() - most_known < cfg.hard_k:
@@ -202,8 +203,7 @@ def train(
                 f"hard_k {cfg.hard_k} exceeds the {kg.num_entities() - most_known} candidates "
                 f"left for some (head, relation) after filtering its known train tails"
             )
-    needs_structure = cfg.loss_mode in ("hasa", "hasa_plus")
-    if needs_structure and idx is None:
+    if idx is None and cfg.loss_mode in ("hasa", "hasa_plus"):
         idx = build_structure_index(kg)
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -243,8 +243,6 @@ def train(
         return report
 
     step = 0
-    m_structure = cfg.m_structure if needs_structure else 0
-    sample_mode = cfg.loss_mode
     for epoch in range(cfg.epochs):
         batch_seed = np.random.SeedSequence(
             [cfg.seed, _STREAM_BATCHES, epoch]
@@ -260,9 +258,9 @@ def train(
                 model,
                 kg,
                 idx,
-                m_structure,
+                cfg.m_structure,
                 int(structure_seed),
-                sample_mode,
+                cfg.loss_mode,
                 hard_k=cfg.hard_k,
             )
             tape = GradientTape(model)
@@ -293,10 +291,23 @@ def train(
     if best_model is None:
         best_model = model
     if cfg.out_dir:
-        save_checkpoint(model, os.path.join(cfg.out_dir, "checkpoint_final.kge"))
-        save_checkpoint(best_model, os.path.join(cfg.out_dir, "checkpoint_best.kge"))
-        write_log(log, os.path.join(cfg.out_dir, "train_log.jsonl"))
+        _write_replacing(save_checkpoint, model, cfg.out_dir, "checkpoint_final.kge")
+        _write_replacing(save_checkpoint, best_model, cfg.out_dir, "checkpoint_best.kge")
+        _write_replacing(write_log, log, cfg.out_dir, "train_log.jsonl")
     return TrainResult(model=model, log=log, best_valid_mrr=best_mrr, final_valid=final_valid)
+
+
+def _write_replacing(write, obj, out_dir: str, name: str) -> None:
+    """write(obj, tmp) to a temporary file in out_dir, then os.replace it onto
+    out_dir/name; on any failure it is removed and the old file stays."""
+    path = os.path.join(out_dir, name)
+    tmp = f"{path}.tmp"
+    try:
+        write(obj, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_log(log: list[dict], path: str) -> None:

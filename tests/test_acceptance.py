@@ -55,18 +55,20 @@ def make_batch(triples):
                        batch_entities=np.concatenate([heads, tails]))
 
 
+def block(lists):
+    """Ragged id lists as one int64 block, each row padded with -1."""
+    out = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype=np.int64)
+    for row, ids in zip(out, lists):
+        row[:len(ids)] = ids
+    return out
+
+
 def neg_batch(neg_lists, struct_lists=None, ctx_lists=None):
     n = len(neg_lists)
     return NegativeSampleBatch(
-        hard_and_batch_negatives=[np.asarray(v, dtype=np.int64) for v in neg_lists],
-        structure_samples=[
-            np.asarray(v, dtype=np.int64)
-            for v in (struct_lists if struct_lists is not None else [[]] * n)
-        ],
-        negative_contexts=[
-            np.asarray(v, dtype=np.int64)
-            for v in (ctx_lists if ctx_lists is not None else [[]] * n)
-        ],
+        hard_and_batch_negatives=block(neg_lists),
+        structure_samples=block(struct_lists if struct_lists is not None else [[]] * n),
+        negative_contexts=block(ctx_lists if ctx_lists is not None else [[]] * n),
     )
 
 

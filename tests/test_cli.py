@@ -236,6 +236,22 @@ def test_analyze_negatives_rejects_a_bad_k_grid_before_pretraining(
     assert not counts_path.exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_analyze_negatives_rejects_a_bad_cap_before_pretraining(
+        tmp_path, capsys, monkeypatch, cap):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining ran before the distance cap was checked")
+
+    monkeypatch.setattr(kgcl.cli, "train", no_training)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--synthetic", "--cap", cap,
+                 "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    assert "--cap must be >= 1" in capsys.readouterr().err
+    assert not counts_path.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "analyze-negatives"])
 @pytest.mark.parametrize("extra_entities", [1, -1])
 def test_a_checkpoint_that_does_not_fit_the_dataset_exits_2(

@@ -106,13 +106,24 @@ def sum_model(entity_rows, num_relations=1):
     return EmbeddingModel(entity_table=table, relation_table=rel, kind="sum", aggregator={})
 
 
+def block(lists):
+    """Ragged id lists as one int64 block, each row padded with -1."""
+    out = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype=np.int64)
+    for row, ids in zip(out, lists):
+        row[:len(ids)] = ids
+    return out
+
+
+def filled(row):
+    return row[row >= 0]
+
+
 def neg_batch(neg_lists, struct_lists=None, ctx_lists=None):
     n = len(neg_lists)
-    as_arrays = lambda lists: [np.asarray(x, dtype=np.int64) for x in lists]
     return NegativeSampleBatch(
-        hard_and_batch_negatives=as_arrays(neg_lists),
-        structure_samples=as_arrays(struct_lists if struct_lists is not None else [[]] * n),
-        negative_contexts=as_arrays(ctx_lists if ctx_lists is not None else [[]] * n),
+        hard_and_batch_negatives=block(neg_lists),
+        structure_samples=block(struct_lists if struct_lists is not None else [[]] * n),
+        negative_contexts=block(ctx_lists if ctx_lists is not None else [[]] * n),
     )
 
 
@@ -137,7 +148,7 @@ def random_instance(rng, kind="sum", dim=4, n_entities=12, n_relations=3,
             ctxs.append(np.array([j for j in range(n_triples) if j != i], dtype=np.int64))
         else:
             ctxs.append(np.zeros(0, dtype=np.int64))
-    return model, make_batch(triples), NegativeSampleBatch(negs, structs, ctxs)
+    return model, make_batch(triples), neg_batch(negs, structs, ctxs)
 
 
 def instance_scores(model, batch, negatives):
@@ -146,8 +157,9 @@ def instance_scores(model, batch, negatives):
     for i, t in enumerate(batch.triples):
         q = aggregate(model, t.head, t.relation)
         s_pos = float(q @ model.entity_table[t.tail])
-        sigma = [float(q @ model.entity_table[j]) for j in negatives.hard_and_batch_negatives[i]]
-        rho = [float(q @ model.entity_table[j]) for j in negatives.structure_samples[i]]
+        neg_ids = filled(negatives.hard_and_batch_negatives[i])
+        sigma = [float(q @ model.entity_table[j]) for j in neg_ids]
+        rho = [float(q @ model.entity_table[j]) for j in filled(negatives.structure_samples[i])]
         rows.append((s_pos, sigma, rho, q))
     return rows
 
@@ -222,7 +234,7 @@ def test_mismatched_negative_batch_raises():
     with pytest.raises(ValueError):
         simple_infonce(batch, neg_batch([[2]]), model)
     with pytest.raises(ValueError, match="structure"):
-        hasa_loss(batch, NegativeSampleBatch([np.array([2]), np.array([3])]), model, LossConfig())
+        hasa_loss(batch, neg_batch([[2], [3]], struct_lists=[]), model, LossConfig())
     with pytest.raises(ValueError, match="contexts"):
         hasa_plus_loss(batch, neg_batch([[2], [3]], ctx_lists=[[1]]), model, LossConfig())
 
@@ -496,7 +508,7 @@ def test_hasa_plus_matches_scalar_oracle(variant):
         expected = 0.0
         for i, (s_pos, sigma, rho, _) in enumerate(rows):
             expected += oracle_hasa(s_pos, sigma, rho, cfg)
-            ctx = negatives.negative_contexts[i]
+            ctx = filled(negatives.negative_contexts[i])
             tail_row = model.entity_table[batch.triples[i].tail]
             ctx_scores = [float(queries[j] @ tail_row) for j in ctx]
             expected += oracle_context_term(s_pos, ctx_scores)
@@ -636,11 +648,11 @@ def permuted(batch, negatives, perm):
     """The batch with old triple perm[j] at position j, its contexts mapped
     to the new positions."""
     new_pos = np.argsort(perm)
-    pick = lambda lists: [lists[i] for i in perm]
-    return make_batch(pick(batch.triples)), NegativeSampleBatch(
-        pick(negatives.hard_and_batch_negatives),
-        pick(negatives.structure_samples),
-        [new_pos[negatives.negative_contexts[i]] for i in perm],
+    ctx = negatives.negative_contexts[perm]
+    return make_batch([batch.triples[i] for i in perm]), NegativeSampleBatch(
+        negatives.hard_and_batch_negatives[perm],
+        negatives.structure_samples[perm],
+        np.where(ctx >= 0, new_pos[ctx], -1),
     )
 
 
@@ -693,7 +705,7 @@ def test_structure_samples_change_nothing_at_tau_zero(seed, loss_name, kind, var
         rng, kind=kind, n_triples=4, k_neg=3, m_struct=3, with_ctx=loss_name == "hasa_plus")
     bare = NegativeSampleBatch(
         negatives.hard_and_batch_negatives,
-        [np.zeros(0, dtype=np.int64)] * len(batch),
+        np.zeros((len(batch), 0), dtype=np.int64),
         negatives.negative_contexts,
     )
     cfg = LossConfig(tau=0.0, debias_variant=variant)

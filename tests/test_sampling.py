@@ -23,6 +23,10 @@ from kgcl.sampling import (
 )
 
 
+def filled(row):
+    return row[row >= 0]
+
+
 def chain_kg(n=8):
     rows = [("e%d" % i, "r", "e%d" % (i + 1)) for i in range(n - 1)]
     return KnowledgeGraph.from_string_triples(rows)
@@ -41,20 +45,63 @@ def test_hard_topk_picks_highest_scores_with_id_tiebreak():
     model.entity_table[3, 0] = 2.0
     model.entity_table[1, 0] = 1.0
     model.entity_table[4, 0] = 1.0
-    q = aggregate(model, 0, 0)
-    ids = np.arange(1, 6)
-    picked = _select_topk(model.entity_table[ids] @ q, ids, frozenset(), 3)
-    np.testing.assert_array_equal(picked, [3, 1, 4])
+    scores = (model.entity_table @ aggregate(model, 0, 0))[None]
+    known = np.arange(6)[None] == 0  # the candidates are entities 1..5
+    picked = _select_topk(scores, known, 3)
+    np.testing.assert_array_equal(picked, [[3, 1, 4]])
 
 
 def test_hard_topk_filters_known_positives_and_checks_supply():
     model = init_model(5, 1, 2, kind="sum", seed=1)
-    scores = model.entity_table @ aggregate(model, 0, 0)
-    ids = np.arange(5)
-    picked = _select_topk(scores, ids, frozenset({0, 1, 2}), 2)
-    assert sorted(picked.tolist()) == [3, 4]
+    scores = (model.entity_table @ aggregate(model, 0, 0))[None]
+    known = np.isin(np.arange(5), [0, 1, 2])[None]
+    picked = _select_topk(scores, known, 2)
+    assert sorted(picked[0].tolist()) == [3, 4]
     with pytest.raises(ValueError):
-        _select_topk(scores, ids, frozenset({0, 1, 2}), 3)
+        _select_topk(scores, known, 3)
+
+
+def lexsort_topk(scores, known, k):
+    """The per-row reference: drop the known columns, then lexsort by
+    (-score, column), which ranks NaN last."""
+    picked = []
+    for row, mask in zip(scores, known):
+        ids = np.flatnonzero(~mask)
+        if ids.size < k:
+            raise ValueError("too few candidates")
+        picked.append(ids[np.lexsort((ids, -row[ids]))][:k])
+    return np.array(picked, dtype=np.int64).reshape(len(scores), k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 9])
+def test_batched_topk_matches_a_per_row_lexsort(k):
+    rng = np.random.default_rng(k)
+    # NaN comes with either sign bit
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0])
+    for _ in range(40):
+        # multiples of 1/8 plant exact ties; some cells are NaN, +-inf or -0.0
+        scores = rng.integers(-3, 4, size=(7, 12)) / 8.0
+        odd = rng.random(scores.shape) < 0.3
+        scores[odd] = rng.choice(specials, size=odd.sum())
+        scores[1], scores[2], scores[3] = specials[np.arange(12) % 2], np.inf, -np.inf
+        known = rng.random(scores.shape) < 0.3
+        # row 0 keeps exactly k candidates; no row keeps fewer
+        known[0] = True
+        known[0, rng.choice(12, size=k, replace=False)] = False
+        for row in range(1, 7):
+            while np.count_nonzero(~known[row]) < k:
+                known[row, rng.choice(np.flatnonzero(known[row]))] = False
+        picked = _select_topk(scores, known, k)
+        np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
+        assert picked.shape == (7, k) and picked.dtype == np.int64
+        assert not np.take_along_axis(known, picked, axis=1).any()
+        if k:
+            known[4, :] = True
+            known[4, : k - 1] = False
+            with pytest.raises(ValueError, match=f"top-{k} requested but only {k - 1} candidates"):
+                _select_topk(scores, known, k)
+            with pytest.raises(ValueError):
+                lexsort_topk(scores, known, k)
 
 
 def test_hard_softmax_sample_matches_analytic_distribution():
@@ -112,7 +159,7 @@ def test_simple_mode_uses_batch_slots_minus_own_tail():
     out = assemble_training_negatives(batch, model, kg, None, 0, seed=9, mode="simple")
     for i, triple in enumerate(batch.triples):
         expected = batch.batch_entities[batch.batch_entities != triple.tail]
-        np.testing.assert_array_equal(out.hard_and_batch_negatives[i], expected)
+        np.testing.assert_array_equal(filled(out.hard_and_batch_negatives[i]), expected)
         assert triple.tail not in out.hard_and_batch_negatives[i]
         assert out.structure_samples[i].size == 0
         assert out.negative_contexts[i].size == 0
@@ -137,7 +184,7 @@ def test_hard_mode_appends_top_scoring_unknown_tails():
     out = assemble_training_negatives(batch, model, kg, None, 0, seed=0, mode="hard",
                                       hard_k=2)
     for i, triple in enumerate(batch.triples):
-        ids = out.hard_and_batch_negatives[i]
+        ids = filled(out.hard_and_batch_negatives[i])
         base = batch.batch_entities[batch.batch_entities != triple.tail]
         assert ids.size == base.size + 2
         extras = ids[base.size:]
@@ -159,7 +206,7 @@ def test_hasa_mode_draws_structure_samples_from_the_hop_ring():
     out = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa")
     for i, triple in enumerate(batch.triples):
         support = set(alpha_distribution(idx, triple.head).support.tolist())
-        draws = out.structure_samples[i]
+        draws = filled(out.structure_samples[i])
         assert draws.size == 6
         assert set(draws.tolist()) <= support
     again = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa")
@@ -179,7 +226,7 @@ def test_hasa_plus_mode_lists_other_batch_positions():
     out = assemble_training_negatives(batch, model, kg, idx, 2, seed=0, mode="hasa_plus")
     for i in range(len(batch)):
         np.testing.assert_array_equal(
-            out.negative_contexts[i], [j for j in range(len(batch)) if j != i])
+            filled(out.negative_contexts[i]), [j for j in range(len(batch)) if j != i])
 
 
 def test_assembly_validates_mode_and_index():
@@ -194,9 +241,12 @@ def test_assembly_validates_mode_and_index():
 
 def test_mean_negative_count():
     nsb = NegativeSampleBatch(
-        hard_and_batch_negatives=[np.arange(3), np.arange(5)])
+        hard_and_batch_negatives=np.array([[0, 1, 2, -1, -1], [0, 1, 2, 3, 4]]),
+        structure_samples=np.zeros((2, 0), dtype=np.int64),
+        negative_contexts=np.zeros((2, 0), dtype=np.int64))
     assert nsb.mean_negative_count() == 4.0
-    assert NegativeSampleBatch(hard_and_batch_negatives=[]).mean_negative_count() == 0.0
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert NegativeSampleBatch(empty, empty, empty).mean_negative_count() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,11 @@ def test_hasa_at_tau_zero_eq7_matches_self_normalized_hard():
     assert models_equal(hard.model, hasa.model)
 
 
-def test_divergence_aborts_and_dumps_the_batch(tmp_path):
+@pytest.mark.parametrize("mode", ["simple", "hard", "hasa", "hasa_plus"])
+def test_divergence_aborts_and_dumps_the_batch(tmp_path, mode):
     kg = chain_kg(8)
     out = tmp_path / "run"
-    cfg = small_cfg(learning_rate=1e308, epochs=50, out_dir=str(out))
+    cfg = small_cfg(loss_mode=mode, learning_rate=1e308, epochs=50, out_dir=str(out))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged):
             train(cfg, kg)
@@ -262,6 +263,24 @@ def test_hard_k_beyond_the_surviving_candidates_fails_before_any_file(tmp_path, 
     assert "hard_k 8" in str(err.value) and "7 candidates" in str(err.value)
     assert not out.exists()
     train(small_cfg(loss_mode=mode, hard_k=7, epochs=1), kg)
+
+
+def test_a_failed_replace_keeps_the_old_artifacts_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch):
+    kg = toy_cycle_kg(4)
+    out = tmp_path / "run"
+    train(small_cfg(epochs=1, out_dir=str(out)), kg)
+    names = ["checkpoint_final.kge", "checkpoint_best.kge", "train_log.jsonl"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        train(small_cfg(epochs=2, seed=5, out_dir=str(out)), kg)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_output_files_and_log_shape(tmp_path):
