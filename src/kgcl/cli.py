@@ -13,7 +13,7 @@ import os
 import sys
 
 from .data import KnowledgeGraph, ParseError, augment_reverse, load_dataset
-from .evaluation import default_candidate_limit, evaluate
+from .evaluation import MetricsReport, default_candidate_limit, evaluate
 from .losses import DEBIAS_VARIANTS
 from .model import AGGREGATOR_KINDS, load_checkpoint
 from .sampling import (
@@ -24,7 +24,7 @@ from .sampling import (
     write_false_negative_histogram,
 )
 from .synthetic import SyntheticKGSpec, generate_synthetic_kg, write_dataset_files
-from .training import TrainConfig, sweep_tau, train, write_sweep_csv
+from .training import TrainConfig, _write_replacing, sweep_tau, train, write_sweep_csv
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
@@ -181,9 +181,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.metrics_json:
-        report.write_json(args.metrics_json)
+        _write_replacing(MetricsReport.write_json, report, args.metrics_json)
     if args.ranks_csv:
-        report.write_ranks_csv(args.ranks_csv)
+        _write_replacing(MetricsReport.write_ranks_csv, report, args.ranks_csv)
     return 0
 
 
@@ -226,6 +226,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     k_values = _parse_k_grid(args.k_grid)
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
+    if args.max_triples is not None and args.max_triples < 1:
+        raise ValueError(f"--max-triples must be >= 1, got {args.max_triples}")
     if args.synthetic:
         kg = generate_knowledge_graph(_spec_from_args(args))
     else:
@@ -236,8 +238,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         retain, _ = split_retain_missing(kg.train, args.removal_fraction, args.seed)
         pre_cfg = TrainConfig(
             loss_mode="simple",
-            aggregator=args.aggregator or "gru",
-            dim=args.dim or 16,
+            aggregator=args.aggregator,
+            dim=args.dim,
             batch_size=16,
             epochs=args.pretrain_epochs,
             learning_rate=args.pretrain_lr,
@@ -260,8 +262,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         )
         for sampler in ("simple", "hard")
     ]
-    write_false_negative_counts(reports, args.out_counts)
-    write_false_negative_histogram(reports, args.out_histogram)
+    _write_replacing(write_false_negative_counts, reports, args.out_counts)
+    _write_replacing(write_false_negative_histogram, reports, args.out_histogram)
     for report in reports:
         for k, sampler, count in report.counts:
             print(f"K={k} sampler={sampler} false_negatives={count}")
@@ -273,7 +275,7 @@ def cmd_sweep_tau(args: argparse.Namespace) -> int:
     kg = _load_kg(cfg, augment=not args.no_augment)
     taus = [float(v) for v in args.taus.split(",") if v]
     rows = sweep_tau(cfg, taus, kg)
-    write_sweep_csv(rows, args.out)
+    _write_replacing(write_sweep_csv, rows, args.out)
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     return 0

@@ -10,6 +10,9 @@ import numpy as np
 
 from .data import KnowledgeGraph, Triple
 
+# how many heads' structure distributions a StructureIndex keeps
+HOP_CACHE_SIZE = 1024
+
 
 class StructureIndex:
     """Deduplicated undirected adjacency built from train triples only, in
@@ -17,17 +20,16 @@ class StructureIndex:
     in ascending order. Both arrays are read-only.
 
     Relation labels and edge direction are discarded; self-loops are dropped.
-    The structure distribution of each head is memoized in a bounded LRU
-    cache so repeated heads during training stay cheap.
+    The structure distribution of each head is memoized in an LRU cache of
+    HOP_CACHE_SIZE heads so repeated heads during training stay cheap.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, cache_size: int = 1024):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         indptr.flags.writeable = False
         indices.flags.writeable = False
         self.indptr = indptr
         self.indices = indices
         self.entity_count = indptr.size - 1
-        self.cache_size = cache_size
         self._hop_cache: OrderedDict[int, AlphaDistribution] = OrderedDict()
 
     def neighbors(self, entity: int) -> np.ndarray:
@@ -54,13 +56,11 @@ class StructureIndex:
 
     def _cache_put(self, head: int, value) -> None:
         self._hop_cache[head] = value
-        if len(self._hop_cache) > self.cache_size:
+        if len(self._hop_cache) > HOP_CACHE_SIZE:
             self._hop_cache.popitem(last=False)
 
 
-def _index_from_triples(
-    triples: list[Triple], entity_count: int, cache_size: int = 1024
-) -> StructureIndex:
+def _index_from_triples(triples: list[Triple], entity_count: int) -> StructureIndex:
     flat = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
     ends = flat.reshape(-1, 3)[:, [0, 2]]
     if ends.size and not 0 <= ends.min() <= ends.max() < entity_count:
@@ -75,13 +75,13 @@ def _index_from_triples(
     order = np.argsort(src * entity_count + dst)
     indptr = np.zeros(entity_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=entity_count), out=indptr[1:])
-    return StructureIndex(indptr, dst[order], cache_size=cache_size)
+    return StructureIndex(indptr, dst[order])
 
 
-def build_structure_index(kg: KnowledgeGraph, cache_size: int = 1024) -> StructureIndex:
+def build_structure_index(kg: KnowledgeGraph) -> StructureIndex:
     """Index the train split. Validation and test triples contribute no
     edges, so structure-based sampling never sees held-out facts."""
-    return _index_from_triples(kg.train, kg.num_entities(), cache_size=cache_size)
+    return _index_from_triples(kg.train, kg.num_entities())
 
 
 def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, int]:

@@ -4,7 +4,6 @@ experiment that counts how many sampled negatives are actually missing true
 facts."""
 
 import csv
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -16,6 +15,9 @@ from .graph import StructureIndex, _index_from_triples, alpha_distribution, dist
 from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
+
+# the rows of a FalseNegReport histogram
+LABELS = ("true", "false")
 
 LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 
@@ -182,18 +184,22 @@ class FalseNegReport:
     """Outcome of one sampler's false-negative experiment.
 
     counts holds one (K, sampler, false_count) row per requested K.
-    histogram maps (label, bucket) to how many sampled negatives labeled
-    true/false sat at that graph distance from the head, aggregated over all
-    K values; the final bucket pools distances at or beyond the cap together
-    with unreachable pairs.
+    histogram is a (2, distance_cap + 1) int64 array summed over all K
+    values: row i counts the sampled negatives labeled LABELS[i], column d
+    those d hops from the head in the retained graph, and the last column
+    pools draws distance_cap or more hops away with unreachable ones.
+    Reports with the same cap pool by adding their histograms.
     """
 
     sampler: str
     removal_fraction: float
     distance_cap: int
     counts: list[tuple[int, str, int]]
-    histogram: dict[tuple[str, str], int]
-    total_sampled: dict[str, int]
+    histogram: np.ndarray
+
+    @property
+    def total_sampled(self) -> dict[str, int]:
+        return dict(zip(LABELS, self.histogram.sum(axis=1).tolist()))
 
     def false_count(self, k: int) -> int:
         for row_k, _, count in self.counts:
@@ -201,30 +207,25 @@ class FalseNegReport:
                 return count
         raise KeyError(f"no row for K={k}")
 
-    def mean_distance(self, label: str) -> float:
-        """Mean bucketed distance; the overflow bucket counts as the cap."""
-        total = 0
-        weighted = 0.0
-        for (lab, bucket), count in self.histogram.items():
-            if lab != label:
-                continue
-            value = self.distance_cap if bucket.endswith("+") else int(bucket)
-            weighted += value * count
-            total += count
-        if total == 0:
+    def _row(self, label: str) -> np.ndarray:
+        if label not in LABELS:
+            raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+        row = self.histogram[LABELS.index(label)]
+        if not row.any():
             raise ValueError(f"no sampled negatives labeled {label!r}")
-        return weighted / total
+        return row
+
+    def mean_distance(self, label: str) -> float:
+        """Mean bucketed distance; the overflow column counts as the cap."""
+        row = self._row(label)
+        return int(row @ np.arange(row.size)) / int(row.sum())
 
     def fraction_within(self, label: str, max_distance: int) -> float:
-        total = self.total_sampled.get(label, 0)
-        if total == 0:
-            raise ValueError(f"no sampled negatives labeled {label!r}")
-        near = sum(
-            count
-            for (lab, bucket), count in self.histogram.items()
-            if lab == label and not bucket.endswith("+") and int(bucket) <= max_distance
-        )
-        return near / total
+        """Share of the label's draws at most max_distance hops away; the
+        overflow column never counts as near."""
+        row = self._row(label)
+        near = row[:-1] @ (np.arange(self.distance_cap) <= max_distance)
+        return int(near) / int(row.sum())
 
 
 def _experiment_batch(
@@ -233,40 +234,33 @@ def _experiment_batch(
     sampler: str,
     model: EmbeddingModel | None,
     reached: MappingProxyType,
-    missing_set: set[Triple],
+    hidden: np.ndarray,
+    entity_count: int,
     cap: int,
     seed_key: list[int],
-) -> tuple[int, Counter]:
+) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    tails = np.fromiter((t.tail for t in triples), dtype=np.int64, count=len(triples))
-    heads = np.fromiter((t.head for t in triples), dtype=np.int64, count=len(triples))
+    heads, rels, tails = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     if sampler == "hard":
-        rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
         support = np.unique(np.concatenate([heads, tails]))
         queries, _ = aggregate_batch(model, heads, rels)
-    buckets = bucket_labels(cap)
-    false_count = 0
-    hist: Counter = Counter()
+    drawn, hops = [], []
     for i, triple in enumerate(triples):
         if sampler == "simple":
             draws = in_batch_negative_sample(tails, triple.tail, k, rng)
         else:
-            cand = support[support != triple.tail]
-            if cand.size == 0:
-                continue
-            draws = hard_negative_softmax_sample(queries[i], cand, model, k, rng)
-        if draws.size == 0:
-            continue
+            draws = support[support != triple.tail]
+            if draws.size:
+                draws = hard_negative_softmax_sample(queries[i], draws, model, k, rng)
         ids, dist = reached[triple.head]
         at = np.minimum(np.searchsorted(ids, draws), ids.size - 1)
-        # a draw beyond cap - 1 hops, or unreachable, falls in the last bucket
-        hops = np.where(ids[at] == draws, dist[at], cap)
-        for neg, hop in zip(draws.tolist(), hops.tolist()):
-            label = "false" if Triple(triple.head, triple.relation, neg) in missing_set else "true"
-            if label == "false":
-                false_count += 1
-            hist[(label, buckets[hop])] += 1
-    return false_count, hist
+        # a draw beyond cap - 1 hops, or unreachable, falls in the last column
+        hops.append(np.where(ids[at] == draws, dist[at], cap))
+        drawn.append(draws)
+    owner = np.repeat(np.arange(len(triples)), [d.size for d in drawn])
+    keys = (rels[owner] * entity_count + heads[owner]) * entity_count + np.concatenate(drawn)
+    cells = np.isin(keys, hidden) * (cap + 1) + np.concatenate(hops)
+    return np.bincount(cells, minlength=2 * (cap + 1)).reshape(2, cap + 1)
 
 
 def run_false_negative_experiment(
@@ -288,10 +282,10 @@ def run_false_negative_experiment(
     sampler draws from the batch tail-frequency distribution
     (in_batch_negative_sample), the hard sampler from the softmax of model
     scores over the distinct batch entities (hard_negative_softmax_sample);
-    both exclude the triple's own tail and renormalize. Every
-    sampled negative t is labeled false when (h, r, t) is one of the hidden
-    facts, and its graph distance from h (in the retained graph) is
-    bucketed."""
+    both exclude the triple's own tail and renormalize. A sampled negative t
+    is labeled false when (h, r, t) is one of the hidden facts, and counted
+    in the report's histogram under its label and its hop distance from h
+    in the retained graph; the batches' count arrays are summed."""
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLER_KINDS}")
     if sampler == "hard" and model is None:
@@ -302,9 +296,13 @@ def run_false_negative_experiment(
         raise ValueError(f"K values must be >= 1, got {min(k_values)}")
     if distance_cap < 1:
         raise ValueError(f"distance_cap must be >= 1, got {distance_cap}")
+    if max_triples is not None and max_triples < 1:
+        raise ValueError(f"max_triples must be >= 1, got {max_triples}")
     retain, missing = split_retain_missing(kg.train, removal_fraction, seed)
-    missing_set = set(missing)
-    idx = _index_from_triples(retain, kg.num_entities())
+    n = kg.num_entities()
+    facts = np.array(missing, dtype=np.int64).reshape(-1, 3)
+    hidden = np.unique((facts[:, 1] * n + facts[:, 0]) * n + facts[:, 2])
+    idx = _index_from_triples(retain, n)
     if max_triples is not None and len(retain) > max_triples:
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         chosen = np.sort(sub_rng.choice(len(retain), size=max_triples, replace=False))
@@ -318,7 +316,7 @@ def run_false_negative_experiment(
     })
     sampler_id = SAMPLER_KINDS.index(sampler)
     counts = []
-    hist: Counter = Counter()
+    hist = np.zeros((len(LABELS), distance_cap + 1), dtype=np.int64)
     for k_pos, k in enumerate(k_values):
         batch_size = max(1, (k + 1) // 2)
         order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, k_pos]))
@@ -328,7 +326,7 @@ def run_false_negative_experiment(
             for start in range(0, len(order), batch_size)
         ]
         jobs = [
-            (chunk, k, sampler, model, reached, missing_set, distance_cap,
+            (chunk, k, sampler, model, reached, hidden, n, distance_cap,
              [seed, 3, sampler_id, k_pos, b])
             for b, chunk in enumerate(batches)
         ]
@@ -337,21 +335,15 @@ def run_false_negative_experiment(
                 results = list(pool.map(lambda j: _experiment_batch(*j), jobs))
         else:
             results = [_experiment_batch(*j) for j in jobs]
-        k_false = 0
-        for false_count, batch_hist in results:
-            k_false += false_count
-            hist.update(batch_hist)
-        counts.append((k, sampler, k_false))
-    totals = {"true": 0, "false": 0}
-    for (label, _), count in hist.items():
-        totals[label] += count
+        k_hist = sum(results, np.zeros_like(hist))
+        counts.append((k, sampler, int(k_hist[LABELS.index("false")].sum())))
+        hist += k_hist
     return FalseNegReport(
         sampler=sampler,
         removal_fraction=removal_fraction,
         distance_cap=distance_cap,
         counts=counts,
-        histogram=dict(hist),
-        total_sampled=totals,
+        histogram=hist,
     )
 
 
@@ -371,7 +363,7 @@ def write_false_negative_histogram(reports: list[FalseNegReport], path: str) -> 
         writer = csv.writer(handle)
         writer.writerow(["sampler", "label", "d_bucket", "count"])
         for report in reports:
-            for bucket in bucket_labels(report.distance_cap):
+            for d, bucket in enumerate(bucket_labels(report.distance_cap)):
                 for label in ("false", "true"):
-                    count = report.histogram.get((label, bucket), 0)
+                    count = report.histogram[LABELS.index(label), d]
                     writer.writerow([report.sampler, label, bucket, count])

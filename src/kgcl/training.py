@@ -179,7 +179,10 @@ def _dump_diverged_batch(cfg: TrainConfig, epoch, step, batch, value) -> None:
         "loss": repr(value.loss),
         "triples": [list(t) for t in batch.triples],
     }
-    path = os.path.join(cfg.out_dir, "diverged_batch.json")
+    _write_replacing(_write_json, payload, os.path.join(cfg.out_dir, "diverged_batch.json"))
+
+
+def _write_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -291,16 +294,18 @@ def train(
     if best_model is None:
         best_model = model
     if cfg.out_dir:
-        _write_replacing(save_checkpoint, model, cfg.out_dir, "checkpoint_final.kge")
-        _write_replacing(save_checkpoint, best_model, cfg.out_dir, "checkpoint_best.kge")
-        _write_replacing(write_log, log, cfg.out_dir, "train_log.jsonl")
+        for write, obj, name in (
+            (save_checkpoint, model, "checkpoint_final.kge"),
+            (save_checkpoint, best_model, "checkpoint_best.kge"),
+            (write_log, log, "train_log.jsonl"),
+        ):
+            _write_replacing(write, obj, os.path.join(cfg.out_dir, name))
     return TrainResult(model=model, log=log, best_valid_mrr=best_mrr, final_valid=final_valid)
 
 
-def _write_replacing(write, obj, out_dir: str, name: str) -> None:
-    """write(obj, tmp) to a temporary file in out_dir, then os.replace it onto
-    out_dir/name; on any failure it is removed and the old file stays."""
-    path = os.path.join(out_dir, name)
+def _write_replacing(write, obj, path: str) -> None:
+    """write(obj, tmp) to a temporary file beside path, then os.replace it
+    onto path; on any failure it is removed and the old file stays."""
     tmp = f"{path}.tmp"
     try:
         write(obj, tmp)

@@ -12,6 +12,7 @@ and repeated runs are byte-for-byte reproducible. Every test also carries
 an explicit wall-clock budget.
 """
 
+import dataclasses
 import math
 import os
 import statistics
@@ -408,11 +409,10 @@ def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
 def false_negative_study(kg_per_seed, seeds, k_grid, pretrain_epochs,
                          max_triples=None):
     """Pool the hidden-fact experiment over seeds; returns per-K counts per
-    sampler plus the pooled distance histogram."""
+    sampler plus one report whose histogram is the sum of every report's."""
     simple_counts = Counter()
     hard_counts = Counter()
-    hist = Counter()
-    totals = Counter()
+    reports = []
     for seed in seeds:
         kg = kg_per_seed(seed)
         retain, _ = split_retain_missing(kg.train, 0.3, seed)
@@ -425,40 +425,20 @@ def false_negative_study(kg_per_seed, seeds, k_grid, pretrain_epochs,
                 kg, 0.3, sampler, model, k_grid, seed, max_triples=max_triples)
             for k, _, count in report.counts:
                 bucket[k] += count
-            for key, count in report.histogram.items():
-                hist[key] += count
-            for label, count in report.total_sampled.items():
-                totals[label] += count
-    return simple_counts, hard_counts, hist, totals
+            reports.append(report)
+    pooled = sum(report.histogram for report in reports)
+    return simple_counts, hard_counts, dataclasses.replace(reports[0], histogram=pooled)
 
 
-def pooled_mean_distance(hist, label, cap=5):
-    weighted = total = 0
-    for (lab, bucket), count in hist.items():
-        if lab != label:
-            continue
-        weighted += (cap if bucket.endswith("+") else int(bucket)) * count
-        total += count
-    return weighted / total
-
-
-def pooled_fraction_within(hist, totals, label, max_d):
-    near = sum(count for (lab, bucket), count in hist.items()
-               if lab == label and not bucket.endswith("+")
-               and int(bucket) <= max_d)
-    return near / totals[label]
-
-
-def assert_false_negative_pattern(simple_counts, hard_counts, hist, totals,
-                                  k_grid):
+def assert_false_negative_pattern(simple_counts, hard_counts, pooled, k_grid):
     for k in k_grid:
         assert simple_counts[k] > 0, f"simple sampler found nothing at K={k}"
         ratio = hard_counts[k] / simple_counts[k]
         assert ratio >= 1.5, f"K={k}: hard/simple ratio {ratio:.2f} below 1.5"
-    mean_false = pooled_mean_distance(hist, "false")
-    mean_true = pooled_mean_distance(hist, "true")
+    mean_false = pooled.mean_distance("false")
+    mean_true = pooled.mean_distance("true")
     assert mean_false < mean_true, (mean_false, mean_true)
-    fraction = pooled_fraction_within(hist, totals, "false", 2)
+    fraction = pooled.fraction_within("false", 2)
     assert fraction >= 0.70, f"only {fraction:.2f} of false negatives within 2 hops"
 
 

@@ -252,6 +252,26 @@ def test_analyze_negatives_rejects_a_bad_cap_before_pretraining(
     assert not counts_path.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-triples", "0"], "--max-triples must be >= 1"),
+    (["--max-triples", "-2"], "--max-triples must be >= 1"),
+    (["--dim", "0"], "dim must be >= 1"),
+])
+def test_analyze_negatives_rejects_a_bad_pretraining_flag_before_pretraining(
+        tmp_path, capsys, monkeypatch, flags, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining ran before the flags were checked")
+
+    monkeypatch.setattr(kgcl.cli, "train", no_training)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--synthetic", *flags,
+                 "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not counts_path.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "analyze-negatives"])
 @pytest.mark.parametrize("extra_entities", [1, -1])
 def test_a_checkpoint_that_does_not_fit_the_dataset_exits_2(

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import kgcl.graph
 from kgcl.data import KnowledgeGraph, Triple
 from kgcl.graph import (
     _index_from_triples,
@@ -127,9 +128,10 @@ def test_two_hop_neighborhoods_match_distance_slices():
             assert head not in ring
 
 
-def test_hop_cache_eviction_keeps_answers_correct():
+def test_hop_cache_eviction_keeps_answers_correct(monkeypatch):
+    monkeypatch.setattr(kgcl.graph, "HOP_CACHE_SIZE", 2)
     chain = [Triple(i, 0, i + 1) for i in range(9)]
-    idx = _index_from_triples(chain, 10, cache_size=2)
+    idx = _index_from_triples(chain, 10)
     fresh = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
     again = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
     assert fresh == again

@@ -1,14 +1,23 @@
 """Negative samplers, their distributions, and the false-negative counting
 experiment."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import kgcl.sampling
 from kgcl.data import KnowledgeGraph, Triple, make_batches
-from kgcl.graph import build_structure_index, alpha_distribution
+from kgcl.graph import (
+    _index_from_triples,
+    alpha_distribution,
+    build_structure_index,
+    distances_within,
+)
 from kgcl.model import aggregate, init_model
 from kgcl.sampling import (
     DEFAULT_HARD_K,
+    LABELS,
     FalseNegReport,
     NegativeSampleBatch,
     _select_topk,
@@ -21,6 +30,7 @@ from kgcl.sampling import (
     write_false_negative_counts,
     write_false_negative_histogram,
 )
+from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 
 
 def filled(row):
@@ -286,26 +296,60 @@ def test_bucket_labels():
 # the false-negative experiment
 
 
-def test_report_arithmetic():
-    report = FalseNegReport(
+def cap3_report(true_row, false_row):
+    """A cap-3 report: columns 0, 1, 2 hops and the overflow column."""
+    return FalseNegReport(
         sampler="simple",
         removal_fraction=0.2,
         distance_cap=3,
         counts=[(7, "simple", 4), (15, "simple", 9)],
-        histogram={("false", "1"): 6, ("false", "3+"): 2,
-                   ("true", "2"): 5, ("true", "3+"): 5},
-        total_sampled={"false": 8, "true": 10},
+        histogram=np.array([true_row, false_row], dtype=np.int64),
     )
+
+
+def test_report_arithmetic():
+    report = cap3_report(true_row=[0, 0, 5, 5], false_row=[0, 6, 0, 2])
     assert report.false_count(7) == 4
     assert report.false_count(15) == 9
     with pytest.raises(KeyError):
         report.false_count(31)
+    assert report.total_sampled == {"true": 10, "false": 8}
     np.testing.assert_allclose(report.mean_distance("false"), (6 * 1 + 2 * 3) / 8.0)
     np.testing.assert_allclose(report.mean_distance("true"), (5 * 2 + 5 * 3) / 10.0)
     np.testing.assert_allclose(report.fraction_within("false", 2), 6 / 8.0)
     np.testing.assert_allclose(report.fraction_within("true", 2), 5 / 10.0)
+    # at or beyond the cap the overflow column still never counts as near
+    for d in (3, 4, 10):
+        np.testing.assert_allclose(report.fraction_within("false", d), 6 / 8.0)
+        np.testing.assert_allclose(report.fraction_within("true", d), 5 / 10.0)
+    assert report.fraction_within("false", 0) == report.fraction_within("false", -1) == 0.0
     with pytest.raises(ValueError):
         report.mean_distance("other")
+    with pytest.raises(ValueError):
+        report.fraction_within("other", 2)
+    empty = cap3_report(true_row=[1, 0, 0, 0], false_row=[0, 0, 0, 0])
+    with pytest.raises(ValueError, match="no sampled negatives labeled 'false'"):
+        empty.mean_distance("false")
+    with pytest.raises(ValueError, match="no sampled negatives labeled 'false'"):
+        empty.fraction_within("false", 2)
+
+
+def test_mean_distance_counts_the_overflow_column_at_the_cap():
+    report = cap3_report(true_row=[0, 0, 0, 4], false_row=[1, 0, 0, 3])
+    assert report.mean_distance("true") == 3.0
+    assert report.mean_distance("false") == (0 * 1 + 3 * 3) / 4.0
+
+
+def test_reports_pool_by_adding_their_histograms():
+    a = cap3_report(true_row=[2, 0, 1, 0], false_row=[0, 3, 0, 0])
+    b = cap3_report(true_row=[0, 1, 0, 4], false_row=[0, 1, 2, 1])
+    pooled = replace(a, histogram=a.histogram + b.histogram)
+    # true: 2 at 0, 1 at 1, 1 at 2, 4 overflow; false: 4 at 1, 2 at 2, 1 overflow
+    assert pooled.total_sampled == {"true": 8, "false": 7}
+    assert pooled.mean_distance("true") == (0 * 2 + 1 * 1 + 2 * 1 + 3 * 4) / 8.0
+    assert pooled.mean_distance("false") == (1 * 4 + 2 * 2 + 3 * 1) / 7.0
+    assert pooled.fraction_within("true", 1) == 3 / 8.0
+    assert pooled.fraction_within("false", 2) == 6 / 7.0
 
 
 def planted_kg_and_seed():
@@ -333,7 +377,7 @@ def test_experiment_labels_hidden_facts_as_false():
     assert report.total_sampled == {"false": 5, "true": 5}
     # the retained graph has edges a-b and c-d only, so both sampled
     # entities are unreachable from the query head
-    assert report.histogram == {("false", "5+"): 5, ("true", "5+"): 5}
+    np.testing.assert_array_equal(report.histogram, [[0, 0, 0, 0, 0, 5], [0, 0, 0, 0, 0, 5]])
 
 
 def test_experiment_distance_buckets_use_the_retained_graph():
@@ -347,9 +391,63 @@ def test_experiment_distance_buckets_use_the_retained_graph():
     report = run_false_negative_experiment(
         kg, removal_fraction=1.0 / 3.0, sampler="simple", model=None,
         k_values=[4], seed=seed)
-    assert report.histogram.get(("false", "2"), 0) > 0
-    for (label, bucket), count in report.histogram.items():
-        assert bucket in bucket_labels(5)
+    assert report.histogram.shape == (2, 6)
+    assert report.histogram[LABELS.index("false"), 2] > 0
+
+
+def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key):
+    """Reference for one experiment batch: the same draws, each labelled by
+    set membership and placed by its own BFS from the head."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    heads = np.array([t.head for t in triples])
+    tails = np.array([t.tail for t in triples])
+    support = np.unique(np.concatenate([heads, tails]))
+    counts = np.zeros((2, cap + 1), dtype=np.int64)
+    for i, triple in enumerate(triples):
+        if sampler == "simple":
+            draws = in_batch_negative_sample(tails, triple.tail, k, rng)
+        else:
+            cand = support[support != triple.tail]
+            if cand.size == 0:
+                continue
+            query = aggregate(model, triple.head, triple.relation)
+            draws = hard_negative_softmax_sample(query, cand, model, k, rng)
+        dist = distances_within(idx, triple.head, cap - 1)
+        for neg in draws.tolist():
+            hidden = Triple(triple.head, triple.relation, neg) in hidden_facts
+            counts[LABELS.index("false" if hidden else "true"), dist.get(neg, cap)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("sampler", ["simple", "hard"])
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
+    spec = SyntheticKGSpec(block_count=3, entities_per_block=8, relation_count=1,
+                           intra_block_edge_probability=0.5,
+                           inter_block_edge_probability=0.05, seed=4)
+    kg = generate_knowledge_graph(spec)
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0,
+                       init_scale=0.5)
+    retain, missing = split_retain_missing(kg.train, 0.3, seed=2)
+    idx = _index_from_triples(retain, kg.num_entities())
+    batches = []
+    batch_counts = kgcl.sampling._experiment_batch
+
+    def recorded(*args):
+        batches.append((args, batch_counts(*args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(kgcl.sampling, "_experiment_batch", recorded)
+    report = run_false_negative_experiment(kg, 0.3, sampler, model, [3, 15], seed=2,
+                                           distance_cap=cap)
+    total = 0
+    for (triples, k, _, _, _, _, _, _, seed_key), counts in batches:
+        np.testing.assert_array_equal(
+            counts, per_draw_counts(triples, k, sampler, model, set(missing), idx, cap, seed_key))
+        total = total + counts
+    np.testing.assert_array_equal(report.histogram, total)
+    assert report.histogram[LABELS.index("false")].sum() > 0
+    assert report.histogram[LABELS.index("true"), :cap].sum() > 0
 
 
 def test_experiment_is_deterministic_and_thread_count_invariant():
@@ -362,9 +460,9 @@ def test_experiment_is_deterministic_and_thread_count_invariant():
     b = run_false_negative_experiment(**kwargs)
     c = run_false_negative_experiment(**kwargs, workers=4)
     assert a.counts == b.counts == c.counts
-    assert a.histogram == b.histogram == c.histogram
-    assert a.total_sampled["true"] + a.total_sampled["false"] == \
-        sum(a.histogram.values())
+    np.testing.assert_array_equal(a.histogram, b.histogram)
+    np.testing.assert_array_equal(a.histogram, c.histogram)
+    assert a.total_sampled["true"] + a.total_sampled["false"] == a.histogram.sum()
 
 
 def test_experiment_validates_inputs():
@@ -381,6 +479,11 @@ def test_experiment_validates_inputs():
     # histogram CSV never writes
     with pytest.raises(ValueError, match="distance_cap"):
         run_false_negative_experiment(kg, 0.2, "simple", None, [3], seed=0, distance_cap=0)
+    # no triple to label would report zero false negatives at every K
+    for max_triples in (0, -2):
+        with pytest.raises(ValueError, match="max_triples must be >= 1"):
+            run_false_negative_experiment(kg, 0.2, "simple", None, [3], seed=0,
+                                          max_triples=max_triples)
 
 
 def test_max_triples_subsampling_caps_the_workload():

@@ -19,6 +19,8 @@ from kgcl.training import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
+    _write_json,
+    _write_replacing,
     sweep_tau,
     train,
     write_log,
@@ -281,6 +283,21 @@ def test_a_failed_replace_keeps_the_old_artifacts_and_leaves_no_temporary_file(
         train(small_cfg(epochs=2, seed=5, out_dir=str(out)), kg)
     assert sorted(p.name for p in out.iterdir()) == sorted(names)
     assert {name: (out / name).read_bytes() for name in names} == before
+
+
+# each input makes its writer fail after it has written its first rows
+@pytest.mark.parametrize("write, obj", [
+    (write_sweep_csv, [{"tau": 0.1}, None]),
+    (write_log, [{"step": 1}, {"step": object()}]),
+    (_write_json, {"epoch": 0, "triples": [[0, 0, 1], object()]}),
+])
+def test_a_writer_that_raises_midway_leaves_the_old_file_whole(tmp_path, write, obj):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises((AttributeError, TypeError)):
+        _write_replacing(write, obj, str(path))
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 def test_output_files_and_log_shape(tmp_path):
