@@ -13,7 +13,7 @@ import os
 import sys
 
 from .data import KnowledgeGraph, ParseError, augment_reverse, load_dataset
-from .evaluation import MetricsReport, default_candidate_limit, evaluate
+from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_json
 from .losses import DEBIAS_VARIANTS
 from .model import AGGREGATOR_KINDS, load_checkpoint
 from .sampling import (
@@ -181,7 +181,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.metrics_json:
-        _write_replacing(MetricsReport.write_json, report, args.metrics_json)
+        _write_replacing(write_json, report.to_dict(), args.metrics_json)
     if args.ranks_csv:
         _write_replacing(MetricsReport.write_ranks_csv, report, args.ranks_csv)
     return 0

@@ -36,17 +36,19 @@ class MetricsReport:
             "triple_count": self.triple_count,
         }
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-
     def write_ranks_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["triple_index", "rank"])
             for i, rank in enumerate(self.ranks):
                 writer.writerow([i, rank])
+
+
+def write_json(payload: dict, path: str) -> None:
+    """payload as JSON with sorted keys, indented by 2, and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def rank_from_scores(gold_score: float, other_scores: np.ndarray) -> int:

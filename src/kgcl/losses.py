@@ -1,32 +1,32 @@
 """Contrastive losses over (head, relation, tail) triples.
 
-Every loss is InfoNCE, -log(exp(s+) / (exp(s+) + NegMass)) per triple with
-s = e_hr . e, computed for the whole batch by one core without a per-triple
-loop. Only the negative mass differs between the two forms the core knows:
+Every loss is InfoNCE, log(exp(s+) + M) - s+ per triple with s = e_hr . e,
+computed for the whole batch by one core without a per-triple loop. The
+negative mass M is carried as a log, so large scores give a finite loss:
 
-  plain      NegMass is the sum of exp(s) over the triple's negatives:
-             simple_infonce (in-batch negatives) and hard_infonce (the
-             model-ranked hard negatives appended), the same function
-  debiased   NegMass is an estimate of the full negative expectation minus
-             a tau-weighted estimate of the likely-false-negative
-             expectation taken over structure samples from the head's
-             1-/2-hop ring, scaled back to K negatives and clamped to a
-             positive floor: hasa_loss
+  log M = log(K / (1 - tau)) + log neg + log1p(-share), at least log(K eps)
 
-hasa_plus_loss adds a reversed term to hasa_loss: the same plain softmax
-with the tail as the anchor and the batch's other (head, relation) queries
-as its negatives.
+where neg estimates E[exp(s)] from the triple's K negatives, fn the same
+from its structure samples (drawn from the head's 1-/2-hop ring), share is
+tau fn / neg (eq7) or tau (1 - tau) fn / neg (alg1), and eps the floor.
+simple_infonce (in-batch negatives) and hard_infonce (hard negatives
+appended) are one plain form: tau 0, alg1, no floor and no structure
+samples, where K times the mean of exp(s) is the plain sum. hasa_loss reads
+its knobs from a LossConfig, and hasa_plus_loss adds a reversed term: the
+plain form with the tail as the anchor and the batch's other (head,
+relation) queries as its negatives.
 
 The core scores the batch's queries against the distinct entities of each
-group with one product, forms every row's softmax or mass by segment sums
-over (row, entity) pairs, and turns d loss / d score into one (batch x
-distinct entities) matrix G per group: the entity rows get G^T Q and the
-queries G E. Losses return the batch sum plus diagnostics, and accumulate
-exact analytic gradients into a GradientTape when one is passed. Every
-formula here is paired with an independent scalar oracle in the test suite,
-and all gradients are verified against central finite differences.
+group with one product, reads each row's scores as a (batch x width) block,
+and turns d loss / d score into one (batch x distinct entities) matrix G
+per group: the entity rows get G^T Q and the queries G E. Losses return the
+batch sum plus diagnostics, and accumulate exact analytic gradients into a
+GradientTape when one is passed. Every formula here is paired with an
+independent scalar oracle in the test suite, and all gradients are verified
+against central finite differences.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +40,11 @@ DEBIAS_VARIANTS = ("eq7", "alg1")
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Knobs of the debiased losses.
-
-    tau is the prior probability that a sampled negative is actually a true
-    fact; floor_epsilon bounds the debiased negative mass away from zero
-    (the clamp is K * floor_epsilon).
-
-    The eq7 variant uses self-normalized estimates sum(exp(2s))/sum(exp(s))
-    for both terms and divides their difference by (1 - tau); the alg1
-    variant uses plain averages of exp(s) and rescales only the full
-    negative term by 1/(1 - tau).
-    """
+    """Knobs of the debiased losses: tau is the prior probability that a
+    sampled negative is actually a true fact, floor_epsilon bounds the
+    negative mass from below at K * floor_epsilon, and debias_variant picks
+    eq7, M = K (neg - tau fn) / (1 - tau) over self-normalized estimates, or
+    alg1, M = K (neg / (1 - tau) - tau fn) over plain means."""
 
     tau: float = 0.0
     floor_epsilon: float = 1e-6
@@ -59,8 +53,8 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must lie in [0, 1), got {self.tau}")
-        if self.floor_epsilon <= 0.0:
-            raise ValueError(f"floor_epsilon must be > 0, got {self.floor_epsilon}")
+        if not 0.0 < self.floor_epsilon < math.inf:
+            raise ValueError(f"floor_epsilon must be finite and > 0, got {self.floor_epsilon}")
         if self.debias_variant not in DEBIAS_VARIANTS:
             raise ValueError(
                 f"debias_variant must be one of {DEBIAS_VARIANTS}, got {self.debias_variant!r}"
@@ -70,9 +64,11 @@ class LossConfig:
 @dataclass
 class LossValue:
     """Batch loss plus the mean per-triple diagnostics of its pieces: the
-    exponentiated positive score, the negative mass, the false-negative
-    estimate, the debiased (clamped) negative mass, and how many triples hit
-    the clamp."""
+    exponentiated positive score, the negative mass (the plain sum for the
+    plain losses, the estimate neg before debiasing for the debiased ones),
+    the false-negative estimate, the debiased (clamped) negative mass, and
+    how many triples hit the clamp. A diagnostic too large for a float is
+    inf."""
 
     loss: float
     triple_count: int
@@ -87,106 +83,114 @@ class LossValue:
         return self.loss / self.triple_count if self.triple_count else 0.0
 
 
-def _exp_estimate(scores: np.ndarray, rows: np.ndarray, n: int, variant: str):
-    """Per row of n, an estimate of E[exp(s)] from the scores filed under
-    that row, evaluated stably (0 for a row without scores), and d estimate
-    / d score for each score.
+_LOWEST = -np.finfo(np.float64).max  # a finite shift for a row without scores
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above it
 
-    eq7 is the self-normalized sum(exp(2s)) / sum(exp(s)): for scores of
-    samples drawn from a proposal it estimates E[exp(s)] under the proposal
-    tilted by exp(s), exactly so when the samples enumerate the support
-    once each. alg1 is the plain mean of exp(s)."""
-    c = np.full(n, -np.inf)
-    np.maximum.at(c, rows, scores)
-    w = np.exp(scores - c[rows])
-    scale = np.exp(c)
-    s1 = np.bincount(rows, w, minlength=n)
+
+def _log_estimate(block: np.ndarray, variant: str):
+    """Per row of a block of scores, -inf marking an empty cell: the log of
+    an estimate of E[exp(s)] (-inf for a row without scores), the block of
+    d log estimate / d score, and the count K of scores. With c the row's
+    maximum and w = exp(s - c), eq7 is the self-normalized sum(exp(2s)) /
+    sum(exp(s)) = exp(c) sum(w^2) / sum(w), which for samples drawn from a
+    proposal estimates E[exp(s)] under the proposal tilted by exp(s); alg1
+    is the mean exp(c) sum(w) / K."""
+    if not block.size:
+        return np.full(len(block), -np.inf), block, np.zeros(len(block), dtype=np.int64)
+    count = (block > -np.inf).sum(axis=1)
+    c = block.max(axis=1, initial=-np.inf)
+    w = np.exp(block - np.maximum(c, _LOWEST)[:, None])
+    # a row's maximum has w = 1, so only a row without scores sums below 1
+    s1 = np.maximum(w.sum(axis=1), 1.0)
     if variant == "eq7":
-        s2 = np.bincount(rows, w * w, minlength=n)
-        value = np.divide(scale * s2, s1, out=np.zeros(n), where=s1 > 0)
-        # d value / d s_j = exp(s_j) (2 exp(s_j) - value) / sum(exp(s))
-        return value, w * (2.0 * scale[rows] * w - value[rows]) / s1[rows]
-    count = np.bincount(rows, minlength=n)
-    value = np.divide(scale * s1, count, out=np.zeros(n), where=count > 0)
-    return value, scale[rows] * w / count[rows]
+        s2 = np.maximum((w * w).sum(axis=1), 1.0)
+        return c + np.log(s2 / s1), w * (2.0 * w / s2[:, None] - 1.0 / s1[:, None]), count
+    return c + np.log(s1 / np.maximum(count, 1)), w / s1[:, None], count
 
 
-def _debiased_mass(sigma, neg_rows, rho, struct_rows, n: int, cfg: LossConfig):
-    """The clamped debiased negative mass of each of n rows, from the scores
-    sigma of its K negatives and rho of its structure samples; a row without
-    structure samples keeps the plain estimate. Returns (mass, clamped,
-    negative estimate, false-negative estimate, d mass / d sigma, d mass /
-    d rho); the derivatives are zero in a clamped row, whose mass is the
-    constant floor."""
-    neg, d_neg = _exp_estimate(sigma, neg_rows, n, cfg.debias_variant)
-    false_neg, d_false = _exp_estimate(rho, struct_rows, n, cfg.debias_variant)
-    k = np.bincount(neg_rows, minlength=n).astype(np.float64)
-    tau = cfg.tau
-    if cfg.debias_variant == "eq7":
-        raw = k * (neg - tau * false_neg) / (1.0 - tau)
-        coef_false = -k * tau / (1.0 - tau)
+def _log_mass(neg: np.ndarray, struct: np.ndarray, tau=0.0, variant="alg1", floor=0.0):
+    """log M per row from blocks of negative and structure-sample scores (see
+    the module docstring); the defaults give the plain sum of exp(s). Returns
+    (log M, clamped, d log M / d neg, d log M / d struct, log neg, log fn).
+    A row without negatives has log M = -inf; a clamped row has the floor
+    and zero derivatives. A step that cannot change M is skipped: the share
+    at a rate of 0 or without structure samples, the clamp without a floor."""
+    log_neg, d_neg, k = _log_estimate(neg, variant)
+    log_fn, d_fn, _ = _log_estimate(struct, variant)
+    log_mass = np.log(np.maximum(k, 1) / (1.0 - tau)) + log_neg
+    rate = tau if variant == "eq7" else tau * (1.0 - tau)
+    if rate and struct.size:
+        share = np.exp(np.minimum(math.log(rate) + log_fn - np.maximum(log_neg, _LOWEST), 0.0))
+        # a share of 1 stands for a raw mass <= 0, whose log is -inf
+        log_mass += np.log1p(-share, out=np.full(len(k), -np.inf), where=share < 1.0)
+        # d log M / d neg = d log neg / (1 - share) and d log M / d struct =
+        # -share d log fn / (1 - share)
+        inv = np.divide(1.0, 1.0 - share, out=np.zeros(len(k)), where=share < 1.0)
+        d_neg *= inv[:, None]
+        d_fn *= -(share * inv)[:, None]
     else:
-        raw = k * (neg / (1.0 - tau) - tau * false_neg)
-        coef_false = -k * tau
-    floor = k * cfg.floor_epsilon
-    clamped = raw < floor
-    d_neg *= np.where(clamped, 0.0, k / (1.0 - tau))[neg_rows]
-    d_false *= np.where(clamped, 0.0, coef_false)[struct_rows]
-    return np.where(clamped, floor, raw), clamped, neg, false_neg, d_neg, d_false
+        d_fn *= 0.0  # the share is 0 whatever the structure scores
+    clamped = np.zeros(len(k), dtype=bool)
+    if floor:
+        least = k * floor
+        log_floor = np.log(least, out=np.full(len(k), -np.inf), where=least > 0.0)
+        clamped = log_mass < log_floor
+        log_mass = np.where(clamped, log_floor, log_mass)
+        d_neg *= ~clamped[:, None]
+        d_fn *= ~clamped[:, None]
+    return log_mass, clamped, d_neg, d_fn, log_neg, log_fn
 
 
-def _softmax_rows(s_pos: np.ndarray, scores: np.ndarray, rows: np.ndarray):
-    """Per row: -log(exp(s_pos) / (exp(s_pos) + sum of exp over the row's
-    scores)), evaluated stably, with the softmax weight of each positive and
-    of each score. A row without scores has loss 0 and weight 1."""
-    m = s_pos.copy()
-    np.maximum.at(m, rows, scores)
-    w_pos = np.exp(s_pos - m)
-    w = np.exp(scores - m[rows])
-    z = w_pos + np.bincount(rows, w, minlength=s_pos.size)
-    return m + np.log(z) - s_pos, w_pos / z, w / z[rows]
+def _term(s_pos: np.ndarray, log_mass: np.ndarray):
+    """Per row, log(exp(s+) + M) - s+ and d term / d log M = M / (exp(s+) +
+    M); d term / d s+ is minus the latter. A row with M = 0 has term 0."""
+    lse = np.logaddexp(s_pos, log_mass)
+    return lse - s_pos, np.exp(log_mass - lse)
 
 
-def _flat(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A block's filled cells in row-major order: (row of each id, ids)."""
-    filled = block >= 0
-    return np.nonzero(filled)[0], block[filled]
+def _mean_exp(logs: np.ndarray) -> list[float]:
+    """Per row of logs, the mean of exp evaluated stably: 0 for a row of
+    -inf, inf where it overflows."""
+    log_mean = np.logaddexp.reduce(logs, axis=1) - math.log(logs.shape[1])
+    return [math.inf if x > _LOG_MAX else math.exp(x) for x in log_mean.tolist()]
 
 
-def _product(queries: np.ndarray, table: np.ndarray, ids: np.ndarray):
-    """One product of the queries with the distinct rows of ids: (distinct
-    ids, their rows, the B x distinct scores, the column of each id). The
-    distinct ids come sorted from a presence mask over the table."""
-    present = np.bincount(ids, minlength=len(table)) > 0
-    distinct = np.flatnonzero(present)
-    emb = table[distinct]
-    return distinct, emb, queries @ emb.T, np.cumsum(present)[ids] - 1
+def _product(queries: np.ndarray, table: np.ndarray, block: np.ndarray):
+    """One product of the queries with the distinct entities of a block of
+    ids, -1 marking an empty cell: (the sorted ids of the product's columns,
+    their rows, the scores, each cell's column, each cell's score in its row
+    or -inf if empty). Empty cells share one extra last column, id
+    len(table), which borrows a table row: it is masked out of the cells
+    and gets no gradient."""
+    present = np.zeros(len(table) + 1, dtype=bool)
+    present[block] = True
+    ids = np.flatnonzero(present)
+    emb = table[np.minimum(ids, len(table) - 1)]
+    scores = queries @ emb.T
+    col = np.cumsum(present)[block] - 1
+    cells = np.where(block >= 0, scores[np.arange(len(block))[:, None], col], -np.inf)
+    return ids, emb, scores, col, cells
 
 
-def _push(tape, queries, distinct, emb, entries, pushed) -> np.ndarray:
-    """Fold the (rows, columns, d loss / d score) entries of one product
-    into its B x distinct matrix G. The table rows of the pushed columns get
-    G^T Q in one tape entry; returns the queries' gradient G E."""
-    rows, cols, grads = (np.concatenate(part) for part in zip(*entries))
-    size = distinct.size
-    g = np.bincount(rows * size + cols, grads, minlength=len(queries) * size)
-    g = g.reshape(len(queries), size)
+def _push(tape, queries, ids, emb, entries, pushed) -> np.ndarray:
+    """Fold the (rows, columns, d loss / d score) blocks of one product into
+    its B x columns matrix G. The table rows of the pushed columns get G^T Q
+    in one tape entry; returns the queries' gradient G E."""
+    size = len(emb)
+    index = np.concatenate([(rows * size + cols).ravel() for rows, cols, _ in entries])
+    grads = np.concatenate([grads.ravel() for _, _, grads in entries])
+    g = np.bincount(index, grads, minlength=len(queries) * size).reshape(len(queries), size)
     keep = np.bincount(pushed, minlength=size) > 0
-    tape.add_entity(distinct[keep], g[:, keep].T @ queries)
+    tape.add_entity(ids[keep], g[:, keep].T @ queries)
     return g @ emb
 
 
-def _contrastive(
-    batch: TripleBatch,
-    negatives: NegativeSampleBatch,
-    model: EmbeddingModel,
-    cfg: LossConfig | None,
-    tape: GradientTape | None,
-    bidirectional: bool = False,
-) -> LossValue:
-    """The batched core behind every loss. cfg None makes the negative mass
-    the plain sum of exp(s) over the negatives; a LossConfig makes it the
-    clamped debiased estimate of _debiased_mass.
+def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant="alg1",
+                 floor=0.0, bidirectional=False) -> LossValue:
+    """The batched core behind every loss: structure is the (B x M) block of
+    structure samples the mass reads (the plain forms read none), and tau,
+    variant and floor are the knobs of _log_mass, whose defaults give the
+    plain sum.
 
     One product scores the batch's tails and negatives, and a second one the
     structure samples, so that they cannot change how the negatives' scores
@@ -196,66 +200,55 @@ def _contrastive(
     n = len(batch)
     if len(negatives.hard_and_batch_negatives) != n:
         raise ValueError("negative sample batch does not match the triple batch size")
-    if cfg is not None and len(negatives.structure_samples) != n:
+    if structure is not None and len(structure) != n:
         raise ValueError("structure samples missing for some triples")
     if bidirectional and len(negatives.negative_contexts) != n:
         raise ValueError("negative contexts missing for some triples")
     queries, cache = aggregate_batch(model, batch.heads(), batch.relations())
-    rows = np.arange(n)
-    tails = np.fromiter((t.tail for t in batch.triples), dtype=np.int64, count=n)
-    neg_rows, neg_ids = _flat(negatives.hard_and_batch_negatives)
-    ids, emb, scores, col = _product(queries, model.entity_table, np.concatenate([tails, neg_ids]))
-    tail_col, neg_col = col[:n], col[n:]
-    s_pos, sigma = scores[rows, tail_col], scores[neg_rows, neg_col]
-    has_neg = np.bincount(neg_rows, minlength=n) > 0
+    rows = np.arange(n)[:, None]
+    # column 0 holds each triple's tail, the others its negatives
+    block = np.concatenate([batch.tails()[:, None], negatives.hard_and_batch_negatives], axis=1)
+    ids, emb, scores, col, cells = _product(queries, model.entity_table, block)
+    s_pos = cells[:, 0]
+    filled = block[:, 1:] >= 0
+    has_neg = filled.any(axis=1)
     touched = has_neg  # the triples whose tail goes to the tape
-    clamped, false_neg = np.zeros(n, dtype=bool), np.zeros(n)
-    with np.errstate(over="ignore", divide="ignore"):
-        pos = np.exp(s_pos)
-        if cfg is None:
-            term, p_pos, g_neg = _softmax_rows(s_pos, sigma, neg_rows)
-            neg = mass = np.bincount(neg_rows, np.exp(sigma), minlength=n)
-        else:
-            # a triple without negatives contributes nothing at all
-            structure = np.where(has_neg[:, None], negatives.structure_samples, -1)
-            struct_rows, struct_ids = _flat(structure)
-            s_ids, s_emb, s_scores, s_col = _product(queries, model.entity_table, struct_ids)
-            rho = s_scores[struct_rows, s_col]
-            mass, clamped, neg, false_neg, d_neg, d_false = _debiased_mass(
-                sigma, neg_rows, rho, struct_rows, n, cfg
-            )
-            # a row without negatives has mass 0: log -inf, loss 0, p_pos 1
-            lse = np.logaddexp(s_pos, np.log(mass))
-            term = lse - s_pos
-            p_pos = np.exp(s_pos - lse)
-            d_mass = np.exp(-lse)  # d loss / d mass = 1 / (exp(s+) + mass)
-            g_neg = d_mass[neg_rows] * d_neg
-    entries = [(rows, tail_col, p_pos - 1.0), (neg_rows, neg_col, g_neg)]
+    rho = np.empty((n, 0))
+    if structure is not None:
+        # a triple without negatives contributes nothing at all
+        structure = np.where(has_neg[:, None], structure, -1)
+        s_ids, s_emb, _, s_col, rho = _product(queries, model.entity_table, structure)
+    log_mass, clamped, d_neg, d_rho, log_neg, log_fn = _log_mass(
+        cells[:, 1:], rho, tau, variant, floor
+    )
+    term, p_mass = _term(s_pos, log_mass)
+    grad = np.concatenate([-p_mass[:, None], p_mass[:, None] * d_neg], axis=1)
+    entries = [(rows, col, grad)]
     total = term.sum()
     if bidirectional:
         # the reversed term: each tail against the batch's other queries,
         # whose scores sit in the tail's column of the product
-        ctx_rows, ctx = _flat(negatives.negative_contexts)
-        ctx_term, p_back, p_ctx = _softmax_rows(s_pos, scores[ctx, tail_col[ctx_rows]], ctx_rows)
+        ctx = negatives.negative_contexts
+        ctx_scores = np.where(ctx >= 0, scores[ctx, col[:, :1]], -np.inf)
+        ctx_mass, _, d_ctx, *_ = _log_mass(ctx_scores, np.empty((n, 0)))
+        ctx_term, p_ctx = _term(s_pos, ctx_mass)
         total += ctx_term.sum()
-        entries += [(rows, tail_col, p_back - 1.0), (ctx, tail_col[ctx_rows], p_ctx)]
-        touched = has_neg | (np.bincount(ctx_rows, minlength=n) > 0)
-    value = LossValue(
-        loss=float(total),
-        triple_count=n,
-        pos=float(pos.sum()) / n,
-        neg=float(neg.sum()) / n,
-        false_neg=float(false_neg.sum()) / n,
-        neg_hasa=float(mass.sum()) / n,
-        clamp_hits=int(clamped.sum()),
-    )
+        grad[:, 0] -= p_ctx
+        # an empty cell has d_ctx 0, so any row index serves it
+        entries.append((np.maximum(ctx, 0), col[:, :1], p_ctx[:, None] * d_ctx))
+        touched = has_neg | (ctx >= 0).any(axis=1)
+    # the plain forms, the only ones without a floor, report their sum as neg
+    diagnostics = [s_pos, log_neg if floor else log_mass, log_fn, log_mass]
+    pos, neg, false_neg, neg_hasa = _mean_exp(np.array(diagnostics))
+    value = LossValue(float(total), n, pos, neg, false_neg, neg_hasa, int(clamped.sum()))
     if tape is None:
         return value
-    pushed = np.concatenate([tail_col[touched], neg_col[~clamped[neg_rows]]])
+    unclamped = ~clamped[:, None]
+    pushed = np.concatenate([col[touched, 0], col[:, 1:][filled & unclamped]])
     d_queries = _push(tape, queries, ids, emb, entries, pushed)
-    if cfg is not None and cfg.tau != 0.0:
-        entry = (struct_rows, s_col, d_mass[struct_rows] * d_false)
-        pushed = s_col[~clamped[struct_rows]]
+    if tau != 0.0:
+        entry = (rows, s_col, p_mass[:, None] * d_rho)
+        pushed = s_col[(structure >= 0) & unclamped]
         d_queries += _push(tape, queries, s_ids, s_emb, [entry], pushed)
     backward(model, cache, d_queries, tape)
     return value
@@ -270,7 +263,7 @@ def simple_infonce(
     """Contrastive loss -log(exp(s+) / (exp(s+) + sum_j exp(s_j))) summed
     over the batch, with in-batch negatives. A triple with no negatives
     contributes zero loss and no gradient."""
-    return _contrastive(batch, negatives, model, None, tape)
+    return _contrastive(batch, negatives, model, tape)
 
 
 def hard_infonce(
@@ -282,7 +275,7 @@ def hard_infonce(
     """Same functional form as simple_infonce; the difference is only where
     the negatives came from, so with identical negative ids the two losses
     agree exactly."""
-    return _contrastive(batch, negatives, model, None, tape)
+    return _contrastive(batch, negatives, model, tape)
 
 
 def hasa_loss(
@@ -296,7 +289,8 @@ def hasa_loss(
     where NegMass subtracts a tau-weighted structure-sample estimate of the
     false-negative contribution from the plain negative mass. Triples whose
     head has no 1-/2-hop ring fall back to an uncorrected negative mass."""
-    return _contrastive(batch, negatives, model, cfg, tape)
+    return _contrastive(batch, negatives, model, tape, negatives.structure_samples, cfg.tau,
+                        cfg.debias_variant, cfg.floor_epsilon)
 
 
 def hasa_plus_loss(
@@ -310,4 +304,5 @@ def hasa_plus_loss(
     sum_j exp(e_t . q_j))) over the other (head, relation) queries q_j of
     the batch, so the tail embedding is also contrasted against competing
     contexts."""
-    return _contrastive(batch, negatives, model, cfg, tape, bidirectional=True)
+    return _contrastive(batch, negatives, model, tape, negatives.structure_samples, cfg.tau,
+                        cfg.debias_variant, cfg.floor_epsilon, bidirectional=True)

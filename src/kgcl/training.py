@@ -9,13 +9,14 @@ timestamps."""
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import KnowledgeGraph, make_batches
-from .evaluation import MetricsReport, default_candidate_limit, evaluate
+from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_json
 from .graph import StructureIndex, build_structure_index
 from .losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
 from .model import AGGREGATOR_KINDS, EmbeddingModel, GradientTape, init_model, save_checkpoint
@@ -74,6 +75,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < 1.0:
+            raise ValueError(f"weight_decay must lie in [0, 1), got {self.weight_decay}")
         if self.eval_every < 0:
             raise ValueError(
                 f"eval_every must be >= 0 (0 validates at the end only), got {self.eval_every}"
@@ -179,13 +184,7 @@ def _dump_diverged_batch(cfg: TrainConfig, epoch, step, batch, value) -> None:
         "loss": repr(value.loss),
         "triples": [list(t) for t in batch.triples],
     }
-    _write_replacing(_write_json, payload, os.path.join(cfg.out_dir, "diverged_batch.json"))
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_replacing(write_json, payload, os.path.join(cfg.out_dir, "diverged_batch.json"))
 
 
 def train(

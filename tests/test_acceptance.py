@@ -28,8 +28,8 @@ from kgcl.evaluation import evaluate, metrics_from_ranks
 from kgcl.graph import alpha_distribution, build_structure_index, distances_within
 from kgcl.losses import (
     LossConfig,
-    _debiased_mass,
-    _exp_estimate,
+    _log_estimate,
+    _log_mass,
     hard_infonce,
     hasa_loss,
     hasa_plus_loss,
@@ -187,13 +187,16 @@ def test_negative_mass_estimators_match_closed_forms_and_converge():
     rel = lambda a, b: abs(a - b) / abs(b)
 
     def one_row(scores, others):
-        """scores filed under row 1 of three; rows 0 and 2 get others."""
-        rows = np.repeat([0, 1, 2], [others.size, scores.size, others.size])
-        return np.concatenate([others, scores, others]), rows
+        """scores as row 1 of a three-row block whose rows 0 and 2 get
+        others, each row padded with empty cells."""
+        block = np.full((3, max(scores.size, others.size)), -np.inf)
+        block[[0, 2], :others.size] = others
+        block[1, :scores.size] = scores
+        return block
 
     def estimate(scores, variant):
-        flat, rows = one_row(scores, rng.normal(0.0, 3.0, size=4))
-        return _exp_estimate(flat, rows, 3, variant)[0][1]
+        block = one_row(scores, rng.normal(0.0, 3.0, size=4))
+        return math.exp(_log_estimate(block, variant)[0][1])
 
     support = rng.normal(0.0, 0.5, size=40)
     sum_e = math.fsum(math.exp(s) for s in support)
@@ -206,11 +209,12 @@ def test_negative_mass_estimators_match_closed_forms_and_converge():
     # negative estimate
     neg_scores = rng.normal(0.0, 0.8, size=9)
     struct_scores = rng.normal(0.3, 0.8, size=5)
-    sigma, neg_rows = one_row(neg_scores, rng.normal(0.0, 3.0, size=2))
-    rho, struct_rows = one_row(struct_scores, rng.normal(0.0, 3.0, size=3))
+    sigma = one_row(neg_scores, rng.normal(0.0, 3.0, size=2))
+    rho = one_row(struct_scores, rng.normal(0.0, 3.0, size=3))
     for variant in ("eq7", "alg1"):
         cfg = LossConfig(tau=0.2, debias_variant=variant)
-        mass = _debiased_mass(sigma, neg_rows, rho, struct_rows, 3, cfg)[0][1]
+        knobs = (cfg.tau, cfg.debias_variant, cfg.floor_epsilon)
+        mass = math.exp(_log_mass(sigma, rho, *knobs)[0][1])
         k = neg_scores.size
         neg_est = estimate(neg_scores, variant)
         false_est = estimate(struct_scores, variant)

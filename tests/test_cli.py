@@ -148,6 +148,20 @@ def test_gen_synthetic_writes_all_three_splits(tmp_path, capsys):
     assert info["counts"]["train"] > 0
 
 
+def test_a_nan_learning_rate_exits_2_and_writes_no_file(tmp_path, capsys):
+    data, _ = gen_dataset(tmp_path, capsys)
+    run = tmp_path / "run"
+    code = main(["train", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"),
+                 "--test", str(data / "test.tsv"),
+                 "--loss", "simple", "--aggregator", "sum", "--dim", "8",
+                 "--epochs", "2", "--lr", "nan", "--batch-size", "8",
+                 "--out-dir", str(run)])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_train_then_eval_round_trip(tmp_path, capsys):
     data, _ = gen_dataset(tmp_path, capsys)
     run = tmp_path / "run"

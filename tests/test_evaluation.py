@@ -15,6 +15,7 @@ from kgcl.evaluation import (
     evaluate,
     metrics_from_ranks,
     rank_from_scores,
+    write_json,
 )
 from kgcl.model import EmbeddingModel, aggregate, init_model
 
@@ -282,7 +283,7 @@ def test_evaluate_rejects_a_model_with_non_finite_parameters(poison):
 def test_report_serialization(tmp_path):
     report = metrics_from_ranks([1, 3, 4])
     json_path = tmp_path / "metrics.json"
-    report.write_json(str(json_path))
+    write_json(report.to_dict(), str(json_path))
     loaded = json.loads(json_path.read_text())
     assert loaded == report.to_dict()
     assert "ranks" not in loaded

@@ -9,15 +9,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdcheck import loss_grad_rel_err
 from kgcl.data import Triple, TripleBatch
 from kgcl.losses import (
     LossConfig,
-    _debiased_mass,
-    _exp_estimate,
+    _log_estimate,
+    _log_mass,
     hard_infonce,
     hasa_loss,
     hasa_plus_loss,
@@ -43,17 +43,20 @@ def oracle_mean_exp(scores):
     return sum(math.exp(s) for s in scores) / len(scores)
 
 
-def oracle_neg_mass(neg_scores, struct_scores, cfg):
+def oracle_raw_mass(neg_scores, struct_scores, cfg):
     k = len(neg_scores)
     if cfg.debias_variant == "eq7":
         neg = oracle_self_normalized(neg_scores)
         false = oracle_self_normalized(struct_scores) if struct_scores else 0.0
-        raw = k * (neg - cfg.tau * false) / (1.0 - cfg.tau)
-    else:
-        neg = oracle_mean_exp(neg_scores)
-        false = oracle_mean_exp(struct_scores) if struct_scores else 0.0
-        raw = k * (neg / (1.0 - cfg.tau) - cfg.tau * false)
-    return max(raw, k * cfg.floor_epsilon)
+        return k * (neg - cfg.tau * false) / (1.0 - cfg.tau)
+    neg = oracle_mean_exp(neg_scores)
+    false = oracle_mean_exp(struct_scores) if struct_scores else 0.0
+    return k * (neg / (1.0 - cfg.tau) - cfg.tau * false)
+
+
+def oracle_neg_mass(neg_scores, struct_scores, cfg):
+    return max(oracle_raw_mass(neg_scores, struct_scores, cfg),
+               len(neg_scores) * cfg.floor_epsilon)
 
 
 def oracle_hasa(s_pos, neg_scores, struct_scores, cfg):
@@ -71,21 +74,23 @@ def oracle_context_term(s_pos, ctx_scores):
 # the loss's row estimators, called on a single row
 
 
+def log_estimate(scores, variant):
+    return float(_log_estimate(np.asarray(scores, dtype=np.float64)[None, :], variant)[0][0])
+
+
 def self_normalized_exp_estimate(scores):
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(_exp_estimate(scores, np.zeros(scores.size, dtype=np.int64), 1, "eq7")[0][0])
+    return math.exp(log_estimate(scores, "eq7"))
 
 
 def mean_exp_estimate(scores):
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(_exp_estimate(scores, np.zeros(scores.size, dtype=np.int64), 1, "alg1")[0][0])
+    return math.exp(log_estimate(scores, "alg1"))
 
 
-def debiased_negative_estimate(neg_scores, structure_scores, cfg):
-    sigma = np.asarray(neg_scores, dtype=np.float64)
-    rho = np.asarray(structure_scores, dtype=np.float64)
-    zeros = lambda a: np.zeros(a.size, dtype=np.int64)
-    return float(_debiased_mass(sigma, zeros(sigma), rho, zeros(rho), 1, cfg)[0][0])
+def log_debiased_mass(neg_scores, structure_scores, cfg):
+    sigma = np.asarray(neg_scores, dtype=np.float64)[None, :]
+    rho = np.asarray(structure_scores, dtype=np.float64)[None, :]
+    knobs = (cfg.tau, cfg.debias_variant, cfg.floor_epsilon)
+    return float(_log_mass(sigma, rho, *knobs)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +294,12 @@ def test_debiased_estimate_tau_zero_keeps_plain_mass(variant):
     cfg = LossConfig(tau=0.0, debias_variant=variant)
     est = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
     np.testing.assert_allclose(
-        debiased_negative_estimate(sigma, rho, cfg), 6 * est(sigma.tolist()), rtol=1e-12)
+        math.exp(log_debiased_mass(sigma, rho, cfg)), 6 * est(sigma.tolist()), rtol=1e-12)
 
 
 def test_debiased_estimate_uniform_zero_scores_equals_k():
     cfg = LossConfig(tau=0.0)
-    assert debiased_negative_estimate(np.zeros(7), np.zeros(0), cfg) == 7.0
+    assert log_debiased_mass(np.zeros(7), np.zeros(0), cfg) == math.log(7.0)
 
 
 @pytest.mark.parametrize("variant", ["eq7", "alg1"])
@@ -304,7 +309,7 @@ def test_debiased_estimate_matches_oracle(variant):
         sigma = rng.normal(size=rng.integers(1, 8))
         rho = rng.normal(size=rng.integers(0, 5))
         cfg = LossConfig(tau=float(rng.uniform(0, 0.5)), debias_variant=variant)
-        got = debiased_negative_estimate(sigma, rho, cfg)
+        got = math.exp(log_debiased_mass(sigma, rho, cfg))
         want = oracle_neg_mass(sigma.tolist(), rho.tolist(), cfg)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -312,28 +317,31 @@ def test_debiased_estimate_matches_oracle(variant):
 def test_debiased_estimate_clamps_at_floor():
     # a large false-negative estimate drives the raw mass negative
     cfg = LossConfig(tau=0.5, floor_epsilon=1e-6)
-    got = debiased_negative_estimate(np.zeros(4), np.array([5.0]), cfg)
-    assert got == 4 * 1e-6
+    got = log_debiased_mass(np.zeros(4), np.array([5.0]), cfg)
+    assert got == math.log(4e-6)
 
 
 @pytest.mark.parametrize("variant", ["eq7", "alg1"])
 def test_row_estimators_keep_rows_apart(variant):
-    # the scores of rows 0, 1 and 3 interleaved, row 2 left empty: each
-    # row's estimate and derivatives equal those of that row computed alone
+    # rows of 3, 1, 0 and 5 scores with their empty cells scattered through
+    # the block: each row's estimate and derivatives equal those of that
+    # row computed alone, and an empty cell gets no derivative
     rng = np.random.default_rng(59)
-    rows = rng.permutation(np.repeat([0, 1, 3], [3, 1, 5]))
-    scores = rng.normal(0.0, 2.0, size=rows.size)
-    value, grad = _exp_estimate(scores, rows, 4, variant)
-    assert value[2] == 0.0
-    for row in (0, 1, 3):
-        mine = rows == row
-        alone, alone_grad = _exp_estimate(scores[mine], np.zeros(mine.sum(), dtype=np.int64),
-                                          1, variant)
-        np.testing.assert_allclose(value[row], alone[0], rtol=1e-15)
-        np.testing.assert_allclose(grad[mine], alone_grad, rtol=1e-15)
+    block = np.full((4, 6), -np.inf)
+    for row, count in enumerate((3, 1, 0, 5)):
+        block[row, rng.choice(6, size=count, replace=False)] = rng.normal(0.0, 2.0, size=count)
+    value, grad, counts = _log_estimate(block, variant)
+    assert value[2] == -math.inf
+    assert counts.tolist() == [3, 1, 0, 5]
+    assert np.all(grad[block == -np.inf] == 0.0)
     oracle = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
     for row in (0, 1, 3):
-        np.testing.assert_allclose(value[row], oracle(scores[rows == row].tolist()), rtol=1e-12)
+        mine = block[row] > -np.inf
+        alone, alone_grad, _ = _log_estimate(block[row, mine][None, :], variant)
+        np.testing.assert_allclose(value[row], alone[0], rtol=1e-15)
+        np.testing.assert_allclose(grad[row, mine], alone_grad[0], rtol=1e-15)
+        np.testing.assert_allclose(
+            math.exp(value[row]), oracle(block[row, mine].tolist()), rtol=1e-12)
 
 
 def test_loss_config_validation():
@@ -341,8 +349,9 @@ def test_loss_config_validation():
         LossConfig(tau=1.0)
     with pytest.raises(ValueError):
         LossConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(floor_epsilon=0.0)
+    for floor in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="floor_epsilon"):
+            LossConfig(floor_epsilon=floor)
     with pytest.raises(ValueError):
         LossConfig(debias_variant="nope")
 
@@ -375,7 +384,7 @@ def test_hasa_tau_zero_alg1_equals_hard_infonce_exactly():
         cfg = LossConfig(tau=0.0, debias_variant="alg1")
         a = hasa_loss(batch, negatives, model, cfg)
         b = hard_infonce(batch, negatives, model)
-        np.testing.assert_allclose(a.loss, b.loss, rtol=1e-12)
+        assert a.loss == b.loss
 
 
 def test_hasa_tau_zero_eq7_uses_self_normalized_mass():
@@ -718,3 +727,54 @@ def test_structure_samples_change_nothing_at_tau_zero(seed, loss_name, kind, var
         assert np.array_equal(rows_a, rows_b)
     for name, grad in tape_a.aggregator.items():
         assert np.array_equal(grad, tape_b.aggregator[name])
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss_name=st.sampled_from(sorted(LOSSES)),
+    variant=st.sampled_from(["eq7", "alg1"]),
+    tau=st.sampled_from([0.0, 0.05, 0.3]),
+    scale=st.floats(1.0, 1e3),
+)
+def test_large_scores_give_a_finite_loss_and_finite_gradients(
+    seed, loss_name, variant, tau, scale
+):
+    # sum aggregator with zero relation rows, so every score is the product
+    # of two entity rows: planar directions of length sqrt(scale), which
+    # puts the scores at scale * cos(angle) in [-scale, scale]
+    rng = np.random.default_rng(seed)
+    model, batch, negatives = random_instance(
+        rng, kind="sum", dim=2, n_triples=5, k_neg=3, m_struct=2,
+        with_ctx=loss_name == "hasa_plus")
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=len(model.entity_table))
+    model.entity_table[:] = math.sqrt(scale) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    model.relation_table[:] = 0.0
+    cfg = LossConfig(tau=tau, debias_variant=variant)
+    out, tape = run_with_tape(loss_name, batch, negatives, model, cfg)
+    assert math.isfinite(out.loss)
+    for _, rows in (tape.entity_rows(), tape.relation_rows()):
+        assert np.isfinite(rows).all()
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    loss_name=st.sampled_from(["hasa", "hasa_plus"]),
+    variant=st.sampled_from(["eq7", "alg1"]),
+    tau=st.sampled_from([0.05, 0.3, 0.6]),
+    floor_epsilon=st.sampled_from([1e-6, 0.5, 1.0, 2.0]),
+)
+def test_clamp_hits_count_the_rows_whose_raw_mass_is_under_the_floor(
+    seed, loss_name, variant, tau, floor_epsilon
+):
+    rng = np.random.default_rng(seed)
+    model, batch, negatives = random_instance(
+        rng, n_triples=6, k_neg=3, m_struct=2, with_ctx=loss_name == "hasa_plus")
+    cfg = LossConfig(tau=tau, floor_epsilon=floor_epsilon, debias_variant=variant)
+    rows = [(oracle_raw_mass(sigma, rho, cfg), len(sigma) * floor_epsilon)
+            for _, sigma, rho, _ in instance_scores(model, batch, negatives)]
+    # rounding decides a row within a hair of the floor either way
+    assume(all(abs(raw - floor) >= 1e-9 * floor for raw, floor in rows))
+    out = LOSSES[loss_name](batch, negatives, model, cfg, None)
+    assert out.clamp_hits == sum(raw < floor for raw, floor in rows)

@@ -1,6 +1,7 @@
 """Sparse Adam semantics, the training loop's reproducibility contract, and
 the tau sweep."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from kgcl.data import KnowledgeGraph
+from kgcl.evaluation import write_json
 from kgcl.model import GradientTape, init_model, load_checkpoint
-from kgcl.synthetic import toy_cycle_kg
+from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph, toy_cycle_kg
 from kgcl.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -19,7 +21,6 @@ from kgcl.training import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
-    _write_json,
     _write_replacing,
     sweep_tau,
     train,
@@ -157,6 +158,16 @@ def test_config_validation():
     for mode in ("simple", "hasa", "hasa_plus"):
         with pytest.raises(ValueError):
             TrainConfig(loss_mode=mode, self_normalized=True)
+    for lr in (-1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+    TrainConfig(learning_rate=0.0)
+    for decay in (-1e-4, 1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainConfig(weight_decay=decay)
+    TrainConfig(weight_decay=0.0)
+    with pytest.raises(ValueError, match="floor_epsilon"):
+        TrainConfig(floor_epsilon=math.nan)
 
 
 def test_self_normalized_hard_mode_maps_to_ratio_estimator_config():
@@ -244,6 +255,19 @@ def test_hasa_at_tau_zero_eq7_matches_self_normalized_hard():
 
 
 @pytest.mark.parametrize("mode", ["simple", "hard", "hasa", "hasa_plus"])
+def test_held_out_facts_change_no_trained_parameter(mode):
+    # the planted missing facts sit in valid and test; training may read
+    # only the train split, so emptying both (vocabularies kept) must leave
+    # every trained table bit for bit
+    kg = generate_knowledge_graph(SyntheticKGSpec(seed=3))
+    assert kg.valid and kg.test
+    blind = dataclasses.replace(kg, valid=[], test=[],
+                                known_positive_tails=kg.train_positive_tails)
+    cfg = small_cfg(loss_mode=mode, hard_k=5, tau=0.1, m_structure=3, epochs=2, eval_every=0)
+    assert models_equal(train(cfg, kg).model, train(cfg, blind).model)
+
+
+@pytest.mark.parametrize("mode", ["simple", "hard", "hasa", "hasa_plus"])
 def test_divergence_aborts_and_dumps_the_batch(tmp_path, mode):
     kg = chain_kg(8)
     out = tmp_path / "run"
@@ -289,7 +313,7 @@ def test_a_failed_replace_keeps_the_old_artifacts_and_leaves_no_temporary_file(
 @pytest.mark.parametrize("write, obj", [
     (write_sweep_csv, [{"tau": 0.1}, None]),
     (write_log, [{"step": 1}, {"step": object()}]),
-    (_write_json, {"epoch": 0, "triples": [[0, 0, 1], object()]}),
+    (write_json, {"epoch": 0, "triples": [[0, 0, 1], object()]}),
 ])
 def test_a_writer_that_raises_midway_leaves_the_old_file_whole(tmp_path, write, obj):
     path = tmp_path / "artifact"
