@@ -7,7 +7,7 @@ Graph distances and the structure distribution around a head
 import numpy as np
 
 from kgcl.data import KnowledgeGraph
-from kgcl.graph import alpha_distribution, build_structure_index, distances_within
+from kgcl.graph import alpha_distribution, build_structure_index, distances_within, draw_ring_samples
 
 # Build a small knowledge graph: a path a-b-c-d-e plus a shortcut a-f-e.
 rows = [
@@ -45,7 +45,7 @@ print("2-hop of a:", sorted(name(v) for v, d in ring.items() if d == 2))
 # entity close to the head is far more likely to be a hidden true tail.
 alpha = alpha_distribution(idx, ident("a"))
 print("support:", [name(v) for v in alpha.support],
-      "each with probability", round(alpha.probability, 4))
+      "each with probability", round(1 / alpha.support.size, 4))
 
-draws = alpha.sample(8, np.random.default_rng(0))
+draws = draw_ring_samples(idx, np.array([ident("a")]), 8, np.random.default_rng(0))[0]
 print("eight draws:", [name(v) for v in draws])

@@ -2,6 +2,7 @@
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -167,6 +168,26 @@ class KnowledgeGraph:
 
     def num_entities(self) -> int:
         return len(self.entities)
+
+    @cached_property
+    def _train_tails_by_key(self) -> tuple[np.ndarray, np.ndarray]:
+        """A CSR of the train tails: the keys h * R + r, sorted, and their tails."""
+        flat = np.array(self.train, dtype=np.int64).reshape(-1, 3)
+        keys = flat[:, 0] * self.num_relations() + flat[:, 1]
+        order = np.argsort(keys)
+        return keys[order], flat[order, 2]
+
+    def train_tail_mask(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
+        """(len(heads) x N) bools: row i marks train_positive_tails[heads[i], relations[i]]."""
+        keys, tails = self._train_tails_by_key
+        query = heads * self.num_relations() + relations
+        start, end = np.searchsorted(keys, [query, query + 1])
+        counts = end - start
+        rows = np.repeat(np.arange(query.size), counts)
+        cells = np.arange(rows.size) + (start - np.cumsum(counts) + counts)[rows]
+        mask = np.zeros((query.size, self.num_entities()), dtype=bool)
+        mask[rows, tails[cells]] = True
+        return mask
 
     def num_relations(self) -> int:
         return len(self.relations)

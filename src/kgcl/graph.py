@@ -109,26 +109,12 @@ class AlphaDistribution:
     """Uniform distribution over the 1- and 2-hop ring around a head entity.
 
     support is sorted; every member has probability 1 / len(support). An
-    isolated head yields an empty support, which callers must treat as "no
-    structure signal" rather than sampling from it.
+    isolated head yields an empty support: no structure signal, and nothing
+    to draw.
     """
 
     head: int
     support: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        return self.support.size == 0
-
-    @property
-    def probability(self) -> float:
-        return 0.0 if self.is_empty else 1.0 / float(self.support.size)
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw count entities i.i.d. with replacement."""
-        if self.is_empty:
-            raise ValueError(f"alpha distribution for head {self.head} has empty support")
-        return rng.choice(self.support, size=count, replace=True)
 
 
 def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
@@ -143,3 +129,19 @@ def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
     alpha = AlphaDistribution(head=head, support=support)
     idx._cache_put(head, alpha)
     return alpha
+
+
+def draw_ring_samples(
+    idx: StructureIndex, heads: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A (B x m) block: row i draws m entities with replacement from the ring
+    of heads[i] as rng.choice(support, m) would, rows in order from one
+    stream; a -1 row has an empty ring and, like m == 0, draws nothing."""
+    supports = [alpha_distribution(idx, head).support for head in heads.tolist()]
+    sizes = np.array([support.size for support in supports], dtype=np.int64)
+    out = np.full((len(supports), m), -1, dtype=np.int64)
+    full = np.flatnonzero(sizes)
+    if m and full.size:
+        picks = rng.integers(0, sizes[full, None], size=(full.size, m))
+        out[full] = np.concatenate(supports)[(np.cumsum(sizes) - sizes)[full, None] + picks]
+    return out

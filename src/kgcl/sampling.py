@@ -11,7 +11,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .data import KnowledgeGraph, Triple, TripleBatch
-from .graph import StructureIndex, _index_from_triples, alpha_distribution, distances_within
+from .graph import StructureIndex, _index_from_triples, distances_within, draw_ring_samples
 from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
@@ -22,6 +22,9 @@ LABELS = ("true", "false")
 LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 
 DEFAULT_HARD_K = 3
+
+# score cells per top-k pass; B=256 over at most 4,096 entities takes one pass
+TOPK_CELL_BUDGET = 1 << 20
 
 
 @dataclass
@@ -71,22 +74,24 @@ def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
     free = np.count_nonzero(~known, axis=1).min(initial=k)
     if free < k:
         raise ValueError(f"top-{k} requested but only {free} candidates are not known tails")
-    # an order-preserving int64 key of -score (0.0 - x folds -0.0 into 0.0),
-    # then NaN above +inf and a known column above everything
-    key = np.subtract(0.0, scores, dtype=np.float64).view(np.int64)
-    np.bitwise_xor(key, np.iinfo(np.int64).max, out=key, where=key < 0)
-    key[np.isnan(scores)] = np.iinfo(np.int64).max - 1
-    key[known] = np.iinfo(np.int64).max
-    if k == 0:
-        return np.zeros((len(key), 0), dtype=np.int64)
-    # every key below the k-th smallest, then the lowest columns holding it
-    edge = np.partition(key, k - 1, axis=1)[:, [k - 1]]
-    below, tie = key < edge, key == edge
-    need = k - np.count_nonzero(below, axis=1, keepdims=True)
-    below |= tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need)
-    ids = np.nonzero(below)[1].reshape(-1, k)
-    order = np.lexsort((ids, np.take_along_axis(key, ids, axis=1)), axis=1)
-    return np.take_along_axis(ids, order, axis=1)
+    if np.isfinite(scores).all():
+        # a known column at -inf, below every candidate
+        work, floor = np.where(known, -np.inf, scores), -np.inf
+    else:
+        # an order-preserving int64 key of score (x + 0.0 folds -0.0 into 0.0),
+        # then NaN below -inf and a known column below everything
+        work = np.add(scores, 0.0, dtype=np.float64).view(np.int64)
+        np.bitwise_xor(work, np.iinfo(np.int64).max, out=work, where=work < 0)
+        floor = np.iinfo(np.int64).min
+        work[np.isnan(scores)] = floor + 1
+        work[known] = floor
+    # k passes of argmax, which returns the first maximum, so a tie goes to
+    # the lower column; each pick then drops to the floor
+    ids = np.zeros((len(work), k), dtype=np.int64)
+    for j in range(k):
+        ids[:, j] = np.argmax(work, axis=1)
+        np.put_along_axis(work, ids[:, [j]], floor, axis=1)
+    return ids
 
 
 def hard_negative_softmax_sample(
@@ -140,19 +145,21 @@ def assemble_training_negatives(
     slots = batch.batch_entities
     negatives = np.where(slots == batch.tails()[:, None], -1, slots)
     if mode != "simple":
-        queries, _ = aggregate_batch(model, batch.heads(), batch.relations())
-        scores = queries @ model.entity_table.T
-        known = np.zeros(scores.shape, dtype=bool)
-        for i, triple in enumerate(batch.triples):
-            known[i, list(kg.train_positive_tails.get((triple.head, triple.relation), ()))] = True
-        negatives = np.concatenate([negatives, _select_topk(scores, known, hard_k)], axis=1)
-    structure = np.full((size, m_structure if needs_structure else 0), -1, dtype=np.int64)
-    if needs_structure:
-        rng = np.random.default_rng(seed)
-        for i, triple in enumerate(batch.triples):
-            alpha = alpha_distribution(idx, triple.head)
-            if not alpha.is_empty and m_structure:
-                structure[i] = alpha.sample(m_structure, rng)
+        heads, rels = batch.heads(), batch.relations()
+        queries, _ = aggregate_batch(model, heads, rels)
+        # score, mask and select a few rows at a time to bound the B x N block
+        step = max(1, TOPK_CELL_BUDGET // model.num_entities())
+        hard = [
+            _select_topk(
+                queries[at : at + step] @ model.entity_table.T,
+                kg.train_tail_mask(heads[at : at + step], rels[at : at + step]),
+                hard_k,
+            )
+            for at in range(0, size, step)
+        ]
+        negatives = np.hstack([negatives, np.vstack(hard)])
+    structure = (draw_ring_samples(idx, heads, m_structure, np.random.default_rng(seed))
+                 if needs_structure else np.zeros((size, 0), dtype=np.int64))
     width = size if mode == "hasa_plus" else 0
     contexts = np.where(np.eye(size, width, dtype=bool), -1, np.arange(width))
     return NegativeSampleBatch(negatives, structure, contexts)

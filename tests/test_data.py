@@ -101,6 +101,36 @@ def test_replace_train_rebuilds_maps_and_shares_vocab():
     assert (c, r) in smaller.known_positive_tails  # valid facts still count
 
 
+def dict_tail_mask(kg, heads, relations):
+    mask = np.zeros((len(heads), kg.num_entities()), dtype=bool)
+    for i, key in enumerate(zip(heads.tolist(), relations.tolist())):
+        mask[i, list(kg.train_positive_tails.get(key, ()))] = True
+    return mask
+
+
+def test_train_tail_mask_matches_the_train_positive_tails_map():
+    rng = np.random.default_rng(17)
+    rows = [(f"e{rng.integers(12)}", f"r{rng.integers(3)}", f"e{rng.integers(12)}")
+            for _ in range(60)]
+    kg = augment_reverse(KnowledgeGraph.from_string_triples(rows[:45], rows[45:], []))
+    # every (head, relation) pair, many of them with no train tail
+    heads, relations = np.divmod(np.arange(kg.num_entities() * kg.num_relations()),
+                                 kg.num_relations())
+    assert any((h, r) not in kg.train_positive_tails
+               for h, r in zip(heads.tolist(), relations.tolist()))
+    full = kg.train_tail_mask(heads, relations)
+    assert full.dtype == bool and full.shape == (heads.size, kg.num_entities())
+    np.testing.assert_array_equal(full, dict_tail_mask(kg, heads, relations))
+    picked = rng.integers(0, heads.size, size=40)
+    np.testing.assert_array_equal(kg.train_tail_mask(heads[picked], relations[picked]),
+                                  full[picked])
+    # a replaced train split gets its own index, not the one built above
+    smaller = kg.replace_train(kg.train[::3])
+    np.testing.assert_array_equal(smaller.train_tail_mask(heads, relations),
+                                  dict_tail_mask(smaller, heads, relations))
+    assert smaller.train_tail_mask(heads, relations).sum() < full.sum()
+
+
 # ---------------------------------------------------------------------------
 # file loading
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcl.data import KnowledgeGraph
 from kgcl.evaluation import (
@@ -84,6 +86,16 @@ def test_rank_matches_sort_oracle_on_random_ties():
         others = np.round(rng.normal(size=rng.integers(1, 12)), 1)
         gold = float(np.round(rng.normal(), 1))
         assert rank_from_scores(gold, others) == oracle_rank(gold, others)
+
+
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gold=TIED_SCORES, others=st.lists(TIED_SCORES, max_size=12))
+def test_rank_lies_between_first_and_last(gold, others):
+    others = np.array(others, dtype=np.float64)
+    assert 1 <= rank_from_scores(gold, others) <= len(others) + 1
 
 
 def test_metric_arithmetic_matches_hand_values():

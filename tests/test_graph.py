@@ -16,6 +16,7 @@ from kgcl.graph import (
     alpha_distribution,
     build_structure_index,
     distances_within,
+    draw_ring_samples,
 )
 
 
@@ -173,14 +174,12 @@ def test_alpha_distribution_support_and_probability():
     idx = _index_from_triples([Triple(0, 0, 1), Triple(0, 0, 2), Triple(2, 0, 3)], 5)
     alpha = alpha_distribution(idx, 0)
     np.testing.assert_array_equal(alpha.support, [1, 2, 3])
-    assert alpha.probability == pytest.approx(1.0 / 3.0)
-    assert not alpha.is_empty
 
-    isolated = alpha_distribution(idx, 4)
-    assert isolated.is_empty
-    assert isolated.probability == 0.0
-    with pytest.raises(ValueError):
-        isolated.sample(3, np.random.default_rng(0))
+    # an isolated head has an empty ring, and its row of draws stays empty
+    assert alpha_distribution(idx, 4).support.size == 0
+    draws = draw_ring_samples(idx, np.array([4, 0]), 3, np.random.default_rng(0))
+    np.testing.assert_array_equal(draws[0], [-1, -1, -1])
+    assert set(draws[1].tolist()) <= {1, 2, 3}
 
 
 def test_alpha_sampling_is_uniform_over_support():
@@ -188,7 +187,35 @@ def test_alpha_sampling_is_uniform_over_support():
         [Triple(0, 0, 1), Triple(0, 0, 2), Triple(1, 0, 3), Triple(2, 0, 4)], 5)
     alpha = alpha_distribution(idx, 0)
     rng = np.random.default_rng(7)
-    draws = alpha.sample(40000, rng)
+    draws = draw_ring_samples(idx, np.zeros(50, dtype=np.int64), 800, rng).ravel()
     assert set(np.unique(draws)) <= set(alpha.support.tolist())
     freq = np.array([(draws == s).mean() for s in alpha.support])
-    np.testing.assert_allclose(freq, alpha.probability, atol=0.01)
+    np.testing.assert_allclose(freq, 1.0 / alpha.support.size, atol=0.01)
+
+
+@pytest.mark.parametrize("m", [0, 1, 8])
+def test_ring_draws_match_a_per_row_choice_loop(m):
+    """One batched draw gives the ids, in the same stream, of one
+    rng.choice(support, m) per head with a non-empty ring, and consumes
+    nothing for a head with an empty ring."""
+    graph_rng = np.random.default_rng(41 + m)
+    for _ in range(20):
+        n = int(graph_rng.integers(4, 30))
+        # entities at or above `linked` are isolated
+        linked = int(graph_rng.integers(2, n))
+        triples = random_triples(graph_rng, linked, int(graph_rng.integers(1, 2 * linked)))
+        idx = _index_from_triples(triples, n)
+        heads = graph_rng.integers(0, n, size=int(graph_rng.integers(1, 40)))
+        heads[0] = n - 1
+        seed = int(graph_rng.integers(2**32))
+        batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_ring_samples(idx, heads, m, batched_rng)
+        expect = np.full((heads.size, m), -1)
+        for i, head in enumerate(heads.tolist()):
+            support = alpha_distribution(idx, head).support
+            if support.size and m:
+                expect[i] = loop_rng.choice(support, size=m, replace=True)
+        assert got.shape == (heads.size, m) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, expect)
+        assert (got[0] == -1).all()
+        assert batched_rng.integers(0, 2**40) == loop_rng.integers(0, 2**40)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgcl.sampling
 from kgcl.data import KnowledgeGraph, Triple, make_batches
@@ -18,6 +20,7 @@ from kgcl.model import aggregate, init_model
 from kgcl.sampling import (
     DEFAULT_HARD_K,
     LABELS,
+    TOPK_CELL_BUDGET,
     FalseNegReport,
     NegativeSampleBatch,
     _select_topk,
@@ -114,6 +117,35 @@ def test_batched_topk_matches_a_per_row_lexsort(k):
                 lexsort_topk(scores, known, k)
 
 
+# finite scores full of exact ties: multiples of 1/8, both zeros, and the
+# largest magnitudes a float64 holds
+FINITE_TIES = [i / 8 for i in range(-8, 9)] + [-0.0, np.finfo(np.float64).max,
+                                             -np.finfo(np.float64).max]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.sampled_from([0, 1, 3, 7]))
+def test_topk_on_finite_blocks_matches_a_per_row_lexsort(data, k):
+    """An all-finite block takes the float path; its picks equal the
+    reference's, ties to the lower column and -0.0 tied with 0.0."""
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(max(k, 1), 16))
+    cells = st.lists(st.sampled_from(FINITE_TIES), min_size=rows * cols, max_size=rows * cols)
+    scores = np.array(data.draw(cells)).reshape(rows, cols)
+    marks = st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)
+    known = np.array(data.draw(marks)).reshape(rows, cols)
+    # row 0 keeps exactly k free columns; every other row keeps at least k
+    known[0] = True
+    known[0, data.draw(st.permutations(range(cols)))[:k]] = False
+    for row in range(1, rows):
+        while np.count_nonzero(~known[row]) < k:
+            known[row, np.flatnonzero(known[row])[0]] = False
+    assert np.isfinite(scores).all()
+    picked = _select_topk(scores, known, k)
+    np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
+    assert picked.shape == (rows, k) and picked.dtype == np.int64
+    assert not np.take_along_axis(known, picked, axis=1).any()
+
+
 def test_hard_softmax_sample_matches_analytic_distribution():
     model = init_model(4, 1, 2, kind="sum", seed=3)
     model.relation_table[...] = 0.0
@@ -206,6 +238,37 @@ def test_hard_mode_appends_top_scoring_unknown_tails():
         ranked = sorted(allowed, key=lambda e: (-scores[e], e))
         np.testing.assert_array_equal(extras, ranked[:2])
         assert triple.tail not in extras
+
+
+def test_topk_rows_in_chunks_match_one_block(monkeypatch):
+    """Scoring, masking and selecting a few rows at a time changes no id.
+    Dyadic tables make every score exact, so the tie-breaking is what gets
+    compared, whatever rows a chunk's product holds."""
+    assert TOPK_CELL_BUDGET // 2048 >= 256  # a B=256 batch over 2,048 entities is one pass
+    spec = SyntheticKGSpec(block_count=3, entities_per_block=6, relation_count=2, seed=4)
+    kg = generate_knowledge_graph(spec)
+    idx = build_structure_index(kg)
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=3)
+    rng = np.random.default_rng(8)
+    model.entity_table[...] = rng.integers(-2, 3, size=model.entity_table.shape) / 8
+    model.relation_table[...] = rng.integers(-2, 3, size=model.relation_table.shape) / 8
+    batch = make_batches(kg, batch_size=20, seed=5)[0]
+    whole = assemble_training_negatives(batch, model, kg, idx, 4, seed=6, mode="hasa_plus")
+    calls = []
+    select = kgcl.sampling._select_topk
+
+    def counted(scores, known, k):
+        calls.append(len(known))
+        return select(scores, known, k)
+
+    monkeypatch.setattr(kgcl.sampling, "_select_topk", counted)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(kgcl.sampling, "TOPK_CELL_BUDGET", rows * kg.num_entities())
+        calls.clear()
+        chunked = assemble_training_negatives(batch, model, kg, idx, 4, seed=6, mode="hasa_plus")
+        assert calls == [min(rows, len(batch) - at) for at in range(0, len(batch), rows)]
+        for block in ("hard_and_batch_negatives", "structure_samples", "negative_contexts"):
+            np.testing.assert_array_equal(getattr(chunked, block), getattr(whole, block))
 
 
 def test_hasa_mode_draws_structure_samples_from_the_hop_ring():
