@@ -94,7 +94,8 @@ class KnowledgeGraph:
     known_positive_tails covers all three splits and backs filtered ranking;
     train_positive_tails covers the train split only and backs negative
     filtering during training, so validation and test facts never leak into
-    sampling decisions.
+    sampling decisions. train_tail_mask reads it through an index built from
+    it on first use.
     """
 
     entities: Vocabulary
@@ -171,11 +172,13 @@ class KnowledgeGraph:
 
     @cached_property
     def _train_tails_by_key(self) -> tuple[np.ndarray, np.ndarray]:
-        """A CSR of the train tails: the keys h * R + r, sorted, and their tails."""
-        flat = np.array(self.train, dtype=np.int64).reshape(-1, 3)
-        keys = flat[:, 0] * self.num_relations() + flat[:, 1]
+        """train_positive_tails as a CSR: its tails under their keys h * R + r, sorted by key."""
+        tails_of = self.train_positive_tails
+        keys = np.array([h * self.num_relations() + r for h, r in tails_of], dtype=np.int64)
+        keys = np.repeat(keys, [len(run) for run in tails_of.values()])
+        tails = np.array([t for run in tails_of.values() for t in run], dtype=np.int64)
         order = np.argsort(keys)
-        return keys[order], flat[order, 2]
+        return keys[order], tails[order]
 
     def train_tail_mask(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """(len(heads) x N) bools: row i marks train_positive_tails[heads[i], relations[i]]."""

@@ -74,17 +74,13 @@ def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
     free = np.count_nonzero(~known, axis=1).min(initial=k)
     if free < k:
         raise ValueError(f"top-{k} requested but only {free} candidates are not known tails")
-    if np.isfinite(scores).all():
-        # a known column at -inf, below every candidate
-        work, floor = np.where(known, -np.inf, scores), -np.inf
-    else:
-        # an order-preserving int64 key of score (x + 0.0 folds -0.0 into 0.0),
-        # then NaN below -inf and a known column below everything
-        work = np.add(scores, 0.0, dtype=np.float64).view(np.int64)
-        np.bitwise_xor(work, np.iinfo(np.int64).max, out=work, where=work < 0)
-        floor = np.iinfo(np.int64).min
-        work[np.isnan(scores)] = floor + 1
-        work[known] = floor
+    # an order-preserving int64 key of score (x + 0.0 folds -0.0 into 0.0), then
+    # NaN below -inf and a known column below everything
+    work = np.add(scores, 0.0, dtype=np.float64).view(np.int64)
+    work ^= (work >> 63) & np.iinfo(np.int64).max
+    floor = np.iinfo(np.int64).min
+    np.copyto(work, floor + 1, where=np.isnan(scores))
+    np.copyto(work, floor, where=known)
     # k passes of argmax, which returns the first maximum, so a tie goes to
     # the lower column; each pick then drops to the floor
     ids = np.zeros((len(work), k), dtype=np.int64)
@@ -158,7 +154,7 @@ def assemble_training_negatives(
             for at in range(0, size, step)
         ]
         negatives = np.hstack([negatives, np.vstack(hard)])
-    structure = (draw_ring_samples(idx, heads, m_structure, np.random.default_rng(seed))
+    structure = (draw_ring_samples(idx, batch.heads(), m_structure, np.random.default_rng(seed))
                  if needs_structure else np.zeros((size, 0), dtype=np.int64))
     width = size if mode == "hasa_plus" else 0
     contexts = np.where(np.eye(size, width, dtype=bool), -1, np.arange(width))

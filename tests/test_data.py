@@ -1,5 +1,7 @@
 """Dataset parsing, vocabularies, reverse augmentation and batching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,9 @@ def test_train_tail_mask_matches_the_train_positive_tails_map():
     np.testing.assert_array_equal(smaller.train_tail_mask(heads, relations),
                                   dict_tail_mask(smaller, heads, relations))
     assert smaller.train_tail_mask(heads, relations).sum() < full.sum()
+    # the mask follows the map, also where the map no longer matches train
+    blind = dataclasses.replace(kg, train_positive_tails={})
+    assert not blind.train_tail_mask(heads, relations).any()
 
 
 # ---------------------------------------------------------------------------

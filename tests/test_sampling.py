@@ -126,8 +126,9 @@ FINITE_TIES = [i / 8 for i in range(-8, 9)] + [-0.0, np.finfo(np.float64).max,
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data(), k=st.sampled_from([0, 1, 3, 7]))
 def test_topk_on_finite_blocks_matches_a_per_row_lexsort(data, k):
-    """An all-finite block takes the float path; its picks equal the
-    reference's, ties to the lower column and -0.0 tied with 0.0."""
+    """On an all-finite block dense with ties, including ties at +-finfo.max,
+    the picks equal the reference's: ties to the lower column and -0.0 tied
+    with 0.0."""
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(max(k, 1), 16))
     cells = st.lists(st.sampled_from(FINITE_TIES), min_size=rows * cols, max_size=rows * cols)
     scores = np.array(data.draw(cells)).reshape(rows, cols)
