@@ -238,9 +238,11 @@ class GradientTape:
         ids = np.concatenate(id_chunks)
         grads = np.concatenate(grad_chunks, axis=0)
         unique, inverse = np.unique(ids, return_inverse=True)
-        summed = np.zeros((unique.size, dim))
-        np.add.at(summed, inverse, grads)
-        return unique, summed
+        # one flat bincount adds each cell's rows in row order from 0.0, as
+        # np.add.at would
+        cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+        summed = np.bincount(cells, grads.ravel(), minlength=unique.size * dim)
+        return unique, summed.reshape(unique.size, dim)
 
     def entity_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted unique ids, summed gradient rows) for the entity table."""

@@ -31,7 +31,7 @@ TOPK_CELL_BUDGET = 1 << 20
 class NegativeSampleBatch:
     """The negative material of one training batch as three (B x width)
     int64 blocks, row i belonging to triple i and -1 marking an empty cell.
-    A loss reads each block's filled cells in row-major order.
+    A loss reads only each block's filled cells.
 
     hard_and_batch_negatives: entity ids scored against the query; never
     contains the triple's own positive tail.

@@ -18,6 +18,7 @@ from kgcl.losses import (
     LossConfig,
     _log_estimate,
     _log_mass,
+    _score,
     hard_infonce,
     hasa_loss,
     hasa_plus_loss,
@@ -75,7 +76,9 @@ def oracle_context_term(s_pos, ctx_scores):
 
 
 def log_estimate(scores, variant):
-    return float(_log_estimate(np.asarray(scores, dtype=np.float64)[None, :], variant)[0][0])
+    """log E[exp(s)]: the row estimate carries the count K, so less log K."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return float(_log_estimate(scores[None, :], variant)[0][0]) - math.log(scores.size)
 
 
 def self_normalized_exp_estimate(scores):
@@ -330,18 +333,17 @@ def test_row_estimators_keep_rows_apart(variant):
     block = np.full((4, 6), -np.inf)
     for row, count in enumerate((3, 1, 0, 5)):
         block[row, rng.choice(6, size=count, replace=False)] = rng.normal(0.0, 2.0, size=count)
-    value, grad, counts = _log_estimate(block, variant)
+    value, grad = _log_estimate(block, variant)
     assert value[2] == -math.inf
-    assert counts.tolist() == [3, 1, 0, 5]
     assert np.all(grad[block == -np.inf] == 0.0)
     oracle = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
-    for row in (0, 1, 3):
+    for row, count in ((0, 3), (1, 1), (3, 5)):
         mine = block[row] > -np.inf
-        alone, alone_grad, _ = _log_estimate(block[row, mine][None, :], variant)
+        alone, alone_grad = _log_estimate(block[row, mine][None, :], variant)
         np.testing.assert_allclose(value[row], alone[0], rtol=1e-15)
         np.testing.assert_allclose(grad[row, mine], alone_grad[0], rtol=1e-15)
         np.testing.assert_allclose(
-            math.exp(value[row]), oracle(block[row, mine].tolist()), rtol=1e-12)
+            math.exp(value[row]), count * oracle(block[row, mine].tolist()), rtol=1e-12)
 
 
 def test_loss_config_validation():
@@ -778,3 +780,112 @@ def test_clamp_hits_count_the_rows_whose_raw_mass_is_under_the_floor(
     assume(all(abs(raw - floor) >= 1e-9 * floor for raw, floor in rows))
     out = LOSSES[loss_name](batch, negatives, model, cfg, None)
     assert out.clamp_hits == sum(raw < floor for raw, floor in rows)
+
+
+# ---------------------------------------------------------------------------
+# the core's column split and the rows it pushes to the tape
+
+SPLIT_TRIPLES = [Triple(0, 0, 1), Triple(2, 0, 3), Triple(4, 1, 5), Triple(6, 1, 7)]
+SPLIT_STRUCTURE = [[3, 5, 10], [1, 11, 0], [9, 8, 7], [2, 10, 5]]
+# the training layout: each triple's contexts are the batch's other positions
+SPLIT_CONTEXTS = np.where(np.eye(4, dtype=bool), -1, np.arange(4)).tolist()
+# name: (negatives, structure samples, the table rows the negatives give
+# when every filled cell pushes: one per shared column and one per other cell)
+SPLIT_CASES = {
+    "column_shared_by_every_row": ([[8, 10], [8, 9], [8, 11], [8, 0]], SPLIT_STRUCTURE, 5),
+    "column_shared_by_all_rows_but_one": (
+        [[9, 10], [9, 8], [9, 11], [2, 0]], SPLIT_STRUCTURE, 8),
+    "all_empty_column": ([[-1, 10], [-1, 8], [-1, 11], [-1, 0]], SPLIT_STRUCTURE, 4),
+    "row_with_repeated_structure_ids": (
+        [[8, 10], [8, 9], [8, 11], [8, 0]], [[3, 3, 3], [1, 11, 1], [9, 8, 7], [2, 10, 5]], 5),
+    "topk_id_equal_to_an_in_batch_id": ([[8, 8], [8, 9], [8, 8], [8, 0]], SPLIT_STRUCTURE, 5),
+    "row_without_negatives": ([[8, 10], [8, 9], [-1, -1], [8, 0]], SPLIT_STRUCTURE, 4),
+    # negatives far below the positive and structure samples far above it
+    "clamped_row": ([[8, 10], [8, 9], [8, 11], [8, 0]], [[0, 0, 0], [9, 9, 9], [2, 2, 2], [3]], 5),
+}
+SPLIT_CFG = {"clamped_row": LossConfig(tau=0.6, floor_epsilon=0.5)}
+
+
+def split_table():
+    rng = np.random.default_rng(2024)
+    table = rng.normal(0.0, 0.7, size=(12, 3))
+    # the clamped case: the query of triple 0 scores the negatives 8, 10 low
+    # and its structure sample 0 (the head itself) high
+    table[8] = table[10] = -table[0]
+    return table
+
+
+def split_oracle(mode, table, negs, structs, cfg):
+    """The summed loss of the split instances from plain Python floats (a
+    sum model whose relation rows are zero, so the query of (h, r) is e_h),
+    and whether each triple's mass clamps."""
+    dot = lambda a, b: sum(x * y for x, y in zip(a, b))
+    rows = [list(map(float, row)) for row in table]
+    total, clamped = 0.0, []
+    for i, t in enumerate(SPLIT_TRIPLES):
+        q = rows[t.head]
+        s_pos = dot(q, rows[t.tail])
+        sigma = [dot(q, rows[j]) for j in negs[i] if j >= 0]
+        rho = [dot(q, rows[j]) for j in structs[i] if j >= 0]
+        if mode in ("simple", "hard"):
+            total += oracle_infonce(s_pos, sigma)
+            clamped.append(False)
+        elif sigma:
+            total += oracle_hasa(s_pos, sigma, rho, cfg)
+            clamped.append(oracle_raw_mass(sigma, rho, cfg) < len(sigma) * cfg.floor_epsilon)
+        else:
+            clamped.append(False)
+        if mode == "hasa_plus":
+            others = [dot(rows[SPLIT_TRIPLES[j].head], rows[t.tail])
+                      for j in SPLIT_CONTEXTS[i] if j >= 0]
+            total += oracle_context_term(s_pos, others)
+    return total, clamped
+
+
+@pytest.mark.parametrize("mode", sorted(LOSSES))
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
+    """Loss and per-entity tape gradients against the scalar oracle and its
+    central differences, and the tape's ids against the push rule: the
+    heads, the tail of each triple with negatives or contexts, the
+    negatives of each unclamped triple and, at tau != 0, the structure
+    samples of each unclamped triple with negatives."""
+    negs, structs, pulled = SPLIT_CASES[case]
+    cfg = SPLIT_CFG.get(case, LossConfig(tau=0.3))
+    table = split_table()
+    model = sum_model(table, num_relations=2)
+    batch = make_batch(SPLIT_TRIPLES)
+    negatives = neg_batch(negs, structs, SPLIT_CONTEXTS)
+    heads = batch.heads()
+    cells, filled, pull = _score(table[heads], table, negatives.hard_and_batch_negatives,
+                                 np.zeros((len(heads), 0), dtype=np.int64))
+    assert pull(np.zeros(cells.shape), filled)[1].size == pulled
+    out, tape = run_with_tape(mode, batch, negatives, model, cfg)
+    expected, clamped = split_oracle(mode, table, negs, structs, cfg)
+    # a clamped row's term is a difference of nearly equal logs
+    np.testing.assert_allclose(out.loss, expected, rtol=1e-12, atol=1e-15)
+    if case == "clamped_row" and mode.startswith("hasa"):
+        assert clamped[0] and not all(clamped)
+    assert out.clamp_hits == sum(clamped)
+
+    step = 1e-6
+    for entity in range(len(table)):
+        numeric = np.zeros(table.shape[1])
+        for axis in range(table.shape[1]):
+            up, down = table.copy(), table.copy()
+            up[entity, axis] += step
+            down[entity, axis] -= step
+            numeric[axis] = (split_oracle(mode, up, negs, structs, cfg)[0]
+                             - split_oracle(mode, down, negs, structs, cfg)[0]) / (2 * step)
+        np.testing.assert_allclose(tape.entity_grad(entity), numeric, rtol=1e-6, atol=1e-8)
+
+    pushed = {t.head for t in SPLIT_TRIPLES}
+    for i, t in enumerate(SPLIT_TRIPLES):
+        own = [j for j in negs[i] if j >= 0]
+        if own or mode == "hasa_plus":
+            pushed.add(t.tail)
+        if not clamped[i]:
+            pushed.update(own)
+            if own and mode.startswith("hasa") and cfg.tau != 0.0:
+                pushed.update(j for j in structs[i] if j >= 0)
+    assert set(tape.entity_rows()[0].tolist()) == pushed

@@ -211,6 +211,34 @@ def test_tape_coalesces_repeated_rows():
     np.testing.assert_array_equal(tape.entity_grad(0), np.zeros(2))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_tape_coalescing_matches_add_at_bit_for_bit(seed):
+    # repeated ids over several entries, magnitudes far apart so that the
+    # order of the additions shows in the bits, and -0.0 cells, some of them
+    # in an id whose rows are all -0.0
+    rng = np.random.default_rng(seed)
+    dim = 3
+    model = init_model(40, 2, dim, kind="sum", seed=0)
+    tape = GradientTape(model)
+    chunks = []
+    for size in (0, 1, 7, 60):
+        ids = rng.integers(0, 12, size=size)
+        grads = rng.normal(size=(size, dim)) * 10.0 ** rng.integers(-12, 12, size=(size, dim))
+        grads[rng.random((size, dim)) < 0.2] = -0.0
+        ids[rng.random(size) < 0.1] = 39
+        grads[ids == 39] = -0.0
+        tape.add_entity(ids, grads)
+        chunks.append((ids, grads))
+    ids = np.concatenate([c[0] for c in chunks])
+    grads = np.concatenate([c[1] for c in chunks])
+    unique, inverse = np.unique(ids, return_inverse=True)
+    expected = np.zeros((unique.size, dim))
+    np.add.at(expected, inverse, grads)
+    got_ids, got = tape.entity_rows()
+    np.testing.assert_array_equal(got_ids, unique)
+    assert got.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
