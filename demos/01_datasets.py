@@ -29,8 +29,9 @@ out_dir = tempfile.mkdtemp(prefix="kgcl_demo_")
 paths = write_dataset_files(dataset, out_dir)
 print("wrote", sorted(os.path.basename(p) for p in paths.values()), "to", out_dir)
 
-# Loading assigns integer ids in order of first appearance and indexes the
-# known positive tails of every (head, relation) pair for filtered ranking.
+# Loading assigns integer ids in order of first appearance. Each fact
+# (h, r, t) is one sorted int64 key, (h * R + r) * N + t, so the known tails
+# of a (head, relation) pair are one range of keys, found by binary search.
 kg = load_dataset(paths["train"], paths["valid"], paths["test"])
 print("entities:", kg.num_entities(), "relations:", kg.num_relations())
 print("train/valid/test:", len(kg.train), len(kg.valid), len(kg.test))
@@ -41,8 +42,8 @@ r_name = kg.relations.token_of(first.relation)
 t_name = kg.entities.token_of(first.tail)
 print("first train triple:", (h_name, r_name, t_name), "->", first)
 
-tails = kg.known_positive_tails[(first.head, first.relation)]
-print("all known tails of that (head, relation):", sorted(tails))
+_, tails = kg.tails_of(kg.known_facts, [first.head], [first.relation])
+print("all known tails of that (head, relation):", tails.tolist())
 
 # Reverse augmentation doubles every split with (tail, twin relation, head)
 # rows, the standard trick that lets one tail-ranking model answer head

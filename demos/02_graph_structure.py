@@ -25,7 +25,7 @@ ident = kg.entities.id_of
 
 # The index treats every fact as an undirected edge and ignores relation
 # labels; structure only cares about who is connected to whom.
-print("undirected edges:", idx.edge_count())
+print("undirected edges:", idx.indices.size // 2)
 
 # Bounded breadth-first search from one entity.
 dist = distances_within(idx, ident("a"), cap=3)

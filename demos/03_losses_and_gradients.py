@@ -61,6 +61,6 @@ down = model.copy()
 down.entity_table[entity, coord] -= step
 numeric = (hasa_loss(batch, negatives, up, cfg).loss
            - hasa_loss(batch, negatives, down, cfg).loss) / (2 * step)
-analytic = tape.entity_grad(entity)[coord]
+analytic = rows[ids.tolist().index(entity), coord]
 print("d loss / d entity[%d][%d]: analytic %.8f vs numeric %.8f"
       % (entity, coord, analytic, numeric))

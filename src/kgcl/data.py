@@ -1,8 +1,9 @@
 """Triple datasets: parsing, vocabularies, reverse augmentation, batching."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -78,24 +79,22 @@ def _deduplicate(rows: list[tuple[str, str, str]], split: str) -> list[tuple[str
     return out
 
 
-def _positive_tails(splits: Iterable[list[Triple]]) -> dict[tuple[int, int], frozenset[int]]:
-    acc: dict[tuple[int, int], set[int]] = {}
-    for triples in splits:
-        for h, r, t in triples:
-            acc.setdefault((h, r), set()).add(t)
-    return {key: frozenset(vals) for key, vals in acc.items()}
+def fact_keys(triples: list[Triple], num_relations: int, num_entities: int) -> np.ndarray:
+    """The triples as sorted unique int64 keys (h * R + r) * N + t, one per fact."""
+    flat = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
+    h, r, t = flat.reshape(-1, 3).T
+    return np.unique((h * num_relations + r) * num_entities + t)
 
 
 @dataclass
 class KnowledgeGraph:
-    """Encoded train/valid/test triples plus lookup maps shared by samplers
-    and the evaluator.
+    """Encoded train/valid/test triples and their facts as fact_keys.
 
-    known_positive_tails covers all three splits and backs filtered ranking;
-    train_positive_tails covers the train split only and backs negative
-    filtering during training, so validation and test facts never leak into
-    sampling decisions. train_tail_mask reads it through an index built from
-    it on first use.
+    known_facts covers all three splits and backs filtered ranking;
+    train_facts covers the train split only and backs negative filtering
+    during training, so validation and test facts never leak into sampling
+    decisions. Both are built on first use, so a copy made with
+    dataclasses.replace builds its own.
     """
 
     entities: Vocabulary
@@ -103,8 +102,6 @@ class KnowledgeGraph:
     train: list[Triple]
     valid: list[Triple]
     test: list[Triple]
-    known_positive_tails: dict[tuple[int, int], frozenset[int]] = field(repr=False)
-    train_positive_tails: dict[tuple[int, int], frozenset[int]] = field(repr=False)
     reverse_augmented: bool = False
 
     @classmethod
@@ -132,27 +129,7 @@ class KnowledgeGraph:
                 Triple(entities.add(h), relations.add(r), entities.add(t))
                 for h, r, t in rows
             ]
-        return cls._from_encoded(entities, relations, encoded, reverse_augmented=False)
-
-    @classmethod
-    def _from_encoded(
-        cls,
-        entities: Vocabulary,
-        relations: Vocabulary,
-        splits: dict[str, list[Triple]],
-        reverse_augmented: bool,
-    ) -> "KnowledgeGraph":
-        all_splits = [splits["train"], splits["valid"], splits["test"]]
-        return cls(
-            entities=entities,
-            relations=relations,
-            train=splits["train"],
-            valid=splits["valid"],
-            test=splits["test"],
-            known_positive_tails=_positive_tails(all_splits),
-            train_positive_tails=_positive_tails([splits["train"]]),
-            reverse_augmented=reverse_augmented,
-        )
+        return cls(entities, relations, **encoded)
 
     def split(self, name: str) -> list[Triple]:
         if name not in SPLIT_NAMES:
@@ -160,36 +137,40 @@ class KnowledgeGraph:
         return getattr(self, name)
 
     def replace_train(self, train: list[Triple]) -> "KnowledgeGraph":
-        """Copy of this graph with the train split swapped out and the
-        positive-tail maps rebuilt. Vocabularies are shared, not copied."""
-        splits = {"train": list(train), "valid": self.valid, "test": self.test}
-        return KnowledgeGraph._from_encoded(
-            self.entities, self.relations, splits, self.reverse_augmented
-        )
+        """Copy of this graph with the train split swapped out. Vocabularies
+        are shared, not copied."""
+        return replace(self, train=list(train))
 
     def num_entities(self) -> int:
         return len(self.entities)
 
     @cached_property
-    def _train_tails_by_key(self) -> tuple[np.ndarray, np.ndarray]:
-        """train_positive_tails as a CSR: its tails under their keys h * R + r, sorted by key."""
-        tails_of = self.train_positive_tails
-        keys = np.array([h * self.num_relations() + r for h, r in tails_of], dtype=np.int64)
-        keys = np.repeat(keys, [len(run) for run in tails_of.values()])
-        tails = np.array([t for run in tails_of.values() for t in run], dtype=np.int64)
-        order = np.argsort(keys)
-        return keys[order], tails[order]
+    def train_facts(self) -> np.ndarray:
+        return fact_keys(self.train, self.num_relations(), self.num_entities())
+
+    @cached_property
+    def known_facts(self) -> np.ndarray:
+        return fact_keys(self.train + self.valid + self.test, self.num_relations(),
+                         self.num_entities())
+
+    def tails_of(
+        self, facts: np.ndarray, heads: np.ndarray, relations: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(row, tail) pairs: tail t for row i when facts holds
+        (heads[i], relations[i], t); rows ascending, tails ascending within."""
+        n = self.num_entities()
+        low = (np.asarray(heads, dtype=np.int64) * self.num_relations() + relations) * n
+        start, end = np.searchsorted(facts, [low, low + n])
+        counts = end - start
+        rows = np.repeat(np.arange(low.size), counts)
+        cells = np.arange(rows.size) + (start - np.cumsum(counts) + counts)[rows]
+        return rows, facts[cells] % n
 
     def train_tail_mask(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
-        """(len(heads) x N) bools: row i marks train_positive_tails[heads[i], relations[i]]."""
-        keys, tails = self._train_tails_by_key
-        query = heads * self.num_relations() + relations
-        start, end = np.searchsorted(keys, [query, query + 1])
-        counts = end - start
-        rows = np.repeat(np.arange(query.size), counts)
-        cells = np.arange(rows.size) + (start - np.cumsum(counts) + counts)[rows]
-        mask = np.zeros((query.size, self.num_entities()), dtype=bool)
-        mask[rows, tails[cells]] = True
+        """(len(heads) x N) bools: row i marks the train tails of (heads[i], relations[i])."""
+        rows, tails = self.tails_of(self.train_facts, heads, relations)
+        mask = np.zeros((len(heads), self.num_entities()), dtype=bool)
+        mask[rows, tails] = True
         return mask
 
     def num_relations(self) -> int:
@@ -243,7 +224,7 @@ def augment_reverse(kg: KnowledgeGraph) -> KnowledgeGraph:
         triples = kg.split(name)
         reversed_triples = [Triple(t, r + offset, h) for h, r, t in triples]
         splits[name] = triples + reversed_triples
-    return KnowledgeGraph._from_encoded(kg.entities, relations, splits, reverse_augmented=True)
+    return KnowledgeGraph(kg.entities, relations, **splits, reverse_augmented=True)
 
 
 @dataclass

@@ -85,22 +85,21 @@ def _check_finite(model: EmbeddingModel) -> None:
             raise ValueError(f"cannot evaluate: the model's {what} holds non-finite values")
 
 
-def _rank_chunk(model, kg, filtered, candidates, slot, triples):
+def _rank_chunk(model, kg, known, candidates, slot, triples):
     heads = np.fromiter((t.head for t in triples), dtype=np.int64, count=len(triples))
     rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
     queries, _ = aggregate_batch(model, heads, rels)
     scores = queries @ candidates.T
+    # one spare column at the end absorbs entities outside the pool
+    keep = np.ones((len(triples), len(candidates) + 1), dtype=bool)
+    if known is not None:
+        rows, tails = kg.tails_of(known, heads, rels)
+        keep[rows, slot[tails]] = False
     ranks = []
     for i, triple in enumerate(triples):
-        gold = triple.tail
-        # one spare column at the end absorbs entities outside the pool
-        keep = np.ones(len(candidates) + 1, dtype=bool)
-        keep[slot[gold]] = False
-        if filtered:
-            for entity in kg.known_positive_tails.get((triple.head, triple.relation), ()):
-                keep[slot[entity]] = False
-        gold_score = float(model.entity_table[gold] @ queries[i])
-        ranks.append(rank_from_scores(gold_score, scores[i][keep[:-1]]))
+        keep[i, slot[triple.tail]] = False
+        gold_score = float(model.entity_table[triple.tail] @ queries[i])
+        ranks.append(rank_from_scores(gold_score, scores[i][keep[i, :-1]]))
     return ranks
 
 
@@ -137,10 +136,11 @@ def evaluate(
         pool = np.arange(n)
     slot = np.full(n, pool.size, dtype=np.int64)
     slot[pool] = np.arange(pool.size)
-    slot = slot.tolist()
     candidates = model.entity_table[pool]
     chunks = [triples[i : i + chunk_size] for i in range(0, len(triples), chunk_size)]
-    rank = partial(_rank_chunk, model, kg, filtered, candidates, slot)
+    # built here, before any worker thread could race to build it
+    known = kg.known_facts if filtered else None
+    rank = partial(_rank_chunk, model, kg, known, candidates, slot)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             results = list(pool_exec.map(rank, chunks))

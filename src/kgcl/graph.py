@@ -36,12 +36,6 @@ class StructureIndex:
         self._check_entity(entity)
         return self.indices[self.indptr[entity] : self.indptr[entity + 1]]
 
-    def degree(self, entity: int) -> int:
-        return int(self.neighbors(entity).size)
-
-    def edge_count(self) -> int:
-        return self.indices.size // 2
-
     def _check_entity(self, entity: int) -> None:
         if not 0 <= entity < self.entity_count:
             raise ValueError(

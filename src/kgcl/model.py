@@ -179,21 +179,6 @@ def aggregate_batch(
     raise ValueError(f"unknown aggregator kind {model.kind!r}")
 
 
-def aggregate(model: EmbeddingModel, head: int, relation: int) -> np.ndarray:
-    """Query embedding e_hr for a single (head, relation) pair."""
-    q, _ = aggregate_batch(model, np.array([head]), np.array([relation]))
-    return q[0]
-
-
-def score(e_hr: np.ndarray, e_t: np.ndarray) -> float:
-    """Bilinear compatibility: the dot product of query and tail embeddings."""
-    e_hr = np.asarray(e_hr, dtype=np.float64)
-    e_t = np.asarray(e_t, dtype=np.float64)
-    if e_hr.shape != e_t.shape:
-        raise ValueError(f"dimension mismatch: {e_hr.shape} vs {e_t.shape}")
-    return float(e_hr @ e_t)
-
-
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         raise ValueError(f"{what} id out of range [0, {bound})")
@@ -250,20 +235,6 @@ class GradientTape:
 
     def relation_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return self._coalesce(self._relation_ids, self._relation_grads, self._dim)
-
-    def entity_grad(self, entity: int) -> np.ndarray:
-        ids, grads = self.entity_rows()
-        pos = np.searchsorted(ids, entity)
-        if pos < ids.size and ids[pos] == entity:
-            return grads[pos]
-        return np.zeros(self._dim)
-
-    def relation_grad(self, relation: int) -> np.ndarray:
-        ids, grads = self.relation_rows()
-        pos = np.searchsorted(ids, relation)
-        if pos < ids.size and ids[pos] == relation:
-            return grads[pos]
-        return np.zeros(self._dim)
 
 
 def backward(

@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import KnowledgeGraph, Triple, TripleBatch
+from .data import KnowledgeGraph, Triple, TripleBatch, fact_keys
 from .graph import StructureIndex, _index_from_triples, distances_within, draw_ring_samples
 from .model import EmbeddingModel, aggregate_batch
 
@@ -238,6 +238,7 @@ def _experiment_batch(
     model: EmbeddingModel | None,
     reached: MappingProxyType,
     hidden: np.ndarray,
+    relation_count: int,
     entity_count: int,
     cap: int,
     seed_key: list[int],
@@ -261,7 +262,7 @@ def _experiment_batch(
         hops.append(np.where(ids[at] == draws, dist[at], cap))
         drawn.append(draws)
     owner = np.repeat(np.arange(len(triples)), [d.size for d in drawn])
-    keys = (rels[owner] * entity_count + heads[owner]) * entity_count + np.concatenate(drawn)
+    keys = (heads[owner] * relation_count + rels[owner]) * entity_count + np.concatenate(drawn)
     cells = np.isin(keys, hidden) * (cap + 1) + np.concatenate(hops)
     return np.bincount(cells, minlength=2 * (cap + 1)).reshape(2, cap + 1)
 
@@ -303,8 +304,8 @@ def run_false_negative_experiment(
         raise ValueError(f"max_triples must be >= 1, got {max_triples}")
     retain, missing = split_retain_missing(kg.train, removal_fraction, seed)
     n = kg.num_entities()
-    facts = np.array(missing, dtype=np.int64).reshape(-1, 3)
-    hidden = np.unique((facts[:, 1] * n + facts[:, 0]) * n + facts[:, 2])
+    r = kg.num_relations()
+    hidden = fact_keys(missing, r, n)
     idx = _index_from_triples(retain, n)
     if max_triples is not None and len(retain) > max_triples:
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -329,7 +330,7 @@ def run_false_negative_experiment(
             for start in range(0, len(order), batch_size)
         ]
         jobs = [
-            (chunk, k, sampler, model, reached, hidden, n, distance_cap,
+            (chunk, k, sampler, model, reached, hidden, r, n, distance_cap,
              [seed, 3, sampler_id, k_pos, b])
             for b, chunk in enumerate(batches)
         ]

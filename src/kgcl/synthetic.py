@@ -1,6 +1,5 @@
 """Synthetic knowledge graphs: a block-community generator whose held-out
-splits are planted missing facts, plus a tiny deterministic cycle graph for
-training sanity checks."""
+splits are planted missing facts."""
 
 import math
 import os
@@ -124,24 +123,3 @@ def write_dataset_files(
                 handle.write(f"{h}\t{r}\t{t}\n")
         paths[split] = path
     return paths
-
-
-def toy_cycle_kg(ring_size: int = 6) -> KnowledgeGraph:
-    """Two rings of ring_size entities with fully functional relations:
-    "next" walks each ring and "pair" jumps between rings. Validation and
-    test repeat a third of the train facts each, so a model that memorizes
-    the train split scores perfectly under filtered ranking."""
-    if ring_size < 3:
-        raise ValueError(f"ring_size must be >= 3, got {ring_size}")
-    names = [f"n{i}" for i in range(2 * ring_size)]
-    facts: list[StringTriple] = []
-    for ring in (0, 1):
-        base = ring * ring_size
-        for i in range(ring_size):
-            facts.append((names[base + i], "next", names[base + (i + 1) % ring_size]))
-    for i in range(ring_size):
-        facts.append((names[i], "pair", names[ring_size + i]))
-        facts.append((names[ring_size + i], "pair", names[i]))
-    valid = facts[::3]
-    test = facts[1::3]
-    return KnowledgeGraph.from_string_triples(facts, valid, test)

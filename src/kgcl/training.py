@@ -199,7 +199,9 @@ def train(
     highest validation MRR seen at any evaluation point; each is replaced
     atomically."""
     if cfg.loss_mode != "simple":
-        most_known = max((len(t) for t in kg.train_positive_tails.values()), default=0)
+        # the most train tails any one (head, relation) has
+        pairs = kg.train_facts // kg.num_entities()
+        most_known = int(np.unique(pairs, return_counts=True)[1].max(initial=0))
         if kg.num_entities() - most_known < cfg.hard_k:
             raise ValueError(
                 f"hard_k {cfg.hard_k} exceeds the {kg.num_entities() - most_known} candidates "

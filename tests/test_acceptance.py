@@ -40,7 +40,7 @@ from kgcl.losses import (
     hasa_plus_loss,
     simple_infonce,
 )
-from kgcl.model import EmbeddingModel, GradientTape, aggregate, init_model
+from kgcl.model import EmbeddingModel, GradientTape, init_model
 from kgcl.sampling import (
     NegativeSampleBatch,
     hard_negative_softmax_sample,
@@ -48,8 +48,9 @@ from kgcl.sampling import (
     run_false_negative_experiment,
     split_retain_missing,
 )
-from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph, toy_cycle_kg
+from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from kgcl.training import TrainConfig, sweep_tau, train
+from support import grad_row, known_tails, query, toy_cycle_kg
 
 WN18RR_DIR = os.environ.get("KGCL_WN18RR_DIR", "")
 
@@ -165,8 +166,8 @@ def test_tail_and_negative_gradients_cancel_and_oppose_along_the_query():
         tape = GradientTape(model)
         loss_fn(batch, negatives, model, tape)
         q = model.entity_table[0]
-        g_tail = tape.entity_grad(1)
-        g_negs = [tape.entity_grad(j) for j in (2, 3, 4)]
+        g_tail = grad_row(tape.entity_rows(), 1)
+        g_negs = [grad_row(tape.entity_rows(), j) for j in (2, 3, 4)]
         residual = g_tail + sum(g_negs)
         assert np.max(np.abs(residual)) < 1e-10
         unit = q / np.linalg.norm(q)
@@ -319,11 +320,11 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     # softmax of model scores over an explicit candidate set
     model = init_model(12, 2, 6, kind="gru", seed=3, init_scale=1.0)
     candidates = np.arange(1, 10, dtype=np.int64)
-    query = aggregate(model, 0, 1)
+    e_hr = query(model, 0, 1)
     draws = hard_negative_softmax_sample(
-        query, candidates, model, draws_n, np.random.default_rng(5)
+        e_hr, candidates, model, draws_n, np.random.default_rng(5)
     )
-    scores = [float(model.entity_table[c] @ query) for c in candidates]
+    scores = [float(model.entity_table[c] @ e_hr) for c in candidates]
     z = math.fsum(math.exp(s) for s in scores)
     exact = {int(c): math.exp(s) / z for c, s in zip(candidates, scores)}
     values, counts = np.unique(draws, return_counts=True)
@@ -390,13 +391,12 @@ def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
             pool = np.random.default_rng(trial).choice(n_ent, size=limit, replace=False)
             pool = pool.tolist()
         assert report.triple_count == len(kg.train)
+        known = known_tails(kg)
         for triple, rank in zip(kg.train, report.ranks):
-            q = aggregate(model, triple.head, triple.relation)
+            q = query(model, triple.head, triple.relation)
             removed = set()
             if filtered:
-                removed = set(
-                    kg.known_positive_tails[(triple.head, triple.relation)]
-                ) - {triple.tail}
+                removed = known[(triple.head, triple.relation)] - {triple.tail}
             others = [float(model.entity_table[e] @ q)
                       for e in pool
                       if e != triple.tail and e not in removed]

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcl.data import (
     REVERSE_SUFFIX,
@@ -12,9 +14,11 @@ from kgcl.data import (
     Triple,
     Vocabulary,
     augment_reverse,
+    fact_keys,
     load_dataset,
     make_batches,
 )
+from support import tails_by_query
 
 
 def test_vocabulary_assigns_ids_by_first_appearance():
@@ -73,7 +77,7 @@ def test_empty_train_split_is_rejected():
         KnowledgeGraph.from_string_triples([], [("a", "r", "b")], [])
 
 
-def test_positive_tail_maps_separate_training_from_evaluation():
+def test_fact_keys_separate_training_from_evaluation():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("a", "r", "c")],
         [("a", "r", "d")],
@@ -81,8 +85,17 @@ def test_positive_tail_maps_separate_training_from_evaluation():
     )
     a, r = kg.entities.id_of("a"), kg.relations.id_of("r")
     b, c, d = (kg.entities.id_of(x) for x in "bcd")
-    assert kg.known_positive_tails[(a, r)] == {b, c, d}
-    assert kg.train_positive_tails[(a, r)] == {b, c}
+    assert kg.tails_of(kg.known_facts, [a], [r])[1].tolist() == sorted([b, c, d])
+    assert kg.tails_of(kg.train_facts, [a], [r])[1].tolist() == sorted([b, c])
+
+
+def test_fact_keys_are_sorted_unique_h_r_t_codes():
+    triples = [Triple(1, 0, 2), Triple(0, 1, 1), Triple(1, 0, 2)]
+    keys = fact_keys(triples, 2, 3)
+    # (h * R + r) * N + t with R = 2 and N = 3
+    np.testing.assert_array_equal(keys, [(0 * 2 + 1) * 3 + 1, (1 * 2 + 0) * 3 + 2])
+    assert keys.dtype == np.int64
+    assert fact_keys([], 2, 3).dtype == np.int64 and fact_keys([], 2, 3).size == 0
 
 
 def test_split_lookup_validates_name():
@@ -92,25 +105,28 @@ def test_split_lookup_validates_name():
         kg.split("dev")
 
 
-def test_replace_train_rebuilds_maps_and_shares_vocab():
+def test_replace_train_rebuilds_facts_and_shares_vocab():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("b", "r", "c")], [("c", "r", "a")], [])
+    a, b, c = (kg.entities.id_of(x) for x in "abc")
+    r = kg.relations.id_of("r")
+    assert kg.tails_of(kg.train_facts, [b], [r])[1].tolist() == [c]
     smaller = kg.replace_train(kg.train[:1])
     assert smaller.entities is kg.entities
     assert len(smaller.train) == 1
-    b, r, c = kg.entities.id_of("b"), kg.relations.id_of("r"), kg.entities.id_of("c")
-    assert (b, r) not in smaller.train_positive_tails
-    assert (c, r) in smaller.known_positive_tails  # valid facts still count
+    assert smaller.tails_of(smaller.train_facts, [b], [r])[1].size == 0
+    # valid facts still count
+    assert smaller.tails_of(smaller.known_facts, [c], [r])[1].tolist() == [a]
 
 
-def dict_tail_mask(kg, heads, relations):
-    mask = np.zeros((len(heads), kg.num_entities()), dtype=bool)
+def oracle_mask(tails, heads, relations, n):
+    mask = np.zeros((len(heads), n), dtype=bool)
     for i, key in enumerate(zip(heads.tolist(), relations.tolist())):
-        mask[i, list(kg.train_positive_tails.get(key, ()))] = True
+        mask[i, sorted(tails.get(key, ()))] = True
     return mask
 
 
-def test_train_tail_mask_matches_the_train_positive_tails_map():
+def test_train_tail_mask_matches_a_set_oracle():
     rng = np.random.default_rng(17)
     rows = [(f"e{rng.integers(12)}", f"r{rng.integers(3)}", f"e{rng.integers(12)}")
             for _ in range(60)]
@@ -118,22 +134,66 @@ def test_train_tail_mask_matches_the_train_positive_tails_map():
     # every (head, relation) pair, many of them with no train tail
     heads, relations = np.divmod(np.arange(kg.num_entities() * kg.num_relations()),
                                  kg.num_relations())
-    assert any((h, r) not in kg.train_positive_tails
-               for h, r in zip(heads.tolist(), relations.tolist()))
+    train_tails = tails_by_query(kg.train)
+    assert any((h, r) not in train_tails for h, r in zip(heads.tolist(), relations.tolist()))
     full = kg.train_tail_mask(heads, relations)
     assert full.dtype == bool and full.shape == (heads.size, kg.num_entities())
-    np.testing.assert_array_equal(full, dict_tail_mask(kg, heads, relations))
+    np.testing.assert_array_equal(full, oracle_mask(train_tails, heads, relations,
+                                                    kg.num_entities()))
     picked = rng.integers(0, heads.size, size=40)
     np.testing.assert_array_equal(kg.train_tail_mask(heads[picked], relations[picked]),
                                   full[picked])
-    # a replaced train split gets its own index, not the one built above
+    # a replaced train split gets its own keys, not the ones built above
     smaller = kg.replace_train(kg.train[::3])
-    np.testing.assert_array_equal(smaller.train_tail_mask(heads, relations),
-                                  dict_tail_mask(smaller, heads, relations))
+    np.testing.assert_array_equal(
+        smaller.train_tail_mask(heads, relations),
+        oracle_mask(tails_by_query(smaller.train), heads, relations, kg.num_entities()))
     assert smaller.train_tail_mask(heads, relations).sum() < full.sum()
-    # the mask follows the map, also where the map no longer matches train
-    blind = dataclasses.replace(kg, train_positive_tails={})
-    assert not blind.train_tail_mask(heads, relations).any()
+
+
+def check_facts_against_the_oracle(kg):
+    """fact_keys, tails_of over train and known facts, and train_tail_mask
+    against sets built from the splits, for every (head, relation) pair in
+    both orders."""
+    n, r = kg.num_entities(), kg.num_relations()
+    pairs = np.arange(n * r)
+    heads, relations = np.divmod(np.concatenate([pairs, pairs[::-1]]), r)
+    queries = list(zip(heads.tolist(), relations.tolist()))
+    for facts, splits in ((kg.train_facts, [kg.train]),
+                          (kg.known_facts, [kg.train, kg.valid, kg.test])):
+        assert facts.dtype == np.int64 and np.all(np.diff(facts) > 0)
+        decoded = {(k // n // r, k // n % r, k % n) for k in facts.tolist()}
+        assert decoded == {tuple(t) for triples in splits for t in triples}
+        oracle = tails_by_query(*splits)
+        rows, tails = kg.tails_of(facts, heads, relations)
+        expected = [(i, t) for i, key in enumerate(queries) for t in sorted(oracle.get(key, ()))]
+        assert list(zip(rows.tolist(), tails.tolist())) == expected
+    np.testing.assert_array_equal(kg.train_tail_mask(heads, relations),
+                                  oracle_mask(tails_by_query(kg.train), heads, relations, n))
+
+
+fact_rows = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 6)).map(
+        lambda f: (f"e{f[0]}", f"r{f[1]}", f"e{f[2]}")),
+    max_size=25,
+)
+
+
+@given(train=fact_rows.filter(bool), valid=fact_rows, test=fact_rows,
+       shared=st.integers(0, 4), reverse=st.booleans(), stride=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_fact_index_matches_a_set_oracle(train, valid, test, shared, reverse, stride):
+    # train facts repeated in valid and test, then the same facts after
+    # augmentation, a replaced train split and emptied held-out splits
+    kg = KnowledgeGraph.from_string_triples(train, valid + train[:shared], train[:shared] + test)
+    if reverse:
+        kg = augment_reverse(kg)
+    check_facts_against_the_oracle(kg)
+    check_facts_against_the_oracle(kg.replace_train(kg.train[::stride]))
+    # a copy made after kg built its keys must build its own
+    blind = dataclasses.replace(kg, valid=[], test=[])
+    check_facts_against_the_oracle(blind)
+    np.testing.assert_array_equal(blind.known_facts, kg.train_facts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from kgcl.evaluation import (
     rank_from_scores,
     write_json,
 )
-from kgcl.model import EmbeddingModel, aggregate, init_model
+from kgcl.model import EmbeddingModel, init_model
+from support import known_tails, query
 
 
 def oracle_rank(gold_score, others):
@@ -44,12 +45,13 @@ def direct_ranks(model, kg, split, filtered, pool=None):
     (all entities by default) plus the gold tail, less its other known
     tails when filtered."""
     ranks = []
+    known = known_tails(kg)
     for t in kg.split(split):
-        q = aggregate(model, t.head, t.relation)
+        q = query(model, t.head, t.relation)
         candidates = set(range(kg.num_entities()) if pool is None else pool.tolist())
         candidates.discard(t.tail)
         if filtered:
-            candidates -= kg.known_positive_tails[(t.head, t.relation)]
+            candidates -= known[(t.head, t.relation)]
         others = [float(model.entity_table[e] @ q) for e in sorted(candidates)]
         ranks.append(oracle_rank(float(model.entity_table[t.tail] @ q), others))
     return ranks
@@ -214,7 +216,7 @@ def test_subsample_filters_known_tails_with_the_gold_outside_the_pool():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="mlp", seed=3,
                        init_scale=0.8)
     pool = seeded_pool(kg.num_entities(), 6, seed=9)
-    known = kg.known_positive_tails[(kg.entities.id_of("a"), kg.relations.id_of("r"))]
+    known = known_tails(kg)[(kg.entities.id_of("a"), kg.relations.id_of("r"))]
     gold_outside = [t.tail for t in kg.valid if t.tail not in pool]
     assert gold_outside and any(e in known for e in pool.tolist())
     filtered = evaluate(model, kg, split="valid", filtered=True, candidate_limit=6, seed=9)
@@ -244,6 +246,24 @@ def test_evaluate_is_worker_invariant_and_deterministic():
     b = evaluate(model, kg, split="train", chunk_size=2, workers=4)
     assert a.ranks == b.ranks
     assert a.to_dict() == b.to_dict()
+
+
+def test_workers_on_a_graph_with_unbuilt_fact_keys_rank_as_one_worker():
+    # each (head, relation) has two tails, one of them held out in valid
+    rows = [("e%d" % (i % 10), "r%d" % (i % 3), "e%d" % ((7 * i + 1) % 31)) for i in range(60)]
+
+    def fresh():
+        return KnowledgeGraph.from_string_triples(rows[:40], rows[40:], [])
+
+    kg = fresh()
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="gru", seed=2,
+                       init_scale=0.7)
+    assert "known_facts" not in vars(kg)
+    four = evaluate(model, kg, split="valid", chunk_size=2, workers=4)
+    one = evaluate(model, fresh(), split="valid", chunk_size=2)
+    assert four.ranks == one.ranks
+    assert four.ranks == direct_ranks(model, kg, "valid", True)
+    assert four.ranks != evaluate(model, kg, split="valid", filtered=False).ranks
 
 
 def test_evaluate_is_worker_invariant_under_a_candidate_limit():

@@ -72,15 +72,15 @@ def test_direction_relation_and_duplicates_are_ignored():
         Triple(2, 0, 2),   # self-loop, dropped
     ]
     idx = _index_from_triples(triples, 3)
-    assert idx.edge_count() == 1
-    assert idx.degree(2) == 0
+    assert idx.indices.size == 2  # one undirected edge, stored both ways
+    assert idx.neighbors(2).size == 0
     np.testing.assert_array_equal(idx.neighbors(0), [1])
     np.testing.assert_array_equal(idx.neighbors(1), [0])
     # no triples, or only self-loops: no edges, and BFS stays at its source
     for edgeless in ([], [Triple(0, 0, 0), Triple(2, 1, 2)]):
         idx = _index_from_triples(edgeless, 3)
-        assert idx.edge_count() == 0
-        assert [idx.degree(e) for e in range(3)] == [0, 0, 0]
+        assert idx.indices.size == 0
+        assert [idx.neighbors(e).size for e in range(3)] == [0, 0, 0]
         assert distances_within(idx, 1, 3) == {1: 0}
 
 
@@ -154,7 +154,7 @@ def test_structure_index_uses_train_split_only():
     a, b, c = kg.entities.id_of("a"), kg.entities.id_of("b"), kg.entities.id_of("c")
     assert distances_within(idx, a, 5).get(c) == 2  # not 1: the valid edge is unseen
     d = kg.entities.id_of("d")
-    assert idx.degree(d) == 0
+    assert idx.neighbors(d).size == 0
 
 
 def test_entity_range_checks():

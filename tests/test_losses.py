@@ -24,8 +24,9 @@ from kgcl.losses import (
     hasa_plus_loss,
     simple_infonce,
 )
-from kgcl.model import EmbeddingModel, GradientTape, aggregate, init_model
+from kgcl.model import EmbeddingModel, GradientTape, init_model
 from kgcl.sampling import NegativeSampleBatch
+from support import grad_row, query
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def instance_scores(model, batch, negatives):
     """Score lists per triple, computed with plain dot products."""
     rows = []
     for i, t in enumerate(batch.triples):
-        q = aggregate(model, t.head, t.relation)
+        q = query(model, t.head, t.relation)
         s_pos = float(q @ model.entity_table[t.tail])
         neg_ids = filled(negatives.hard_and_batch_negatives[i])
         sigma = [float(q @ model.entity_table[j]) for j in neg_ids]
@@ -473,9 +474,9 @@ def test_hasa_clamp_reports_hits_and_freezes_negative_gradients():
     np.testing.assert_allclose(out.loss, expected, rtol=1e-9)
     # the clamped mass is constant, so negatives and structure rows get no
     # gradient while the positive pair still does
-    assert np.all(tape.entity_grad(2) == 0.0)
-    assert np.all(tape.entity_grad(3) == 0.0)
-    assert np.any(tape.entity_grad(1) != 0.0)
+    assert np.all(grad_row(tape.entity_rows(), 2) == 0.0)
+    assert np.all(grad_row(tape.entity_rows(), 3) == 0.0)
+    assert np.any(grad_row(tape.entity_rows(), 1) != 0.0)
     # nor are their rows on the tape at all, since lazy Adam would decay and
     # step a pushed zero row: only the head (through the query) and the tail
     ids, _ = tape.entity_rows()
@@ -578,8 +579,8 @@ def test_gradient_conservation_and_opposition():
         tape = GradientTape(model)
         loss_fn(batch, negatives, model, tape)
         q = model.entity_table[0]
-        g_tail = tape.entity_grad(1)
-        g_negs = [tape.entity_grad(j) for j in (2, 3, 4)]
+        g_tail = grad_row(tape.entity_rows(), 1)
+        g_negs = [grad_row(tape.entity_rows(), j) for j in (2, 3, 4)]
         residual = g_tail + sum(g_negs)
         assert np.max(np.abs(residual)) < 1e-10
         unit = q / np.linalg.norm(q)
@@ -877,7 +878,8 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
             down[entity, axis] -= step
             numeric[axis] = (split_oracle(mode, up, negs, structs, cfg)[0]
                              - split_oracle(mode, down, negs, structs, cfg)[0]) / (2 * step)
-        np.testing.assert_allclose(tape.entity_grad(entity), numeric, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(grad_row(tape.entity_rows(), entity), numeric,
+                                   rtol=1e-6, atol=1e-8)
 
     pushed = {t.head for t in SPLIT_TRIPLES}
     for i, t in enumerate(SPLIT_TRIPLES):

@@ -14,15 +14,14 @@ from fdcheck import loss_grad_rel_err
 from kgcl.model import (
     EmbeddingModel,
     GradientTape,
-    aggregate,
     aggregate_batch,
     aggregator_param_shapes,
     backward,
     init_model,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
+from support import grad_row, query
 
 
 def test_aggregator_param_shapes():
@@ -60,35 +59,6 @@ def test_model_copy_is_independent():
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-
-def test_score_examples():
-    assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert score(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-
-def test_score_matches_summation_oracle():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=500)
-    b = rng.normal(size=500)
-    expected = sum(float(a[i]) * float(b[i]) for i in range(500))
-    np.testing.assert_allclose(score(a, b), expected, rtol=1e-10)
-
-
-def test_score_is_bilinear():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=8)
-    b = rng.normal(size=8)
-    np.testing.assert_allclose(score(2.5 * a, b), 2.5 * score(a, b), rtol=1e-12)
-
-
-def test_score_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        score(np.zeros(3), np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
 # aggregator forwards against standalone reimplementations
 
 
@@ -106,13 +76,13 @@ def reference_gru_query(model, head, relation):
 
 def test_sum_aggregator_adds_rows():
     model = init_model(5, 2, 4, kind="sum", seed=1)
-    q = aggregate(model, 3, 1)
+    q = query(model, 3, 1)
     np.testing.assert_array_equal(q, model.entity_table[3] + model.relation_table[1])
 
 
 def test_mlp_aggregator_matches_reference():
     model = init_model(5, 2, 4, kind="mlp", seed=5, init_scale=0.7)
-    q = aggregate(model, 2, 0)
+    q = query(model, 2, 0)
     x = np.concatenate([model.entity_table[2], model.relation_table[0]])
     expected = np.tanh(model.aggregator["w"] @ x + model.aggregator["b"])
     np.testing.assert_allclose(q, expected, rtol=1e-14)
@@ -121,7 +91,7 @@ def test_mlp_aggregator_matches_reference():
 def test_gru_aggregator_matches_reference():
     model = init_model(6, 3, 5, kind="gru", seed=7, init_scale=0.8)
     for head, relation in [(0, 0), (4, 2), (5, 1)]:
-        q = aggregate(model, head, relation)
+        q = query(model, head, relation)
         np.testing.assert_allclose(
             q, reference_gru_query(model, head, relation), rtol=1e-13)
 
@@ -132,7 +102,7 @@ def test_gru_with_zero_parameters_emits_zero():
     model = init_model(3, 2, 4, kind="gru", seed=0)
     for name in model.aggregator:
         model.aggregator[name][...] = 0.0
-    np.testing.assert_array_equal(aggregate(model, 1, 1), np.zeros(4))
+    np.testing.assert_array_equal(query(model, 1, 1), np.zeros(4))
 
 
 def test_aggregate_batch_validates_ids_and_shapes():
@@ -147,7 +117,7 @@ def test_aggregate_batch_validates_ids_and_shapes():
 
 def test_aggregate_is_deterministic():
     model = init_model(5, 2, 6, kind="gru", seed=11)
-    np.testing.assert_array_equal(aggregate(model, 2, 1), aggregate(model, 2, 1))
+    np.testing.assert_array_equal(query(model, 2, 1), query(model, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +149,8 @@ def test_backward_sum_passes_gradient_through():
     tape = GradientTape(model)
     upstream = np.array([[0.5, -1.0, 2.0]])
     backward(model, cache, upstream, tape)
-    np.testing.assert_array_equal(tape.entity_grad(1), upstream[0])
-    np.testing.assert_array_equal(tape.relation_grad(0), upstream[0])
+    np.testing.assert_array_equal(grad_row(tape.entity_rows(), 1), upstream[0])
+    np.testing.assert_array_equal(grad_row(tape.relation_rows(), 0), upstream[0])
 
 
 def test_backward_zero_upstream_gives_zero_gradients():
@@ -208,7 +178,7 @@ def test_tape_coalesces_repeated_rows():
     ids, grads = tape.entity_rows()
     np.testing.assert_array_equal(ids, [1, 3])
     np.testing.assert_allclose(grads, [[1.0, 0.0], [3.0, 1.0]])
-    np.testing.assert_array_equal(tape.entity_grad(0), np.zeros(2))
+    np.testing.assert_array_equal(grad_row(tape.entity_rows(), 0), np.zeros(2))
 
 
 @pytest.mark.parametrize("seed", range(5))

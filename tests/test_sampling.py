@@ -16,7 +16,7 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
 )
-from kgcl.model import aggregate, init_model
+from kgcl.model import init_model
 from kgcl.sampling import (
     DEFAULT_HARD_K,
     LABELS,
@@ -34,6 +34,7 @@ from kgcl.sampling import (
     write_false_negative_histogram,
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
+from support import query, tails_by_query
 
 
 def filled(row):
@@ -58,7 +59,7 @@ def test_hard_topk_picks_highest_scores_with_id_tiebreak():
     model.entity_table[3, 0] = 2.0
     model.entity_table[1, 0] = 1.0
     model.entity_table[4, 0] = 1.0
-    scores = (model.entity_table @ aggregate(model, 0, 0))[None]
+    scores = (model.entity_table @ query(model, 0, 0))[None]
     known = np.arange(6)[None] == 0  # the candidates are entities 1..5
     picked = _select_topk(scores, known, 3)
     np.testing.assert_array_equal(picked, [[3, 1, 4]])
@@ -66,7 +67,7 @@ def test_hard_topk_picks_highest_scores_with_id_tiebreak():
 
 def test_hard_topk_filters_known_positives_and_checks_supply():
     model = init_model(5, 1, 2, kind="sum", seed=1)
-    scores = (model.entity_table @ aggregate(model, 0, 0))[None]
+    scores = (model.entity_table @ query(model, 0, 0))[None]
     known = np.isin(np.arange(5), [0, 1, 2])[None]
     picked = _select_topk(scores, known, 2)
     assert sorted(picked[0].tolist()) == [3, 4]
@@ -154,7 +155,7 @@ def test_hard_softmax_sample_matches_analytic_distribution():
     model.entity_table[1] = [0.5, 0.0]
     model.entity_table[2] = [1.5, 0.0]
     model.entity_table[3] = [-0.5, 0.0]
-    q = aggregate(model, 0, 0)
+    q = query(model, 0, 0)
     candidates = np.array([1, 2, 3])
     scores = model.entity_table[candidates] @ q
     expected = np.exp(scores - scores.max())
@@ -167,7 +168,7 @@ def test_hard_softmax_sample_matches_analytic_distribution():
 
 def test_hard_softmax_sample_is_seeded():
     model = init_model(4, 1, 2, kind="sum", seed=3)
-    q = aggregate(model, 0, 0)
+    q = query(model, 0, 0)
 
     def draw(seed):
         return hard_negative_softmax_sample(q, np.arange(4), model, 16, np.random.default_rng(seed))
@@ -226,15 +227,16 @@ def test_hard_mode_appends_top_scoring_unknown_tails():
     batch = make_batches(kg, batch_size=4, seed=0)[0]
     out = assemble_training_negatives(batch, model, kg, None, 0, seed=0, mode="hard",
                                       hard_k=2)
+    train_tails = tails_by_query(kg.train)
     for i, triple in enumerate(batch.triples):
         ids = filled(out.hard_and_batch_negatives[i])
         base = batch.batch_entities[batch.batch_entities != triple.tail]
         assert ids.size == base.size + 2
         extras = ids[base.size:]
         # recompute the expected top 2 from scratch
-        q = aggregate(model, triple.head, triple.relation)
+        q = query(model, triple.head, triple.relation)
         scores = model.entity_table @ q
-        known = kg.train_positive_tails.get((triple.head, triple.relation), frozenset())
+        known = train_tails.get((triple.head, triple.relation), set())
         allowed = [e for e in range(kg.num_entities()) if e not in known]
         ranked = sorted(allowed, key=lambda e: (-scores[e], e))
         np.testing.assert_array_equal(extras, ranked[:2])
@@ -474,8 +476,8 @@ def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key
             cand = support[support != triple.tail]
             if cand.size == 0:
                 continue
-            query = aggregate(model, triple.head, triple.relation)
-            draws = hard_negative_softmax_sample(query, cand, model, k, rng)
+            e_hr = query(model, triple.head, triple.relation)
+            draws = hard_negative_softmax_sample(e_hr, cand, model, k, rng)
         dist = distances_within(idx, triple.head, cap - 1)
         for neg in draws.tolist():
             hidden = Triple(triple.head, triple.relation, neg) in hidden_facts
@@ -505,7 +507,7 @@ def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
     report = run_false_negative_experiment(kg, 0.3, sampler, model, [3, 15], seed=2,
                                            distance_cap=cap)
     total = 0
-    for (triples, k, _, _, _, _, _, _, seed_key), counts in batches:
+    for (triples, k, *_, seed_key), counts in batches:
         np.testing.assert_array_equal(
             counts, per_draw_counts(triples, k, sampler, model, set(missing), idx, cap, seed_key))
         total = total + counts

@@ -1,4 +1,4 @@
-"""Block-community generator and the toy cycle graph."""
+"""Block-community generator, and the toy cycle graph the tests train on."""
 
 import math
 
@@ -9,9 +9,9 @@ from kgcl.synthetic import (
     SyntheticKGSpec,
     generate_knowledge_graph,
     generate_synthetic_kg,
-    toy_cycle_kg,
     write_dataset_files,
 )
+from support import toy_cycle_kg
 
 
 def test_spec_validation():
