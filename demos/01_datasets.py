@@ -29,20 +29,19 @@ out_dir = tempfile.mkdtemp(prefix="kgcl_demo_")
 paths = write_dataset_files(dataset, out_dir)
 print("wrote", sorted(os.path.basename(p) for p in paths.values()), "to", out_dir)
 
-# Loading assigns integer ids in order of first appearance. Each fact
-# (h, r, t) is one sorted int64 key, (h * R + r) * N + t, so the known tails
-# of a (head, relation) pair are one range of keys, found by binary search.
+# Loading assigns integer ids in order of first appearance. Each split is a
+# read-only (n x 3) int64 array of (h, r, t) rows. Each fact is one sorted
+# int64 key, (h * R + r) * N + t, so the known tails of a (head, relation)
+# pair are one range of keys, found by binary search.
 kg = load_dataset(paths["train"], paths["valid"], paths["test"])
 print("entities:", kg.num_entities(), "relations:", kg.num_relations())
-print("train/valid/test:", len(kg.train), len(kg.valid), len(kg.test))
+print("train/valid/test shapes:", kg.train.shape, kg.valid.shape, kg.test.shape)
 
-first = kg.train[0]
-h_name = kg.entities.token_of(first.head)
-r_name = kg.relations.token_of(first.relation)
-t_name = kg.entities.token_of(first.tail)
-print("first train triple:", (h_name, r_name, t_name), "->", first)
+head, relation, tail = kg.train[0].tolist()
+names = (kg.entities.token_of(head), kg.relations.token_of(relation), kg.entities.token_of(tail))
+print("first train triple:", names, "->", (head, relation, tail))
 
-_, tails = kg.tails_of(kg.known_facts, [first.head], [first.relation])
+_, tails = kg.tails_of(kg.known_facts, [head], [relation])
 print("all known tails of that (head, relation):", tails.tolist())
 
 # Reverse augmentation doubles every split with (tail, twin relation, head)

@@ -6,7 +6,6 @@ The four contrastive losses and their exact gradients
 
 import numpy as np
 
-from kgcl.data import Triple, TripleBatch
 from kgcl.losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
 from kgcl.model import GradientTape, init_model
 from kgcl.sampling import NegativeSampleBatch
@@ -15,11 +14,8 @@ from kgcl.sampling import NegativeSampleBatch
 # fuses (head, relation) into a query vector; scores are dot products.
 model = init_model(num_entities=8, num_relations=2, dim=6, kind="gru", seed=0)
 
-triples = [Triple(0, 0, 1), Triple(2, 1, 3)]
-heads = np.array([t.head for t in triples])
-tails = np.array([t.tail for t in triples])
-batch = TripleBatch(triples=triples,
-                    batch_entities=np.concatenate([heads, tails]))
+# A batch is a (B x 3) int64 array of (head, relation, tail) rows.
+batch = np.array([[0, 0, 1], [2, 1, 3]])
 
 # Negative material as one row per triple: scored negatives, structure
 # samples from the head's hop rings, and the other batch positions as
@@ -41,7 +37,7 @@ for label, value in [
     ("debias ", hasa_loss(batch, negatives, model, cfg)),
     ("debias+", hasa_plus_loss(batch, negatives, model, cfg)),
 ]:
-    print(label, "loss per triple %.6f" % (value.loss / len(batch.triples)),
+    print(label, "loss per triple %.6f" % (value.loss / len(batch)),
           " positives %.4f  negatives %.4f" % (value.pos, value.neg))
 
 # Gradients are analytic and land in a sparse tape: only the touched

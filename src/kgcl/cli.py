@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .data import KnowledgeGraph, ParseError, augment_reverse, load_dataset
+from .data import KnowledgeGraph, ParseError, _write_replacing, augment_reverse, load_dataset
 from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_json
 from .losses import DEBIAS_VARIANTS
 from .model import AGGREGATOR_KINDS, load_checkpoint
@@ -24,7 +24,7 @@ from .sampling import (
     write_false_negative_histogram,
 )
 from .synthetic import SyntheticKGSpec, generate_synthetic_kg, write_dataset_files
-from .training import TrainConfig, _write_replacing, sweep_tau, train, write_sweep_csv
+from .training import TrainConfig, sweep_tau, train, write_sweep_csv
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 

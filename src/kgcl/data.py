@@ -1,10 +1,10 @@
-"""Triple datasets: parsing, vocabularies, reverse augmentation, batching."""
+"""Knowledge graph datasets: parsing, vocabularies, reverse augmentation, batching."""
 
 import logging
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -17,12 +17,6 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 class ParseError(ValueError):
     """A dataset file contains a line that is not three tab-separated fields."""
-
-
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
 
 
 class Vocabulary:
@@ -65,30 +59,19 @@ class Vocabulary:
         return len(self._tokens)
 
 
-def _deduplicate(rows: list[tuple[str, str, str]], split: str) -> list[tuple[str, str, str]]:
-    seen = set()
-    out = []
-    for row in rows:
-        if row in seen:
-            continue
-        seen.add(row)
-        out.append(row)
-    dropped = len(rows) - len(out)
-    if dropped:
-        logger.warning("dropped %d duplicate triples from the %s split", dropped, split)
-    return out
-
-
-def fact_keys(triples: list[Triple], num_relations: int, num_entities: int) -> np.ndarray:
-    """The triples as sorted unique int64 keys (h * R + r) * N + t, one per fact."""
-    flat = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
-    h, r, t = flat.reshape(-1, 3).T
+def fact_keys(triples: np.ndarray, num_relations: int, num_entities: int) -> np.ndarray:
+    """The (n x 3) triples as sorted unique int64 keys (h * R + r) * N + t, one per fact."""
+    h, r, t = triples.T
     return np.unique((h * num_relations + r) * num_entities + t)
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
     """Encoded train/valid/test triples and their facts as fact_keys.
+
+    Each split is a read-only (n x 3) int64 array of (head, relation, tail)
+    rows, copied from what the constructor is given; an id outside the
+    vocabularies is a ValueError.
 
     known_facts covers all three splits and backs filtered ranking;
     train_facts covers the train split only and backs negative filtering
@@ -99,10 +82,23 @@ class KnowledgeGraph:
 
     entities: Vocabulary
     relations: Vocabulary
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
     reverse_augmented: bool = False
+
+    def __post_init__(self):
+        bounds = (self.num_entities(), self.num_relations(), self.num_entities())
+        for name in SPLIT_NAMES:
+            rows = np.array(getattr(self, name), dtype=np.int64)
+            if rows.shape == (0,):
+                rows = rows.reshape(0, 3)
+            if rows.ndim != 2 or rows.shape[1] != 3:
+                raise ValueError(f"{name} split must be (n x 3) triples, got shape {rows.shape}")
+            if not ((rows >= 0) & (rows < bounds)).all():
+                raise ValueError(f"{name} split holds an id outside the vocabularies")
+            rows.flags.writeable = False
+            setattr(self, name, rows)
 
     @classmethod
     def from_string_triples(
@@ -122,24 +118,30 @@ class KnowledgeGraph:
             raise ValueError("train split is empty")
         entities = Vocabulary()
         relations = Vocabulary()
-        encoded: dict[str, list[Triple]] = {}
+        encoded = {}
         for split in SPLIT_NAMES:
-            rows = _deduplicate(raw[split], split)
-            encoded[split] = [
-                Triple(entities.add(h), relations.add(r), entities.add(t))
-                for h, r, t in rows
-            ]
+            rows = np.array(
+                [(entities.add(h), relations.add(r), entities.add(t)) for h, r, t in raw[split]],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            # the first copy of each fact, in input order
+            h, r, t = rows.T
+            first = np.unique((h * len(relations) + r) * len(entities) + t, return_index=True)[1]
+            if first.size < len(rows):
+                logger.warning("dropped %d duplicate triples from the %s split",
+                               len(rows) - first.size, split)
+            encoded[split] = rows[np.sort(first)]
         return cls(entities, relations, **encoded)
 
-    def split(self, name: str) -> list[Triple]:
+    def split(self, name: str) -> np.ndarray:
         if name not in SPLIT_NAMES:
             raise ValueError(f"unknown split {name!r}, expected one of {SPLIT_NAMES}")
         return getattr(self, name)
 
-    def replace_train(self, train: list[Triple]) -> "KnowledgeGraph":
+    def replace_train(self, train: np.ndarray) -> "KnowledgeGraph":
         """Copy of this graph with the train split swapped out. Vocabularies
         are shared, not copied."""
-        return replace(self, train=list(train))
+        return replace(self, train=train)
 
     def num_entities(self) -> int:
         return len(self.entities)
@@ -150,8 +152,8 @@ class KnowledgeGraph:
 
     @cached_property
     def known_facts(self) -> np.ndarray:
-        return fact_keys(self.train + self.valid + self.test, self.num_relations(),
-                         self.num_entities())
+        return fact_keys(np.concatenate([self.train, self.valid, self.test]),
+                         self.num_relations(), self.num_entities())
 
     def tails_of(
         self, facts: np.ndarray, heads: np.ndarray, relations: np.ndarray
@@ -222,47 +224,28 @@ def augment_reverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     splits = {}
     for name in SPLIT_NAMES:
         triples = kg.split(name)
-        reversed_triples = [Triple(t, r + offset, h) for h, r, t in triples]
-        splits[name] = triples + reversed_triples
+        splits[name] = np.concatenate([triples, triples[:, ::-1] + (0, offset, 0)])
     return KnowledgeGraph(kg.entities, relations, **splits, reverse_augmented=True)
 
 
-@dataclass
-class TripleBatch:
-    """A training batch: its triples and the flat array of the 2B entity
-    slots (all heads, then all tails) that in-batch sampling draws from."""
-
-    triples: list[Triple]
-    batch_entities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def heads(self) -> np.ndarray:
-        return np.fromiter((t.head for t in self.triples), dtype=np.int64, count=len(self.triples))
-
-    def relations(self) -> np.ndarray:
-        return np.fromiter(
-            (t.relation for t in self.triples), dtype=np.int64, count=len(self.triples)
-        )
-
-    def tails(self) -> np.ndarray:
-        return np.fromiter((t.tail for t in self.triples), dtype=np.int64, count=len(self.triples))
-
-
-def make_batches(kg: KnowledgeGraph, batch_size: int, seed: int) -> list[TripleBatch]:
-    """Shuffle the train split with the given seed and chunk it. The final
-    batch may be short; every train triple appears exactly once."""
+def make_batches(kg: KnowledgeGraph, batch_size: int, seed: int) -> list[np.ndarray]:
+    """Shuffle the train split with the given seed and chunk it into
+    (B x 3) row blocks. The final batch may be short; every train triple
+    appears exactly once."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(kg.train))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        triples = [kg.train[i] for i in order[start : start + batch_size]]
-        slots = np.fromiter(
-            (t.head for t in triples), dtype=np.int64, count=len(triples)
-        )
-        tails = np.fromiter((t.tail for t in triples), dtype=np.int64, count=len(triples))
-        batches.append(TripleBatch(triples=triples, batch_entities=np.concatenate([slots, tails])))
-    return batches
+    order = np.random.default_rng(seed).permutation(len(kg.train))
+    return [kg.train[order[start : start + batch_size]]
+            for start in range(0, len(order), batch_size)]
+
+
+def _write_replacing(write, obj, path: str) -> None:
+    """write(obj, tmp) to a temporary file beside path, then os.replace it
+    onto path; on any failure it is removed and the old file stays."""
+    tmp = f"{path}.tmp"
+    try:
+        write(obj, tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

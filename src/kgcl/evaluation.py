@@ -86,8 +86,7 @@ def _check_finite(model: EmbeddingModel) -> None:
 
 
 def _rank_chunk(model, kg, known, candidates, slot, triples):
-    heads = np.fromiter((t.head for t in triples), dtype=np.int64, count=len(triples))
-    rels = np.fromiter((t.relation for t in triples), dtype=np.int64, count=len(triples))
+    heads, rels, gold = triples.T
     queries, _ = aggregate_batch(model, heads, rels)
     scores = queries @ candidates.T
     # one spare column at the end absorbs entities outside the pool
@@ -95,10 +94,10 @@ def _rank_chunk(model, kg, known, candidates, slot, triples):
     if known is not None:
         rows, tails = kg.tails_of(known, heads, rels)
         keep[rows, slot[tails]] = False
+    keep[np.arange(len(triples)), slot[gold]] = False
     ranks = []
-    for i, triple in enumerate(triples):
-        keep[i, slot[triple.tail]] = False
-        gold_score = float(model.entity_table[triple.tail] @ queries[i])
+    for i, tail in enumerate(gold.tolist()):
+        gold_score = float(model.entity_table[tail] @ queries[i])
         ranks.append(rank_from_scores(gold_score, scores[i][keep[i, :-1]]))
     return ranks
 
@@ -121,7 +120,7 @@ def evaluate(
     A model with a non-finite parameter is refused with a ValueError.
     """
     triples = kg.split(split)
-    if not triples:
+    if not len(triples):
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
     if model.num_entities() != kg.num_entities():
         raise ValueError(

@@ -2,13 +2,13 @@
 and the uniform distribution over each head's 1-/2-hop ring, used to
 estimate the false-negative term."""
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .data import KnowledgeGraph, Triple
+from .data import KnowledgeGraph
 
 # how many heads' structure distributions a StructureIndex keeps
 HOP_CACHE_SIZE = 1024
@@ -30,7 +30,8 @@ class StructureIndex:
         self.indptr = indptr
         self.indices = indices
         self.entity_count = indptr.size - 1
-        self._hop_cache: OrderedDict[int, AlphaDistribution] = OrderedDict()
+        # a weak self in the cache, so no cycle keeps a dropped index alive
+        self._ring = lru_cache(maxsize=HOP_CACHE_SIZE)(partial(_build_ring, weakref.proxy(self)))
 
     def neighbors(self, entity: int) -> np.ndarray:
         self._check_entity(entity)
@@ -42,23 +43,11 @@ class StructureIndex:
                 f"entity id {entity} out of range [0, {self.entity_count})"
             )
 
-    def _cache_get(self, head: int):
-        hit = self._hop_cache.get(head)
-        if hit is not None:
-            self._hop_cache.move_to_end(head)
-        return hit
-
-    def _cache_put(self, head: int, value) -> None:
-        self._hop_cache[head] = value
-        if len(self._hop_cache) > HOP_CACHE_SIZE:
-            self._hop_cache.popitem(last=False)
 
 
-def _index_from_triples(triples: list[Triple], entity_count: int) -> StructureIndex:
-    flat = np.fromiter(chain.from_iterable(triples), dtype=np.int64, count=3 * len(triples))
-    ends = flat.reshape(-1, 3)[:, [0, 2]]
-    if ends.size and not 0 <= ends.min() <= ends.max() < entity_count:
-        raise ValueError(f"triple entity ids must lie in [0, {entity_count})")
+def _index_from_triples(triples: np.ndarray, entity_count: int) -> StructureIndex:
+    """Index the rows of a KnowledgeGraph split, whose ids the graph checked."""
+    ends = triples[:, [0, 2]]
     ends = ends[ends[:, 0] != ends[:, 1]]
     # one key lo * N + hi per undirected pair, then both directions in
     # (source, neighbour) order
@@ -111,18 +100,17 @@ class AlphaDistribution:
     support: np.ndarray
 
 
-def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
-    """The uniform distribution over head's 1- and 2-hop ring, built once per
-    head and kept in the index's LRU cache. The cached support is read-only."""
-    cached = idx._cache_get(head)
-    if cached is not None:
-        return cached
+def _build_ring(idx: StructureIndex, head: int) -> AlphaDistribution:
     dist = distances_within(idx, head, 2)
     support = np.array(sorted(node for node, d in dist.items() if d > 0), dtype=np.int64)
     support.flags.writeable = False
-    alpha = AlphaDistribution(head=head, support=support)
-    idx._cache_put(head, alpha)
-    return alpha
+    return AlphaDistribution(head=head, support=support)
+
+
+def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
+    """The uniform distribution over head's 1- and 2-hop ring, built once per
+    head and kept in the index's LRU cache. The cached support is read-only."""
+    return idx._ring(head)
 
 
 def draw_ring_samples(

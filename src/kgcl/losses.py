@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TripleBatch
 from .model import EmbeddingModel, GradientTape, aggregate_batch, backward
 from .sampling import NegativeSampleBatch
 
@@ -213,10 +212,11 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
         raise ValueError("structure samples missing for some triples")
     if bidirectional and len(negatives.negative_contexts) != n:
         raise ValueError("negative contexts missing for some triples")
-    queries, cache = aggregate_batch(model, batch.heads(), batch.relations())
+    heads, relations, tails = batch.T
+    queries, cache = aggregate_batch(model, heads, relations)
     block = negatives.hard_and_batch_negatives
     k = block.shape[1]  # the cells are the negatives', then the tail's, then the structure's
-    has_neg, tails = (block >= 0).any(axis=1), batch.tails()
+    has_neg = (block >= 0).any(axis=1)
     own = tails[:, None]
     if structure is not None:
         # a triple without negatives contributes nothing at all
@@ -257,7 +257,7 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
     return value
 
 
-def simple_infonce(batch: TripleBatch, negatives: NegativeSampleBatch, model: EmbeddingModel,
+def simple_infonce(batch: np.ndarray, negatives: NegativeSampleBatch, model: EmbeddingModel,
                    tape: GradientTape | None = None) -> LossValue:
     """Contrastive loss -log(exp(s+) / (exp(s+) + sum_j exp(s_j))) summed
     over the batch, with in-batch negatives. A triple with no negatives
@@ -265,7 +265,7 @@ def simple_infonce(batch: TripleBatch, negatives: NegativeSampleBatch, model: Em
     return _contrastive(batch, negatives, model, tape)
 
 
-def hard_infonce(batch: TripleBatch, negatives: NegativeSampleBatch, model: EmbeddingModel,
+def hard_infonce(batch: np.ndarray, negatives: NegativeSampleBatch, model: EmbeddingModel,
                  tape: GradientTape | None = None) -> LossValue:
     """Same functional form as simple_infonce; the difference is only where
     the negatives came from, so with identical negative ids the two losses
@@ -273,7 +273,7 @@ def hard_infonce(batch: TripleBatch, negatives: NegativeSampleBatch, model: Embe
     return _contrastive(batch, negatives, model, tape)
 
 
-def hasa_loss(batch: TripleBatch, negatives: NegativeSampleBatch, model: EmbeddingModel,
+def hasa_loss(batch: np.ndarray, negatives: NegativeSampleBatch, model: EmbeddingModel,
               cfg: LossConfig, tape: GradientTape | None = None) -> LossValue:
     """Debiased contrastive loss log(exp(s+) + NegMass) - s+ per triple,
     where NegMass subtracts a tau-weighted structure-sample estimate of the
@@ -283,7 +283,7 @@ def hasa_loss(batch: TripleBatch, negatives: NegativeSampleBatch, model: Embeddi
                         cfg.debias_variant, cfg.floor_epsilon)
 
 
-def hasa_plus_loss(batch: TripleBatch, negatives: NegativeSampleBatch, model: EmbeddingModel,
+def hasa_plus_loss(batch: np.ndarray, negatives: NegativeSampleBatch, model: EmbeddingModel,
                    cfg: LossConfig, tape: GradientTape | None = None) -> LossValue:
     """hasa_loss plus, per triple, -log(exp(s+) / (exp(s+) +
     sum_j exp(e_t . q_j))) over the other (head, relation) queries q_j of

@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .data import KnowledgeGraph, Triple, TripleBatch, fact_keys
+from .data import KnowledgeGraph, fact_keys
 from .graph import StructureIndex, _index_from_triples, distances_within, draw_ring_samples
 from .model import EmbeddingModel, aggregate_batch
 
@@ -113,7 +113,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def assemble_training_negatives(
-    batch: TripleBatch,
+    batch: np.ndarray,
     model: EmbeddingModel,
     kg: KnowledgeGraph,
     idx: StructureIndex | None,
@@ -138,10 +138,10 @@ def assemble_training_negatives(
     if needs_structure and idx is None:
         raise ValueError(f"mode {mode!r} requires a structure index")
     size = len(batch)
-    slots = batch.batch_entities
-    negatives = np.where(slots == batch.tails()[:, None], -1, slots)
+    heads, rels, tails = batch.T
+    slots = np.concatenate([heads, tails])
+    negatives = np.where(slots == tails[:, None], -1, slots)
     if mode != "simple":
-        heads, rels = batch.heads(), batch.relations()
         queries, _ = aggregate_batch(model, heads, rels)
         # score, mask and select a few rows at a time to bound the B x N block
         step = max(1, TOPK_CELL_BUDGET // model.num_entities())
@@ -154,7 +154,7 @@ def assemble_training_negatives(
             for at in range(0, size, step)
         ]
         negatives = np.hstack([negatives, np.vstack(hard)])
-    structure = (draw_ring_samples(idx, batch.heads(), m_structure, np.random.default_rng(seed))
+    structure = (draw_ring_samples(idx, heads, m_structure, np.random.default_rng(seed))
                  if needs_structure else np.zeros((size, 0), dtype=np.int64))
     width = size if mode == "hasa_plus" else 0
     contexts = np.where(np.eye(size, width, dtype=bool), -1, np.arange(width))
@@ -162,20 +162,17 @@ def assemble_training_negatives(
 
 
 def split_retain_missing(
-    triples: list[Triple], fraction: float, seed: int
-) -> tuple[list[Triple], list[Triple]]:
-    """Partition triples into a retained set and a "missing facts" set whose
-    size is round(fraction * len(triples)). Both halves preserve the input
-    order; the choice is a seeded permutation."""
+    triples: np.ndarray, fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition (n x 3) triples into a retained set and a "missing facts"
+    set whose size is round(fraction * len(triples)). Both halves preserve
+    the input order; the choice is a seeded permutation."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(triples))
-    n_missing = int(round(fraction * len(triples)))
-    missing_idx = set(order[:n_missing].tolist())
-    retain = [t for i, t in enumerate(triples) if i not in missing_idx]
-    missing = [t for i, t in enumerate(triples) if i in missing_idx]
-    return retain, missing
+    order = np.random.default_rng(seed).permutation(len(triples))
+    missing = np.zeros(len(triples), dtype=bool)
+    missing[order[: int(round(fraction * len(triples)))]] = True
+    return triples[~missing], triples[missing]
 
 
 def bucket_labels(cap: int) -> list[str]:
@@ -232,7 +229,7 @@ class FalseNegReport:
 
 
 def _experiment_batch(
-    triples: list[Triple],
+    triples: np.ndarray,
     k: int,
     sampler: str,
     model: EmbeddingModel | None,
@@ -244,19 +241,19 @@ def _experiment_batch(
     seed_key: list[int],
 ) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    heads, rels, tails = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    heads, rels, tails = triples.T
     if sampler == "hard":
         support = np.unique(np.concatenate([heads, tails]))
         queries, _ = aggregate_batch(model, heads, rels)
     drawn, hops = [], []
-    for i, triple in enumerate(triples):
+    for i, (head, tail) in enumerate(zip(heads.tolist(), tails.tolist())):
         if sampler == "simple":
-            draws = in_batch_negative_sample(tails, triple.tail, k, rng)
+            draws = in_batch_negative_sample(tails, tail, k, rng)
         else:
-            draws = support[support != triple.tail]
+            draws = support[support != tail]
             if draws.size:
                 draws = hard_negative_softmax_sample(queries[i], draws, model, k, rng)
-        ids, dist = reached[triple.head]
+        ids, dist = reached[head]
         at = np.minimum(np.searchsorted(ids, draws), ids.size - 1)
         # a draw beyond cap - 1 hops, or unreachable, falls in the last column
         hops.append(np.where(ids[at] == draws, dist[at], cap))
@@ -310,13 +307,13 @@ def run_false_negative_experiment(
     if max_triples is not None and len(retain) > max_triples:
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         chosen = np.sort(sub_rng.choice(len(retain), size=max_triples, replace=False))
-        retain = [retain[i] for i in chosen]
+        retain = retain[chosen]
     # one BFS per distinct head, shared read-only by every batch of every K:
     # the entities within cap - 1 hops, sorted, over their hop counts, in a
     # 2 x n array (the BFS's dict takes six times the memory)
     reached = MappingProxyType({
         head: np.array(sorted(distances_within(idx, head, distance_cap - 1).items()), np.int32).T
-        for head in {t.head for t in retain}
+        for head in np.unique(retain[:, 0]).tolist()
     })
     sampler_id = SAMPLER_KINDS.index(sampler)
     counts = []
@@ -325,10 +322,8 @@ def run_false_negative_experiment(
         batch_size = max(1, (k + 1) // 2)
         order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, k_pos]))
         order = order_rng.permutation(len(retain))
-        batches = [
-            [retain[j] for j in order[start : start + batch_size]]
-            for start in range(0, len(order), batch_size)
-        ]
+        batches = [retain[order[start : start + batch_size]]
+                   for start in range(0, len(order), batch_size)]
         jobs = [
             (chunk, k, sampler, model, reached, hidden, r, n, distance_cap,
              [seed, 3, sampler_id, k_pos, b])

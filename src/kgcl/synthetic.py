@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KnowledgeGraph
+from .data import KnowledgeGraph, _write_replacing
 
 StringTriple = tuple[str, str, str]
 
@@ -113,13 +113,17 @@ def generate_knowledge_graph(spec: SyntheticKGSpec) -> KnowledgeGraph:
 def write_dataset_files(
     dataset: dict[str, list[StringTriple]], out_dir: str
 ) -> dict[str, str]:
-    """Write train.tsv, valid.tsv and test.tsv; returns the path per split."""
+    """Write train.tsv, valid.tsv and test.tsv, each replaced atomically;
+    returns the path per split."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for split in ("train", "valid", "test"):
-        path = os.path.join(out_dir, f"{split}.tsv")
-        with open(path, "w", encoding="utf-8") as handle:
-            for h, r, t in dataset[split]:
-                handle.write(f"{h}\t{r}\t{t}\n")
-        paths[split] = path
+        paths[split] = os.path.join(out_dir, f"{split}.tsv")
+        _write_replacing(_write_tsv, dataset[split], paths[split])
     return paths
+
+
+def _write_tsv(rows: list[StringTriple], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for h, r, t in rows:
+            handle.write(f"{h}\t{r}\t{t}\n")

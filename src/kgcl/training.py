@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import KnowledgeGraph, make_batches
+from .data import KnowledgeGraph, _write_replacing, make_batches
 from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_json
 from .graph import StructureIndex, build_structure_index
 from .losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
@@ -182,7 +182,7 @@ def _dump_diverged_batch(cfg: TrainConfig, epoch, step, batch, value) -> None:
         "epoch": epoch,
         "step": step,
         "loss": repr(value.loss),
-        "triples": [list(t) for t in batch.triples],
+        "triples": batch.tolist(),
     }
     _write_replacing(write_json, payload, os.path.join(cfg.out_dir, "diverged_batch.json"))
 
@@ -227,7 +227,7 @@ def train(
 
     def run_validation(step: int) -> MetricsReport | None:
         nonlocal best_mrr, best_model
-        if not kg.valid:
+        if not len(kg.valid):
             return None
         report = evaluate(
             model,
@@ -302,18 +302,6 @@ def train(
         ):
             _write_replacing(write, obj, os.path.join(cfg.out_dir, name))
     return TrainResult(model=model, log=log, best_valid_mrr=best_mrr, final_valid=final_valid)
-
-
-def _write_replacing(write, obj, path: str) -> None:
-    """write(obj, tmp) to a temporary file beside path, then os.replace it
-    onto path; on any failure it is removed and the old file stays."""
-    tmp = f"{path}.tmp"
-    try:
-        write(obj, tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def write_log(log: list[dict], path: str) -> None:

@@ -1,5 +1,6 @@
-"""Helpers shared by the test modules: a set oracle of a graph's facts built
-from its splits, one-pair queries and gradient rows, and a tiny cycle graph.
+"""Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
+a graph's facts built from its splits, one-pair queries and gradient rows,
+and a tiny cycle graph.
 
 The oracle is plain Python sets over the splits' triples, so it checks the
 library's int64 fact keys without sharing any code with them."""
@@ -10,11 +11,17 @@ from kgcl.data import KnowledgeGraph
 from kgcl.model import aggregate_batch
 
 
+def triple_rows(*triples) -> np.ndarray:
+    """The given (head, relation, tail) tuples as an (n x 3) int64 array, the
+    form of a split and of a training batch."""
+    return np.array(triples, dtype=np.int64).reshape(len(triples), 3)
+
+
 def tails_by_query(*splits) -> dict[tuple[int, int], set[int]]:
     """{(head, relation): its tails} over every triple of the given splits."""
     out: dict[tuple[int, int], set[int]] = {}
     for triples in splits:
-        for h, r, t in triples:
+        for h, r, t in triples.tolist():
             out.setdefault((h, r), set()).add(t)
     return out
 

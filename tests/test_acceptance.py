@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from fdcheck import loss_grad_rel_err
-from kgcl.data import KnowledgeGraph, Triple, TripleBatch, load_dataset
+from kgcl.data import KnowledgeGraph, load_dataset
 from kgcl.evaluation import evaluate, metrics_from_ranks
 from kgcl.graph import (
     alpha_distribution,
@@ -50,16 +50,9 @@ from kgcl.sampling import (
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from kgcl.training import TrainConfig, sweep_tau, train
-from support import grad_row, known_tails, query, toy_cycle_kg
+from support import grad_row, known_tails, query, toy_cycle_kg, triple_rows
 
 WN18RR_DIR = os.environ.get("KGCL_WN18RR_DIR", "")
-
-
-def make_batch(triples):
-    heads = np.fromiter((t.head for t in triples), dtype=np.int64)
-    tails = np.fromiter((t.tail for t in triples), dtype=np.int64)
-    return TripleBatch(triples=list(triples),
-                       batch_entities=np.concatenate([heads, tails]))
 
 
 def block(lists):
@@ -88,14 +81,14 @@ def random_instance(rng, kind, dim, n_entities, n_relations=3, n_triples=3,
         h = int(rng.integers(n_entities))
         r = int(rng.integers(n_relations))
         t = int(rng.integers(n_entities))
-        triples.append(Triple(h, r, t))
+        triples.append((h, r, t))
     negs, structs, ctxs = [], [], []
-    for i, triple in enumerate(triples):
-        pool = np.array([e for e in range(n_entities) if e != triple.tail])
+    for i, (_, _, tail) in enumerate(triples):
+        pool = np.array([e for e in range(n_entities) if e != tail])
         negs.append(rng.choice(pool, size=k_neg, replace=True))
         structs.append(rng.integers(n_entities, size=m_struct))
         ctxs.append(np.array([j for j in range(n_triples) if j != i]))
-    return model, make_batch(triples), neg_batch(negs, structs, ctxs)
+    return model, triple_rows(*triples), neg_batch(negs, structs, ctxs)
 
 
 def sum_model(entity_rows, num_relations=1):
@@ -161,7 +154,7 @@ def test_tail_and_negative_gradients_cancel_and_oppose_along_the_query():
         table = rng.normal(size=(6, 4))
         table[3] = table[1]
         model = sum_model(table)
-        batch = make_batch([Triple(0, 0, 1)])
+        batch = triple_rows((0, 0, 1))
         negatives = neg_batch([[2, 3, 4]])
         tape = GradientTape(model)
         loss_fn(batch, negatives, model, tape)
@@ -307,9 +300,9 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
 
     # in-batch pool: duplicated tails weight the distribution by count
     tails = [1, 1, 2, 2, 2, 3, 4, 1]
-    batch = make_batch([Triple(9 + i, 0, t) for i, t in enumerate(tails)])
-    own = batch.triples[0].tail
-    draws = in_batch_negative_sample(batch.tails(), own, draws_n, np.random.default_rng(11))
+    batch = triple_rows(*[(9 + i, 0, t) for i, t in enumerate(tails)])
+    own = tails[0]
+    draws = in_batch_negative_sample(batch[:, 2], own, draws_n, np.random.default_rng(11))
     # each other tail in proportion to how often it occurs in the batch
     pool = Counter(t for t in tails if t != own)
     exact = {t: c / sum(pool.values()) for t, c in pool.items()}
@@ -392,20 +385,20 @@ def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
             pool = pool.tolist()
         assert report.triple_count == len(kg.train)
         known = known_tails(kg)
-        for triple, rank in zip(kg.train, report.ranks):
-            q = query(model, triple.head, triple.relation)
+        for (head, relation, tail), rank in zip(kg.train.tolist(), report.ranks):
+            q = query(model, head, relation)
             removed = set()
             if filtered:
-                removed = known[(triple.head, triple.relation)] - {triple.tail}
+                removed = known[(head, relation)] - {tail}
             others = [float(model.entity_table[e] @ q)
                       for e in pool
-                      if e != triple.tail and e not in removed]
-            gold = float(model.entity_table[triple.tail] @ q)
+                      if e != tail and e not in removed]
+            gold = float(model.entity_table[tail] @ q)
             assert rank == exhaustive_rank(gold, others), f"trial {trial}"
             tied += gold in others
             if limit:
-                gold_inside += triple.tail in pool
-                gold_outside += triple.tail not in pool
+                gold_inside += tail in pool
+                gold_outside += tail not in pool
     assert tied and gold_inside and gold_outside
     report = metrics_from_ranks([1, 2, 10])
     np.testing.assert_allclose(report.mrr, 8.0 / 15.0, rtol=1e-12)

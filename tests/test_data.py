@@ -11,14 +11,16 @@ from kgcl.data import (
     REVERSE_SUFFIX,
     KnowledgeGraph,
     ParseError,
-    Triple,
     Vocabulary,
     augment_reverse,
     fact_keys,
     load_dataset,
     make_batches,
 )
-from support import tails_by_query
+from kgcl.model import init_model
+from kgcl.sampling import assemble_training_negatives
+from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
+from support import tails_by_query, triple_rows
 
 
 def test_vocabulary_assigns_ids_by_first_appearance():
@@ -52,24 +54,25 @@ def test_from_string_triples_encodes_in_split_order():
     assert kg.num_relations() == 2
     assert kg.entities.id_of("a") == 0
     assert kg.relations.id_of("knows") == 1
-    assert kg.train == [Triple(0, 0, 1), Triple(1, 0, 2)]
-    assert kg.valid == [Triple(2, 1, 0)]
-    assert kg.test == [Triple(0, 1, 2)]
+    assert kg.train.tolist() == [[0, 0, 1], [1, 0, 2]]
+    assert kg.valid.tolist() == [[2, 1, 0]]
+    assert kg.test.tolist() == [[0, 1, 2]]
 
 
 def test_duplicates_within_a_split_are_dropped_with_warning(caplog):
     with caplog.at_level("WARNING"):
         kg = KnowledgeGraph.from_string_triples(
-            [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a")])
-    assert len(kg.train) == 2
-    assert any("duplicate" in record.message for record in caplog.records)
+            [("a", "r", "b"), ("a", "r", "b"), ("b", "r", "a"), ("a", "r", "b"), ("c", "r", "a")])
+    # the first copy of each triple stays, in input order
+    assert kg.train.tolist() == [[0, 0, 1], [1, 0, 0], [2, 0, 0]]
+    assert any("dropped 2 duplicate" in record.message for record in caplog.records)
 
 
 def test_cross_split_duplicates_are_kept():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b")], [("a", "r", "b")], [])
     assert len(kg.train) == 1 and len(kg.valid) == 1
-    assert kg.train[0] == kg.valid[0]
+    assert kg.train[0].tolist() == kg.valid[0].tolist()
 
 
 def test_empty_train_split_is_rejected():
@@ -90,17 +93,17 @@ def test_fact_keys_separate_training_from_evaluation():
 
 
 def test_fact_keys_are_sorted_unique_h_r_t_codes():
-    triples = [Triple(1, 0, 2), Triple(0, 1, 1), Triple(1, 0, 2)]
-    keys = fact_keys(triples, 2, 3)
+    keys = fact_keys(triple_rows((1, 0, 2), (0, 1, 1), (1, 0, 2)), 2, 3)
     # (h * R + r) * N + t with R = 2 and N = 3
     np.testing.assert_array_equal(keys, [(0 * 2 + 1) * 3 + 1, (1 * 2 + 0) * 3 + 2])
     assert keys.dtype == np.int64
-    assert fact_keys([], 2, 3).dtype == np.int64 and fact_keys([], 2, 3).size == 0
+    empty = fact_keys(triple_rows(), 2, 3)
+    assert empty.dtype == np.int64 and empty.size == 0
 
 
 def test_split_lookup_validates_name():
     kg = KnowledgeGraph.from_string_triples([("a", "r", "b")])
-    assert kg.split("train") == kg.train
+    assert kg.split("train") is kg.train
     with pytest.raises(ValueError):
         kg.split("dev")
 
@@ -117,6 +120,55 @@ def test_replace_train_rebuilds_facts_and_shares_vocab():
     assert smaller.tails_of(smaller.train_facts, [b], [r])[1].size == 0
     # valid facts still count
     assert smaller.tails_of(smaller.known_facts, [c], [r])[1].tolist() == [a]
+
+
+def assert_read_only_rows(kg):
+    for name in ("train", "valid", "test"):
+        split = kg.split(name)
+        assert isinstance(split, np.ndarray) and split.dtype == np.int64
+        assert split.ndim == 2 and split.shape[1] == 3
+        assert not split.flags.writeable
+
+
+def test_every_split_is_a_read_only_n_by_3_int64_array():
+    kg = KnowledgeGraph.from_string_triples(
+        [("a", "r", "b"), ("b", "s", "c")], [("a", "s", "c")], [])
+    assert kg.test.shape == (0, 3)
+    graphs = [kg, augment_reverse(kg), kg.replace_train(kg.train[:1]),
+              kg.replace_train([(0, 0, 1)]), dataclasses.replace(kg, valid=[], test=[]),
+              generate_knowledge_graph(SyntheticKGSpec(seed=1))]
+    for graph in graphs:
+        assert_read_only_rows(graph)
+    with pytest.raises(ValueError):
+        kg.train[0, 0] = 2
+
+
+def test_a_graph_copies_its_splits_and_leaves_the_callers_arrays_alone():
+    kg = KnowledgeGraph.from_string_triples([("a", "r", "b"), ("b", "r", "c")])
+    mine = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+    smaller = kg.replace_train(mine)
+    assert mine.flags.writeable and smaller.train is not mine
+    keys = smaller.train_facts.copy()
+    mine[0, 2] = 2
+    np.testing.assert_array_equal(smaller.train_facts, keys)
+    assert smaller.train.tolist() == [[0, 0, 1], [1, 0, 2]]
+
+
+def test_out_of_range_ids_and_malformed_splits_are_rejected():
+    # 3 entities and 2 relations: the key of (0, 0, 3) would equal that of
+    # (0, 1, 0), so an unchecked tail id 3 would mark entity 0 as known
+    kg = KnowledgeGraph.from_string_triples([("a", "r", "b"), ("b", "s", "c")])
+    n, r = kg.num_entities(), kg.num_relations()
+    assert (n, r) == (3, 2)
+    for bad in ([(0, 0, n)], [(n, 0, 0)], [(0, r, 1)], [(-1, 0, 1)], [(0, -1, 1)]):
+        with pytest.raises(ValueError, match="outside the vocabularies"):
+            kg.replace_train(bad)
+    for bad in ([(0, 0)], [(0, 0, 1, 1)], [0, 0, 1], [[[0, 0, 1]]], np.zeros((0, 4))):
+        with pytest.raises(ValueError, match=r"\(n x 3\)"):
+            kg.replace_train(bad)
+    with pytest.raises(ValueError, match="valid split"):
+        dataclasses.replace(kg, valid=[(0, 0, n)])
+    assert not kg.replace_train([(0, 0, n - 1)]).train_tail_mask([0], [1]).any()
 
 
 def oracle_mask(tails, heads, relations, n):
@@ -163,7 +215,7 @@ def check_facts_against_the_oracle(kg):
                           (kg.known_facts, [kg.train, kg.valid, kg.test])):
         assert facts.dtype == np.int64 and np.all(np.diff(facts) > 0)
         decoded = {(k // n // r, k // n % r, k % n) for k in facts.tolist()}
-        assert decoded == {tuple(t) for triples in splits for t in triples}
+        assert decoded == {tuple(t) for triples in splits for t in triples.tolist()}
         oracle = tails_by_query(*splits)
         rows, tails = kg.tails_of(facts, heads, relations)
         expected = [(i, t) for i, key in enumerate(queries) for t in sorted(oracle.get(key, ()))]
@@ -250,7 +302,12 @@ def test_augment_reverse_doubles_every_split():
     r = kg.relations.id_of("r")
     assert aug.relations.token_of(r + 2) == "r" + REVERSE_SUFFIX
     a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
-    assert aug.train[2] == Triple(b, r + 2, a)  # reversed copy of (a, r, b)
+    assert aug.train[2].tolist() == [b, r + 2, a]  # reversed copy of (a, r, b)
+    # row for row: the originals in order, then each one reversed in order
+    for name in ("train", "valid", "test"):
+        rows = kg.split(name).tolist()
+        expected = rows + [[t, rel + 2, h] for h, rel, t in rows]
+        assert aug.split(name).tolist() == expected
 
 
 def test_augment_reverse_twice_is_an_error():
@@ -274,9 +331,10 @@ def test_make_batches_partitions_the_train_split():
     rows = [("e%d" % i, "r", "e%d" % ((i + 1) % 7)) for i in range(7)]
     kg = KnowledgeGraph.from_string_triples(rows)
     batches = make_batches(kg, batch_size=3, seed=0)
-    assert [len(b) for b in batches] == [3, 3, 1]
-    seen = [t for b in batches for t in b.triples]
-    assert sorted(seen) == sorted(kg.train)
+    assert [b.shape for b in batches] == [(3, 3), (3, 3), (1, 3)]
+    assert all(b.dtype == np.int64 for b in batches)
+    seen = [tuple(t) for b in batches for t in b.tolist()]
+    assert sorted(seen) == sorted(tuple(t) for t in kg.train.tolist())
 
 
 def test_make_batches_is_seeded_and_shuffles():
@@ -285,23 +343,32 @@ def test_make_batches_is_seeded_and_shuffles():
     a = make_batches(kg, 10, seed=1)
     b = make_batches(kg, 10, seed=1)
     c = make_batches(kg, 10, seed=2)
-    assert [x.triples for x in a] == [x.triples for x in b]
-    assert [x.triples for x in a] != [x.triples for x in c]
-    assert [x.triples for x in a] != [[kg.train[i] for i in range(10)],
-                                      [kg.train[i] for i in range(10, 20)],
-                                      [kg.train[i] for i in range(20, 30)]]
+    listed = [[x.tolist() for x in batches] for batches in (a, b, c)]
+    assert listed[0] == listed[1]
+    assert listed[0] != listed[2]
+    rows = kg.train.tolist()
+    assert listed[0] != [rows[0:10], rows[10:20], rows[20:30]]
+    # each batch is the next chunk of the seeded permutation, short at the end
+    for seed, size in ((1, 10), (2, 10), (3, 7)):
+        order = np.random.default_rng(seed).permutation(len(rows)).tolist()
+        chunks = [order[at : at + size] for at in range(0, len(order), size)]
+        assert [x.tolist() for x in make_batches(kg, size, seed)] == [
+            [rows[i] for i in chunk] for chunk in chunks]
 
 
 def test_batch_entities_lists_heads_then_tails():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("c", "r", "d"), ("e", "r", "f")])
     (batch,) = make_batches(kg, batch_size=3, seed=5)
-    heads = batch.heads()
-    tails = batch.tails()
-    np.testing.assert_array_equal(batch.batch_entities[:3], heads)
-    np.testing.assert_array_equal(batch.batch_entities[3:], tails)
-    np.testing.assert_array_equal(
-        batch.relations(), np.zeros(3, dtype=np.int64))
+    assert [r for _, r, _ in batch.tolist()] == [0, 0, 0]
+    # the in-batch slots are every head, then every tail, in batch order,
+    # with each copy of a row's own tail emptied
+    heads = [h for h, _, _ in batch.tolist()]
+    tails = [t for _, _, t in batch.tolist()]
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, seed=0)
+    negatives = assemble_training_negatives(batch, model, kg, None, 0, 0, "simple")
+    assert negatives.hard_and_batch_negatives.tolist() == [
+        [-1 if e == t else e for e in heads + tails] for t in tails]
 
 
 def test_make_batches_rejects_bad_batch_size():

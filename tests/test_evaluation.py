@@ -46,14 +46,14 @@ def direct_ranks(model, kg, split, filtered, pool=None):
     tails when filtered."""
     ranks = []
     known = known_tails(kg)
-    for t in kg.split(split):
-        q = query(model, t.head, t.relation)
+    for head, relation, tail in kg.split(split).tolist():
+        q = query(model, head, relation)
         candidates = set(range(kg.num_entities()) if pool is None else pool.tolist())
-        candidates.discard(t.tail)
+        candidates.discard(tail)
         if filtered:
-            candidates -= known[(t.head, t.relation)]
+            candidates -= known[(head, relation)]
         others = [float(model.entity_table[e] @ q) for e in sorted(candidates)]
-        ranks.append(oracle_rank(float(model.entity_table[t.tail] @ q), others))
+        ranks.append(oracle_rank(float(model.entity_table[tail] @ q), others))
     return ranks
 
 
@@ -166,7 +166,7 @@ def test_filtered_ranking_removes_other_known_tails():
     model.entity_table[b, a] = -1.0
     raw = evaluate(model, kg, split="train", filtered=False)
     filtered = evaluate(model, kg, split="train", filtered=True)
-    assert kg.train[0] == (a, 0, b)
+    assert kg.train[0].tolist() == [a, 0, b]
     # c, d (train) and e (valid) leave the candidate list; a stays
     assert raw.ranks[0] == 5
     assert filtered.ranks[0] == 2
@@ -193,7 +193,7 @@ def test_candidate_subset_always_includes_the_gold_tail():
     pool = seeded_pool(6, 3, seed=4)
     report = evaluate(model, kg, split="train", filtered=False, candidate_limit=3, seed=4)
     # a gold tail outside the pool joins it
-    assert any(t.tail not in pool for t in kg.train)
+    assert any(t not in pool for t in kg.train[:, 2].tolist())
     assert report.ranks == direct_ranks(model, kg, "train", False, pool)
     assert all(1 <= r <= 4 for r in report.ranks)
 
@@ -217,7 +217,7 @@ def test_subsample_filters_known_tails_with_the_gold_outside_the_pool():
                        init_scale=0.8)
     pool = seeded_pool(kg.num_entities(), 6, seed=9)
     known = known_tails(kg)[(kg.entities.id_of("a"), kg.relations.id_of("r"))]
-    gold_outside = [t.tail for t in kg.valid if t.tail not in pool]
+    gold_outside = [t for t in kg.valid[:, 2].tolist() if t not in pool]
     assert gold_outside and any(e in known for e in pool.tolist())
     filtered = evaluate(model, kg, split="valid", filtered=True, candidate_limit=6, seed=9)
     raw = evaluate(model, kg, split="valid", filtered=False, candidate_limit=6, seed=9)

@@ -4,13 +4,15 @@ The oracle computes all-pairs shortest paths by dynamic programming over an
 explicit distance matrix, sharing no code with the library's BFS.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import kgcl.graph
-from kgcl.data import KnowledgeGraph, Triple
+from kgcl.data import KnowledgeGraph
 from kgcl.graph import (
     _index_from_triples,
     alpha_distribution,
@@ -18,6 +20,7 @@ from kgcl.graph import (
     distances_within,
     draw_ring_samples,
 )
+from support import triple_rows
 
 
 def floyd_warshall(n, undirected_edges):
@@ -37,15 +40,15 @@ def floyd_warshall(n, undirected_edges):
 
 
 def random_triples(rng, n_entities, n_edges):
-    return [
-        Triple(int(rng.integers(n_entities)), 0, int(rng.integers(n_entities)))
+    return triple_rows(*[
+        (int(rng.integers(n_entities)), 0, int(rng.integers(n_entities)))
         for _ in range(n_edges)
-    ]
+    ])
 
 
 def test_path_graph_distances():
     # 0 - 1 - 2 - 3 in a line
-    idx = _index_from_triples([Triple(0, 0, 1), Triple(1, 0, 2), Triple(2, 0, 3)], 4)
+    idx = _index_from_triples(triple_rows((0, 0, 1), (1, 0, 2), (2, 0, 3)), 4)
     assert distances_within(idx, 0, 5).get(3) == 3
     assert distances_within(idx, 3, 5).get(0) == 3
     assert distances_within(idx, 1, 5).get(1) == 0
@@ -54,30 +57,30 @@ def test_path_graph_distances():
 
 
 def test_unreachable_and_capped_paths():
-    idx = _index_from_triples([Triple(0, 0, 1), Triple(2, 0, 3)], 5)
+    idx = _index_from_triples(triple_rows((0, 0, 1), (2, 0, 3)), 5)
     assert distances_within(idx, 0, 5).get(3) is None
     assert distances_within(idx, 0, 5).get(4) is None
     # a path longer than the cap is left out too
-    chain = [Triple(i, 0, i + 1) for i in range(7)]
+    chain = triple_rows(*[(i, 0, i + 1) for i in range(7)])
     idx2 = _index_from_triples(chain, 8)
     assert distances_within(idx2, 0, 5).get(7) is None
     assert distances_within(idx2, 0, 7).get(7) == 7
 
 
 def test_direction_relation_and_duplicates_are_ignored():
-    triples = [
-        Triple(0, 0, 1),
-        Triple(1, 1, 0),   # reverse duplicate under another relation
-        Triple(0, 2, 1),   # same pair again
-        Triple(2, 0, 2),   # self-loop, dropped
-    ]
+    triples = triple_rows(
+        (0, 0, 1),
+        (1, 1, 0),   # reverse duplicate under another relation
+        (0, 2, 1),   # same pair again
+        (2, 0, 2),   # self-loop, dropped
+    )
     idx = _index_from_triples(triples, 3)
     assert idx.indices.size == 2  # one undirected edge, stored both ways
     assert idx.neighbors(2).size == 0
     np.testing.assert_array_equal(idx.neighbors(0), [1])
     np.testing.assert_array_equal(idx.neighbors(1), [0])
     # no triples, or only self-loops: no edges, and BFS stays at its source
-    for edgeless in ([], [Triple(0, 0, 0), Triple(2, 1, 2)]):
+    for edgeless in (triple_rows(), triple_rows((0, 0, 0), (2, 1, 2))):
         idx = _index_from_triples(edgeless, 3)
         assert idx.indices.size == 0
         assert [idx.neighbors(e).size for e in range(3)] == [0, 0, 0]
@@ -90,7 +93,7 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
         n = int(rng.integers(2, 30))
         triples = random_triples(rng, n, int(rng.integers(1, 3 * n)))
         idx = _index_from_triples(triples, n)
-        pairs = {(min(h, t), max(h, t)) for h, _, t in triples if h != t}
+        pairs = {(min(h, t), max(h, t)) for h, _, t in triples.tolist() if h != t}
         oracle = floyd_warshall(n, pairs)
         for e in range(n):
             partners = sorted({v for u, v in pairs if u == e} | {u for u, v in pairs if v == e})
@@ -120,7 +123,7 @@ def test_two_hop_neighborhoods_match_distance_slices():
         n = int(rng.integers(3, 25))
         triples = random_triples(rng, n, 2 * n)
         idx = _index_from_triples(triples, n)
-        pairs = {(min(h, t), max(h, t)) for h, _, t in triples if h != t}
+        pairs = {(min(h, t), max(h, t)) for h, _, t in triples.tolist() if h != t}
         oracle = floyd_warshall(n, pairs)
         for head in range(n):
             # the ring training draws structure samples from
@@ -131,17 +134,31 @@ def test_two_hop_neighborhoods_match_distance_slices():
 
 def test_hop_cache_eviction_keeps_answers_correct(monkeypatch):
     monkeypatch.setattr(kgcl.graph, "HOP_CACHE_SIZE", 2)
-    chain = [Triple(i, 0, i + 1) for i in range(9)]
+    chain = triple_rows(*[(i, 0, i + 1) for i in range(9)])
     idx = _index_from_triples(chain, 10)
     fresh = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
     again = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
     assert fresh == again
     assert fresh[0] == [1, 2] and fresh[5] == [3, 4, 6, 7]
-    assert len(idx._hop_cache) <= 2
+    assert idx._ring.cache_info().currsize <= 2
     cached = alpha_distribution(idx, 9)
     assert alpha_distribution(idx, 9) is cached
     with pytest.raises(ValueError):
         cached.support[0] = 0
+
+
+def test_a_dropped_index_is_freed_without_the_cycle_collector():
+    # the ring cache must not hold its index in a reference cycle: an
+    # index per set-up would otherwise pile up until the collector runs
+    idx = _index_from_triples(triple_rows((0, 0, 1), (1, 0, 2)), 3)
+    assert alpha_distribution(idx, 0).support.tolist() == [1, 2]
+    dropped = weakref.ref(idx)
+    gc.disable()
+    try:
+        del idx
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_structure_index_uses_train_split_only():
@@ -158,20 +175,22 @@ def test_structure_index_uses_train_split_only():
 
 
 def test_entity_range_checks():
-    idx = _index_from_triples([Triple(0, 0, 1)], 2)
+    idx = _index_from_triples(triple_rows((0, 0, 1)), 2)
     with pytest.raises(ValueError):
         idx.neighbors(2)
     with pytest.raises(ValueError):
         distances_within(idx, -1, 2)
     with pytest.raises(ValueError):
         alpha_distribution(idx, 5)
+    # an index is built from a graph's split, whose ids the graph checks
+    kg = KnowledgeGraph.from_string_triples([("a", "r", "b")])
     with pytest.raises(ValueError):
-        _index_from_triples([Triple(0, 0, 2)], 2)
+        kg.replace_train(triple_rows((0, 0, 2)))
 
 
 def test_alpha_distribution_support_and_probability():
     # star: 0 joined to 1,2; 2 joined to 3 so N1(0)={1,2}, N2(0)={3}
-    idx = _index_from_triples([Triple(0, 0, 1), Triple(0, 0, 2), Triple(2, 0, 3)], 5)
+    idx = _index_from_triples(triple_rows((0, 0, 1), (0, 0, 2), (2, 0, 3)), 5)
     alpha = alpha_distribution(idx, 0)
     np.testing.assert_array_equal(alpha.support, [1, 2, 3])
 
@@ -184,7 +203,7 @@ def test_alpha_distribution_support_and_probability():
 
 def test_alpha_sampling_is_uniform_over_support():
     idx = _index_from_triples(
-        [Triple(0, 0, 1), Triple(0, 0, 2), Triple(1, 0, 3), Triple(2, 0, 4)], 5)
+        triple_rows((0, 0, 1), (0, 0, 2), (1, 0, 3), (2, 0, 4)), 5)
     alpha = alpha_distribution(idx, 0)
     rng = np.random.default_rng(7)
     draws = draw_ring_samples(idx, np.zeros(50, dtype=np.int64), 800, rng).ravel()

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdcheck import loss_grad_rel_err
-from kgcl.data import Triple, TripleBatch
 from kgcl.losses import (
     LossConfig,
     _log_estimate,
@@ -26,7 +25,7 @@ from kgcl.losses import (
 )
 from kgcl.model import EmbeddingModel, GradientTape, init_model
 from kgcl.sampling import NegativeSampleBatch
-from support import grad_row, query
+from support import grad_row, query, triple_rows
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +100,6 @@ def log_debiased_mass(neg_scores, structure_scores, cfg):
 # instance construction helpers
 
 
-def make_batch(triples):
-    heads = np.fromiter((t.head for t in triples), dtype=np.int64)
-    tails = np.fromiter((t.tail for t in triples), dtype=np.int64)
-    return TripleBatch(triples=list(triples), batch_entities=np.concatenate([heads, tails]))
-
-
 def sum_model(entity_rows, num_relations=1):
     """A sum-aggregator model whose relation rows are zero, so the query of
     (h, r) is exactly the entity row of h."""
@@ -141,13 +134,13 @@ def random_instance(rng, kind="sum", dim=4, n_entities=12, n_relations=3,
     model = init_model(n_entities, n_relations, dim, kind=kind,
                        seed=int(rng.integers(2**31)), init_scale=0.5)
     triples = [
-        Triple(int(rng.integers(n_entities)), int(rng.integers(n_relations)),
-               int(rng.integers(n_entities)))
+        (int(rng.integers(n_entities)), int(rng.integers(n_relations)),
+         int(rng.integers(n_entities)))
         for _ in range(n_triples)
     ]
     negs, structs, ctxs = [], [], []
-    for i, t in enumerate(triples):
-        pool = np.setdiff1d(np.arange(n_entities), [t.tail])
+    for i, (_, _, tail) in enumerate(triples):
+        pool = np.setdiff1d(np.arange(n_entities), [tail])
         negs.append(rng.choice(pool, size=k_neg, replace=True).astype(np.int64))
         if m_struct:
             structs.append(rng.integers(0, n_entities, size=m_struct).astype(np.int64))
@@ -157,15 +150,15 @@ def random_instance(rng, kind="sum", dim=4, n_entities=12, n_relations=3,
             ctxs.append(np.array([j for j in range(n_triples) if j != i], dtype=np.int64))
         else:
             ctxs.append(np.zeros(0, dtype=np.int64))
-    return model, make_batch(triples), neg_batch(negs, structs, ctxs)
+    return model, triple_rows(*triples), neg_batch(negs, structs, ctxs)
 
 
 def instance_scores(model, batch, negatives):
     """Score lists per triple, computed with plain dot products."""
     rows = []
-    for i, t in enumerate(batch.triples):
-        q = query(model, t.head, t.relation)
-        s_pos = float(q @ model.entity_table[t.tail])
+    for i, (head, relation, tail) in enumerate(batch.tolist()):
+        q = query(model, head, relation)
+        s_pos = float(q @ model.entity_table[tail])
         neg_ids = filled(negatives.hard_and_batch_negatives[i])
         sigma = [float(q @ model.entity_table[j]) for j in neg_ids]
         rho = [float(q @ model.entity_table[j]) for j in filled(negatives.structure_samples[i])]
@@ -181,7 +174,7 @@ def instance_scores(model, batch, negatives):
 def test_equal_scores_loss_is_log_k_plus_one(k):
     # all embeddings zero, so every score is 0 and the softmax is uniform
     model = sum_model(np.zeros((4, 3)))
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     negatives = neg_batch([[2] * k])
     out = simple_infonce(batch, negatives, model)
     assert abs(out.loss - math.log(k + 1)) < 1e-12
@@ -190,7 +183,7 @@ def test_equal_scores_loss_is_log_k_plus_one(k):
 def test_single_negative_closed_form():
     # s+ = 1 and sigma = 0 give loss log(1 + exp(-1))
     model = sum_model([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     out = simple_infonce(batch, neg_batch([[2]]), model)
     assert abs(out.loss - math.log(1.0 + math.exp(-1.0))) < 1e-12
 
@@ -218,7 +211,7 @@ def test_hard_equals_simple_with_identical_negatives():
 def test_higher_scoring_negatives_raise_the_loss():
     # entity 2 scores 0 against the query, entity 3 scores 2
     model = sum_model([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     low = simple_infonce(batch, neg_batch([[2]]), model).loss
     high = hard_infonce(batch, neg_batch([[3]]), model).loss
     assert high > low
@@ -226,11 +219,11 @@ def test_higher_scoring_negatives_raise_the_loss():
 
 def test_triple_without_negatives_contributes_nothing():
     model = sum_model(np.arange(8.0).reshape(4, 2))
-    batch = make_batch([Triple(0, 0, 1), Triple(2, 0, 3)])
+    batch = triple_rows((0, 0, 1), (2, 0, 3))
     negatives = neg_batch([[2], []])
     tape = GradientTape(model)
     out = simple_infonce(batch, negatives, model, tape)
-    solo = simple_infonce(make_batch([Triple(0, 0, 1)]), neg_batch([[2]]), model)
+    solo = simple_infonce(triple_rows((0, 0, 1)), neg_batch([[2]]), model)
     np.testing.assert_allclose(out.loss, solo.loss, rtol=1e-15)
     # the skipped triple's rows stay off the tape
     ids, _ = tape.entity_rows()
@@ -239,7 +232,7 @@ def test_triple_without_negatives_contributes_nothing():
 
 def test_mismatched_negative_batch_raises():
     model = sum_model(np.zeros((4, 2)))
-    batch = make_batch([Triple(0, 0, 1), Triple(1, 0, 2)])
+    batch = triple_rows((0, 0, 1), (1, 0, 2))
     with pytest.raises(ValueError):
         simple_infonce(batch, neg_batch([[2]]), model)
     with pytest.raises(ValueError, match="structure"):
@@ -250,7 +243,7 @@ def test_mismatched_negative_batch_raises():
 
 def test_loss_value_mean_and_diagnostics():
     model = sum_model([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     out = simple_infonce(batch, neg_batch([[2]]), model)
     assert out.triple_count == 1
     assert out.mean == out.loss
@@ -413,7 +406,7 @@ def test_hasa_single_triple_scalar_oracle(variant):
         [0.7, 0.1],    # negative
         [0.3, -0.6],   # structure sample
     ])
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     negatives = neg_batch([[2, 3]], [[4]])
     cfg = LossConfig(tau=0.1, debias_variant=variant)
     out = hasa_loss(batch, negatives, model, cfg)
@@ -460,7 +453,7 @@ def test_hasa_clamp_reports_hits_and_freezes_negative_gradients():
         [-1.0, 0.0],   # weak negative
         [8.0, 0.0],    # dominant structure sample
     ])
-    batch = make_batch([Triple(0, 0, 1)])
+    batch = triple_rows((0, 0, 1))
     negatives = neg_batch([[2, 2]], [[3]])
     cfg = LossConfig(tau=0.5, floor_epsilon=1e-6)
     tape = GradientTape(model)
@@ -496,8 +489,7 @@ def test_hasa_plus_uniform_context_scores_add_log_j_plus_one():
     # all embeddings zero: the context scores and s+ all vanish, so the
     # reversed term is log(J+1) and the hasa term is log(1 + K)
     model = sum_model(np.zeros((6, 2)))
-    triples = [Triple(0, 0, 1), Triple(2, 0, 3), Triple(4, 0, 5)]
-    batch = make_batch(triples)
+    batch = triple_rows((0, 0, 1), (2, 0, 3), (4, 0, 5))
     negs = [[2, 4], [0, 4], [0, 2]]
     ctxs = [[1, 2], [0, 2], [0, 1]]
     structs = [[], [], []]
@@ -521,7 +513,7 @@ def test_hasa_plus_matches_scalar_oracle(variant):
         for i, (s_pos, sigma, rho, _) in enumerate(rows):
             expected += oracle_hasa(s_pos, sigma, rho, cfg)
             ctx = filled(negatives.negative_contexts[i])
-            tail_row = model.entity_table[batch.triples[i].tail]
+            tail_row = model.entity_table[batch[i, 2]]
             ctx_scores = [float(queries[j] @ tail_row) for j in ctx]
             expected += oracle_context_term(s_pos, ctx_scores)
         np.testing.assert_allclose(out.loss, expected, rtol=1e-12)
@@ -554,8 +546,7 @@ def test_losses_nonnegative_and_decreasing_in_positive_score():
         [0.5, 0.2, -0.1],  # negative
         [-0.3, 0.1, 0.4],  # structure sample
     ])
-    triples = [Triple(0, 0, 1), Triple(2, 0, 3)]
-    batch = make_batch(triples)
+    batch = triple_rows((0, 0, 1), (2, 0, 3))
     negatives = neg_batch([[4, 4], [4, 4]], [[5], [5]], [[1], [0]])
     lifted = np.array([0.5, 0.0, 0.0])
     base = loss_for_tail_offset(model, batch, negatives, np.zeros(3))
@@ -574,7 +565,7 @@ def test_gradient_conservation_and_opposition():
         table = rng.normal(size=(6, 4))
         table[3] = table[1]  # one negative shares the tail's embedding
         model = sum_model(table)
-        batch = make_batch([Triple(0, 0, 1)])
+        batch = triple_rows((0, 0, 1))
         negatives = neg_batch([[2, 3, 4]])
         tape = GradientTape(model)
         loss_fn(batch, negatives, model, tape)
@@ -628,8 +619,7 @@ def test_duplicate_rows_coalesce_in_gradients():
     # the same entity appears as tail and negative across triples; finite
     # differences see the summed effect, the tape must agree
     rng = np.random.default_rng(53)
-    triples = [Triple(0, 0, 1), Triple(1, 1, 0), Triple(0, 1, 1)]
-    batch = make_batch(triples)
+    batch = triple_rows((0, 0, 1), (1, 1, 0), (0, 1, 1))
     negatives = neg_batch([[2, 0], [2, 1], [2, 0]], [[1], [0], [2]],
                           [[1, 2], [0, 2], [0, 1]])
     model = init_model(3, 2, 3, kind="gru", seed=9, init_scale=0.5)
@@ -661,7 +651,7 @@ def permuted(batch, negatives, perm):
     to the new positions."""
     new_pos = np.argsort(perm)
     ctx = negatives.negative_contexts[perm]
-    return make_batch([batch.triples[i] for i in perm]), NegativeSampleBatch(
+    return batch[perm], NegativeSampleBatch(
         negatives.hard_and_batch_negatives[perm],
         negatives.structure_samples[perm],
         np.where(ctx >= 0, new_pos[ctx], -1),
@@ -786,7 +776,7 @@ def test_clamp_hits_count_the_rows_whose_raw_mass_is_under_the_floor(
 # ---------------------------------------------------------------------------
 # the core's column split and the rows it pushes to the tape
 
-SPLIT_TRIPLES = [Triple(0, 0, 1), Triple(2, 0, 3), Triple(4, 1, 5), Triple(6, 1, 7)]
+SPLIT_TRIPLES = [(0, 0, 1), (2, 0, 3), (4, 1, 5), (6, 1, 7)]
 SPLIT_STRUCTURE = [[3, 5, 10], [1, 11, 0], [9, 8, 7], [2, 10, 5]]
 # the training layout: each triple's contexts are the batch's other positions
 SPLIT_CONTEXTS = np.where(np.eye(4, dtype=bool), -1, np.arange(4)).tolist()
@@ -823,9 +813,9 @@ def split_oracle(mode, table, negs, structs, cfg):
     dot = lambda a, b: sum(x * y for x, y in zip(a, b))
     rows = [list(map(float, row)) for row in table]
     total, clamped = 0.0, []
-    for i, t in enumerate(SPLIT_TRIPLES):
-        q = rows[t.head]
-        s_pos = dot(q, rows[t.tail])
+    for i, (head, _, tail) in enumerate(SPLIT_TRIPLES):
+        q = rows[head]
+        s_pos = dot(q, rows[tail])
         sigma = [dot(q, rows[j]) for j in negs[i] if j >= 0]
         rho = [dot(q, rows[j]) for j in structs[i] if j >= 0]
         if mode in ("simple", "hard"):
@@ -837,7 +827,7 @@ def split_oracle(mode, table, negs, structs, cfg):
         else:
             clamped.append(False)
         if mode == "hasa_plus":
-            others = [dot(rows[SPLIT_TRIPLES[j].head], rows[t.tail])
+            others = [dot(rows[SPLIT_TRIPLES[j][0]], rows[tail])
                       for j in SPLIT_CONTEXTS[i] if j >= 0]
             total += oracle_context_term(s_pos, others)
     return total, clamped
@@ -855,9 +845,9 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
     cfg = SPLIT_CFG.get(case, LossConfig(tau=0.3))
     table = split_table()
     model = sum_model(table, num_relations=2)
-    batch = make_batch(SPLIT_TRIPLES)
+    batch = triple_rows(*SPLIT_TRIPLES)
     negatives = neg_batch(negs, structs, SPLIT_CONTEXTS)
-    heads = batch.heads()
+    heads = batch[:, 0]
     cells, filled, pull = _score(table[heads], table, negatives.hard_and_batch_negatives,
                                  np.zeros((len(heads), 0), dtype=np.int64))
     assert pull(np.zeros(cells.shape), filled)[1].size == pulled
@@ -881,11 +871,11 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
         np.testing.assert_allclose(grad_row(tape.entity_rows(), entity), numeric,
                                    rtol=1e-6, atol=1e-8)
 
-    pushed = {t.head for t in SPLIT_TRIPLES}
-    for i, t in enumerate(SPLIT_TRIPLES):
+    pushed = {head for head, _, _ in SPLIT_TRIPLES}
+    for i, (_, _, tail) in enumerate(SPLIT_TRIPLES):
         own = [j for j in negs[i] if j >= 0]
         if own or mode == "hasa_plus":
-            pushed.add(t.tail)
+            pushed.add(tail)
         if not clamped[i]:
             pushed.update(own)
             if own and mode.startswith("hasa") and cfg.tau != 0.0:

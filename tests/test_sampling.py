@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgcl.sampling
-from kgcl.data import KnowledgeGraph, Triple, make_batches
+from kgcl.data import KnowledgeGraph, make_batches
 from kgcl.graph import (
     _index_from_triples,
     alpha_distribution,
@@ -34,11 +34,17 @@ from kgcl.sampling import (
     write_false_negative_histogram,
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
-from support import query, tails_by_query
+from support import query, tails_by_query, triple_rows
 
 
 def filled(row):
     return row[row >= 0]
+
+
+def batch_slots(batch):
+    """The in-batch slots oracle: every head, then every tail, in row order."""
+    rows = batch.tolist()
+    return np.array([h for h, _, _ in rows] + [t for _, _, t in rows], dtype=np.int64)
 
 
 def chain_kg(n=8):
@@ -201,10 +207,11 @@ def test_simple_mode_uses_batch_slots_minus_own_tail():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0)
     (batch,) = make_batches(kg, batch_size=5, seed=2)
     out = assemble_training_negatives(batch, model, kg, None, 0, seed=9, mode="simple")
-    for i, triple in enumerate(batch.triples):
-        expected = batch.batch_entities[batch.batch_entities != triple.tail]
+    slots = batch_slots(batch)
+    for i, (_, _, tail) in enumerate(batch.tolist()):
+        expected = slots[slots != tail]
         np.testing.assert_array_equal(filled(out.hard_and_batch_negatives[i]), expected)
-        assert triple.tail not in out.hard_and_batch_negatives[i]
+        assert tail not in out.hard_and_batch_negatives[i]
         assert out.structure_samples[i].size == 0
         assert out.negative_contexts[i].size == 0
 
@@ -228,19 +235,20 @@ def test_hard_mode_appends_top_scoring_unknown_tails():
     out = assemble_training_negatives(batch, model, kg, None, 0, seed=0, mode="hard",
                                       hard_k=2)
     train_tails = tails_by_query(kg.train)
-    for i, triple in enumerate(batch.triples):
+    slots = batch_slots(batch)
+    for i, (head, relation, tail) in enumerate(batch.tolist()):
         ids = filled(out.hard_and_batch_negatives[i])
-        base = batch.batch_entities[batch.batch_entities != triple.tail]
+        base = slots[slots != tail]
         assert ids.size == base.size + 2
         extras = ids[base.size:]
         # recompute the expected top 2 from scratch
-        q = query(model, triple.head, triple.relation)
+        q = query(model, head, relation)
         scores = model.entity_table @ q
-        known = train_tails.get((triple.head, triple.relation), set())
+        known = train_tails.get((head, relation), set())
         allowed = [e for e in range(kg.num_entities()) if e not in known]
         ranked = sorted(allowed, key=lambda e: (-scores[e], e))
         np.testing.assert_array_equal(extras, ranked[:2])
-        assert triple.tail not in extras
+        assert tail not in extras
 
 
 def test_topk_rows_in_chunks_match_one_block(monkeypatch):
@@ -280,8 +288,8 @@ def test_hasa_mode_draws_structure_samples_from_the_hop_ring():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=2)
     batch = make_batches(kg, batch_size=4, seed=1)[0]
     out = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa")
-    for i, triple in enumerate(batch.triples):
-        support = set(alpha_distribution(idx, triple.head).support.tolist())
+    for i, (head, _, _) in enumerate(batch.tolist()):
+        support = set(alpha_distribution(idx, head).support.tolist())
         draws = filled(out.structure_samples[i])
         assert draws.size == 6
         assert set(draws.tolist()) <= support
@@ -330,21 +338,24 @@ def test_mean_negative_count():
 
 
 def test_split_retain_missing_sizes_and_order():
-    triples = [Triple(i, 0, i + 1) for i in range(10)]
-    retain, missing = split_retain_missing(triples, 0.3, seed=4)
-    assert len(missing) == 3 and len(retain) == 7
-    assert sorted(retain + missing) == sorted(triples)
-    # both halves keep the original relative order
-    positions = {t: i for i, t in enumerate(triples)}
-    assert [positions[t] for t in retain] == sorted(positions[t] for t in retain)
-    assert [positions[t] for t in missing] == sorted(positions[t] for t in missing)
+    listed = [(i, i % 3, i + 1) for i in range(10)]
+    triples = triple_rows(*listed)
+    for seed, fraction, n_missing in ((4, 0.3, 3), (0, 0.5, 5), (7, 0.04, 0)):
+        retain, missing = split_retain_missing(triples, fraction, seed=seed)
+        assert retain.shape == (10 - n_missing, 3) and missing.shape == (n_missing, 3)
+        # the first round(fraction * n) positions of the seeded permutation
+        # are missing, and both halves keep the input order
+        hidden = set(np.random.default_rng(seed).permutation(10)[:n_missing].tolist())
+        assert [tuple(t) for t in retain.tolist()] == [
+            t for i, t in enumerate(listed) if i not in hidden]
+        assert [tuple(t) for t in missing.tolist()] == [
+            t for i, t in enumerate(listed) if i in hidden]
 
 
 def test_split_retain_missing_is_seeded():
-    triples = [Triple(i, 0, i + 1) for i in range(20)]
-    a = split_retain_missing(triples, 0.25, seed=1)
-    b = split_retain_missing(triples, 0.25, seed=1)
-    c = split_retain_missing(triples, 0.25, seed=2)
+    triples = triple_rows(*[(i, 0, i + 1) for i in range(20)])
+    a, b, c = ([half.tolist() for half in split_retain_missing(triples, 0.25, seed=seed)]
+               for seed in (1, 1, 2))
     assert a == b
     assert a != c
     with pytest.raises(ValueError):
@@ -424,10 +435,10 @@ def planted_kg_and_seed():
     negative and every draw for (c, r, d) is a true negative."""
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("c", "r", "d"), ("a", "r", "d")])
-    target = kg.train[2]
+    target = kg.train[2].tolist()
     for seed in range(200):
         retain, missing = split_retain_missing(kg.train, 1.0 / 3.0, seed)
-        if missing == [target]:
+        if missing.tolist() == [target]:
             return kg, seed
     raise AssertionError("no seed found that hides exactly the planted fact")
 
@@ -450,10 +461,10 @@ def test_experiment_distance_buckets_use_the_retained_graph():
     # chain a-b-c plus hidden (a, r, c): c sits at distance 2 from a
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("b", "r", "c"), ("a", "r", "c")])
-    target = kg.train[2]
+    target = kg.train[2].tolist()
     seed = next(
         s for s in range(300)
-        if split_retain_missing(kg.train, 1.0 / 3.0, s)[1] == [target])
+        if split_retain_missing(kg.train, 1.0 / 3.0, s)[1].tolist() == [target])
     report = run_false_negative_experiment(
         kg, removal_fraction=1.0 / 3.0, sampler="simple", model=None,
         k_values=[4], seed=seed)
@@ -465,22 +476,23 @@ def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key
     """Reference for one experiment batch: the same draws, each labelled by
     set membership and placed by its own BFS from the head."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    heads = np.array([t.head for t in triples])
-    tails = np.array([t.tail for t in triples])
+    rows = triples.tolist()
+    heads = np.array([h for h, _, _ in rows])
+    tails = np.array([t for _, _, t in rows])
     support = np.unique(np.concatenate([heads, tails]))
     counts = np.zeros((2, cap + 1), dtype=np.int64)
-    for i, triple in enumerate(triples):
+    for head, relation, tail in rows:
         if sampler == "simple":
-            draws = in_batch_negative_sample(tails, triple.tail, k, rng)
+            draws = in_batch_negative_sample(tails, tail, k, rng)
         else:
-            cand = support[support != triple.tail]
+            cand = support[support != tail]
             if cand.size == 0:
                 continue
-            e_hr = query(model, triple.head, triple.relation)
+            e_hr = query(model, head, relation)
             draws = hard_negative_softmax_sample(e_hr, cand, model, k, rng)
-        dist = distances_within(idx, triple.head, cap - 1)
+        dist = distances_within(idx, head, cap - 1)
         for neg in draws.tolist():
-            hidden = Triple(triple.head, triple.relation, neg) in hidden_facts
+            hidden = (head, relation, neg) in hidden_facts
             counts[LABELS.index("false" if hidden else "true"), dist.get(neg, cap)] += 1
     return counts
 
@@ -495,6 +507,7 @@ def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0,
                        init_scale=0.5)
     retain, missing = split_retain_missing(kg.train, 0.3, seed=2)
+    hidden = {tuple(t) for t in missing.tolist()}
     idx = _index_from_triples(retain, kg.num_entities())
     batches = []
     batch_counts = kgcl.sampling._experiment_batch
@@ -509,7 +522,7 @@ def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
     total = 0
     for (triples, k, *_, seed_key), counts in batches:
         np.testing.assert_array_equal(
-            counts, per_draw_counts(triples, k, sampler, model, set(missing), idx, cap, seed_key))
+            counts, per_draw_counts(triples, k, sampler, model, hidden, idx, cap, seed_key))
         total = total + counts
     np.testing.assert_array_equal(report.histogram, total)
     assert report.histogram[LABELS.index("false")].sum() > 0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from kgcl.data import Triple, load_dataset
+from kgcl.data import load_dataset
 from kgcl.synthetic import (
     SyntheticKGSpec,
     generate_knowledge_graph,
@@ -92,21 +92,34 @@ def test_written_files_round_trip(tmp_path):
     assert set(paths) == {"train", "valid", "test"}
     kg = load_dataset(paths["train"], paths["valid"], paths["test"])
     direct = generate_knowledge_graph(spec)
-    assert kg.train == direct.train
-    assert kg.valid == direct.valid
-    assert kg.test == direct.test
+    for name in ("train", "valid", "test"):
+        assert kg.split(name).tolist() == direct.split(name).tolist()
     assert kg.entities.tokens() == direct.entities.tokens()
 
+
+
+def test_a_failed_dataset_write_leaves_every_old_file_whole(tmp_path):
+    spec = SyntheticKGSpec(block_count=2, entities_per_block=6, seed=7)
+    paths = write_dataset_files(generate_synthetic_kg(spec), str(tmp_path))
+    before = {split: open(path, "rb").read() for split, path in paths.items()}
+    # the valid split fails after its first row; train is already replaced
+    broken = {"train": [("x", "r", "y")], "valid": [("x", "r", "z"), None], "test": []}
+    with pytest.raises(TypeError):
+        write_dataset_files(broken, str(tmp_path))
+    assert open(paths["train"], "rb").read() == b"x\tr\ty\n"
+    assert open(paths["valid"], "rb").read() == before["valid"]
+    assert open(paths["test"], "rb").read() == before["test"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.tsv", "train.tsv", "valid.tsv"]
 
 def test_toy_cycle_graph_shape():
     kg = toy_cycle_kg(6)
     assert kg.num_entities() == 12
     assert kg.num_relations() == 2
     assert len(kg.train) == 24
-    assert kg.valid == kg.train[::3]
-    assert kg.test == kg.train[1::3]
+    assert kg.valid.tolist() == kg.train[::3].tolist()
+    assert kg.test.tolist() == kg.train[1::3].tolist()
     next_id = kg.relations.id_of("next")
     n0, n1 = kg.entities.id_of("n0"), kg.entities.id_of("n1")
-    assert Triple(n0, next_id, n1) in kg.train
+    assert [n0, next_id, n1] in kg.train.tolist()
     with pytest.raises(ValueError):
         toy_cycle_kg(2)

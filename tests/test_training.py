@@ -9,10 +9,10 @@ import os
 import numpy as np
 import pytest
 
-from kgcl.data import KnowledgeGraph
+from kgcl.data import KnowledgeGraph, _write_replacing
 from kgcl.evaluation import write_json
 from kgcl.model import GradientTape, init_model, load_checkpoint
-from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
+from kgcl.synthetic import SyntheticKGSpec, _write_tsv, generate_knowledge_graph
 from kgcl.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -21,7 +21,6 @@ from kgcl.training import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
-    _write_replacing,
     sweep_tau,
     train,
     write_log,
@@ -261,7 +260,7 @@ def test_held_out_facts_change_no_trained_parameter(mode):
     # only the train split, so emptying both (vocabularies kept) must leave
     # every trained table bit for bit
     kg = generate_knowledge_graph(SyntheticKGSpec(seed=3))
-    assert kg.valid and kg.test
+    assert len(kg.valid) and len(kg.test)
     blind = dataclasses.replace(kg, valid=[], test=[])
     cfg = small_cfg(loss_mode=mode, hard_k=5, tau=0.1, m_structure=3, epochs=2, eval_every=0)
     assert models_equal(train(cfg, kg).model, train(cfg, blind).model)
@@ -314,6 +313,7 @@ def test_a_failed_replace_keeps_the_old_artifacts_and_leaves_no_temporary_file(
     (write_sweep_csv, [{"tau": 0.1}, None]),
     (write_log, [{"step": 1}, {"step": object()}]),
     (write_json, {"epoch": 0, "triples": [[0, 0, 1], object()]}),
+    (_write_tsv, [("a", "r", "b"), None]),
 ])
 def test_a_writer_that_raises_midway_leaves_the_old_file_whole(tmp_path, write, obj):
     path = tmp_path / "artifact"
