@@ -215,8 +215,8 @@ def _parse_k_grid(text: str) -> list[int]:
         k_values = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise ValueError(f"--k-grid must be comma-separated integers, got {text!r}") from None
-    if not k_values or min(k_values) < 1:
-        raise ValueError(f"--k-grid needs at least one K and every K >= 1, got {text!r}")
+    if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
+        raise ValueError(f"--k-grid needs one or more distinct K >= 1, got {text!r}")
     return k_values
 
 

@@ -13,6 +13,9 @@ from .data import KnowledgeGraph
 # how many heads' structure distributions a StructureIndex keeps
 HOP_CACHE_SIZE = 1024
 
+# sources per dense hop block of hop_table
+HOP_TABLE_CHUNK = 8
+
 
 class StructureIndex:
     """Deduplicated undirected adjacency built from train triples only, in
@@ -85,6 +88,38 @@ def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, in
                     nxt.append(nb)
         frontier = nxt
     return dist
+
+
+def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
+    """distances_within for many sources at once: the sorted int64 keys
+    i * N + v of every entity v within cap hops of sources[i], and each
+    key's hop count. The sources are walked HOP_TABLE_CHUNK at a time over a
+    dense (chunk x N) hop block, one frontier per depth."""
+    n = idx.entity_count
+    if sources.size and not (0 <= sources.min() and sources.max() < n):
+        raise ValueError(f"source ids must lie in [0, {n})")
+    # -1 marks an unreached entity; the dtype holds every depth a BFS can reach
+    dtype = np.min_scalar_type(-1 - max(0, min(cap, n)))
+    keys, hops = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    for at in range(0, sources.size, HOP_TABLE_CHUNK):
+        chunk = sources[at : at + HOP_TABLE_CHUNK]
+        block = np.full((chunk.size, n), -1, dtype=dtype)
+        rows, nodes = np.arange(chunk.size), chunk
+        block[rows, nodes] = 0
+        for depth in range(1, cap + 1):
+            # every (row, neighbour) pair of the frontier, from the CSR
+            starts, counts = idx.indptr[nodes], idx.indptr[nodes + 1] - idx.indptr[nodes]
+            if not counts.any():
+                break
+            walk = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            rows, nodes = np.repeat(rows, counts), idx.indices[walk]
+            fresh = block[rows, nodes] < 0
+            block[rows[fresh], nodes[fresh]] = depth
+            rows, nodes = np.nonzero(block == depth)
+        reached = np.flatnonzero(block >= 0)
+        keys.append(reached + at * n)
+        hops.append(block.ravel()[reached])
+    return np.concatenate(keys), np.concatenate(hops)
 
 
 @dataclass(frozen=True)

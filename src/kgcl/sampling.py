@@ -6,12 +6,11 @@ facts."""
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from .data import KnowledgeGraph, fact_keys
-from .graph import StructureIndex, _index_from_triples, distances_within, draw_ring_samples
+from .graph import StructureIndex, _index_from_triples, draw_ring_samples, hop_table
 from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
@@ -23,8 +22,9 @@ LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 
 DEFAULT_HARD_K = 3
 
-# score cells per top-k pass; B=256 over at most 4,096 entities takes one pass
-TOPK_CELL_BUDGET = 1 << 20
+# cells per chunk of a (rows x columns) scan: a top-k pass, or the softmax
+# draw's comparisons; B=256 over at most 4,096 entities takes one top-k pass
+CELL_BUDGET = 1 << 20
 
 
 @dataclass
@@ -53,19 +53,6 @@ class NegativeSampleBatch:
         return float(filled.mean()) if filled.size else 0.0
 
 
-def in_batch_negative_sample(
-    tails: np.ndarray, own_tail: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw count negatives i.i.d. from the batch's tails with every copy of
-    own_tail removed, so each distinct tail is drawn in proportion to how
-    often it occurs. Returns an empty array, drawing nothing, when every
-    tail is own_tail."""
-    pool = tails[tails != own_tail]
-    if pool.size == 0:
-        return pool
-    return rng.choice(pool, size=count, replace=True)
-
-
 def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (B x N) score block, the k columns of highest score that
     known does not mark, best first. A tie goes to the lower column, and NaN
@@ -88,28 +75,6 @@ def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
         ids[:, j] = np.argmax(work, axis=1)
         np.put_along_axis(work, ids[:, [j]], floor, axis=1)
     return ids
-
-
-def hard_negative_softmax_sample(
-    e_hr: np.ndarray,
-    candidate_ids: np.ndarray,
-    model: EmbeddingModel,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw count candidates i.i.d. from the softmax of their scores against
-    the query."""
-    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    if candidate_ids.size == 0:
-        raise ValueError("cannot sample from an empty candidate set")
-    scores = model.entity_table[candidate_ids] @ np.asarray(e_hr, dtype=np.float64)
-    probs = _softmax(scores)
-    return rng.choice(candidate_ids, size=count, replace=True, p=probs)
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    w = np.exp(scores - scores.max())
-    return w / w.sum()
 
 
 def assemble_training_negatives(
@@ -144,7 +109,7 @@ def assemble_training_negatives(
     if mode != "simple":
         queries, _ = aggregate_batch(model, heads, rels)
         # score, mask and select a few rows at a time to bound the B x N block
-        step = max(1, TOPK_CELL_BUDGET // model.num_entities())
+        step = max(1, CELL_BUDGET // model.num_entities())
         hard = [
             _select_topk(
                 queries[at : at + step] @ model.entity_table.T,
@@ -228,12 +193,65 @@ class FalseNegReport:
         return int(near) / int(row.sum())
 
 
+def draw_in_batch_negatives(tails: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A (B x k) block: row i draws k negatives i.i.d. from the batch's tails
+    without the copies of tails[i], as rng.choice(pool, k) would, rows in
+    order from one stream; a -1 row has an empty pool and draws nothing."""
+    others = tails != tails[:, None]
+    sizes = np.count_nonzero(others, axis=1)
+    out = np.full((tails.size, k), -1, dtype=np.int64)
+    full = np.flatnonzero(sizes)
+    if k and full.size:
+        picks = rng.integers(0, sizes[full, None], size=(full.size, k))
+        # every row's pool in batch order, rows one after another
+        pools = np.broadcast_to(tails, others.shape)[others]
+        out[full] = pools[(np.cumsum(sizes) - sizes)[full, None] + picks]
+    return out
+
+
+def draw_softmax_negatives(
+    model: EmbeddingModel,
+    queries: np.ndarray,
+    support: np.ndarray,
+    tails: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """A (B x k) block: row i draws k ids i.i.d. from the softmax of their
+    scores against queries[i] over the sorted support, which holds every
+    tail, without tails[i], as rng.choice(candidates, k, p=softmax) would,
+    rows in order from one stream. A one-entity support draws nothing (-1
+    rows); non-finite probabilities raise ValueError."""
+    if support.size < 2:
+        return np.full((tails.size, k), -1, dtype=np.int64)
+    # row i's column c holds support[c] before its own tail, support[c + 1] after
+    cols = np.arange(support.size - 1)
+    candidates = support[cols + (cols >= np.searchsorted(support, tails)[:, None])]
+    # the stacked matvec rounds each row as the row's own matvec does
+    scores = (model.entity_table[candidates] @ queries[:, :, None])[:, :, 0]
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise ValueError("candidate probabilities are not finite")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((tails.size, k))
+    # a pick counts the row's cdf entries <= u, as searchsorted(side="right")
+    # does, in row chunks of at most CELL_BUDGET comparisons
+    step = max(1, CELL_BUDGET // max(1, k * cols.size))
+    picks = np.vstack([
+        np.count_nonzero(cdf[at : at + step, None] <= u[at : at + step, :, None], axis=2)
+        for at in range(0, len(u), step)
+    ])
+    return np.take_along_axis(candidates, picks, axis=1)
+
+
 def _experiment_batch(
     triples: np.ndarray,
     k: int,
     sampler: str,
     model: EmbeddingModel | None,
-    reached: MappingProxyType,
+    reached: tuple[np.ndarray, np.ndarray, np.ndarray],
     hidden: np.ndarray,
     relation_count: int,
     entity_count: int,
@@ -242,25 +260,22 @@ def _experiment_batch(
 ) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     heads, rels, tails = triples.T
-    if sampler == "hard":
-        support = np.unique(np.concatenate([heads, tails]))
+    if sampler == "simple":
+        drawn = draw_in_batch_negatives(tails, k, rng)
+    else:
         queries, _ = aggregate_batch(model, heads, rels)
-    drawn, hops = [], []
-    for i, (head, tail) in enumerate(zip(heads.tolist(), tails.tolist())):
-        if sampler == "simple":
-            draws = in_batch_negative_sample(tails, tail, k, rng)
-        else:
-            draws = support[support != tail]
-            if draws.size:
-                draws = hard_negative_softmax_sample(queries[i], draws, model, k, rng)
-        ids, dist = reached[head]
-        at = np.minimum(np.searchsorted(ids, draws), ids.size - 1)
-        # a draw beyond cap - 1 hops, or unreachable, falls in the last column
-        hops.append(np.where(ids[at] == draws, dist[at], cap))
-        drawn.append(draws)
-    owner = np.repeat(np.arange(len(triples)), [d.size for d in drawn])
-    keys = (heads[owner] * relation_count + rels[owner]) * entity_count + np.concatenate(drawn)
-    cells = np.isin(keys, hidden) * (cap + 1) + np.concatenate(hops)
+        support = np.unique(np.concatenate([heads, tails]))
+        drawn = draw_softmax_negatives(model, queries, support, tails, k, rng)
+    filled = drawn >= 0
+    owner, drawn = np.nonzero(filled)[0], drawn[filled]
+    sources, keys, hops = reached
+    wanted = np.searchsorted(sources, heads[owner]) * entity_count + drawn
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    # a draw beyond cap - 1 hops, or unreachable, falls in the last column;
+    # the int64 hops keep a cap above the hop dtype's range from wrapping
+    column = np.where(keys[at] == wanted, hops[at].astype(np.int64), cap)
+    facts = (heads[owner] * relation_count + rels[owner]) * entity_count + drawn
+    cells = np.isin(facts, hidden) * (cap + 1) + column
     return np.bincount(cells, minlength=2 * (cap + 1)).reshape(2, cap + 1)
 
 
@@ -279,22 +294,22 @@ def run_false_negative_experiment(
     sampler proposes one of the hidden facts as a negative.
 
     For each K the retained triples are batched with B = (K+1)/2 rounded
-    down, matching K = 2B - 1 in-batch negatives per positive. The simple
-    sampler draws from the batch tail-frequency distribution
-    (in_batch_negative_sample), the hard sampler from the softmax of model
-    scores over the distinct batch entities (hard_negative_softmax_sample);
-    both exclude the triple's own tail and renormalize. A sampled negative t
-    is labeled false when (h, r, t) is one of the hidden facts, and counted
-    in the report's histogram under its label and its hop distance from h
-    in the retained graph; the batches' count arrays are summed."""
+    down, matching K = 2B - 1 in-batch negatives per positive. Each batch
+    draws K negatives per triple from its own seed stream, in one call: the
+    simple sampler from the batch tail-frequency distribution
+    (draw_in_batch_negatives), the hard sampler from the softmax of model
+    scores over the distinct batch entities (draw_softmax_negatives); both
+    exclude the triple's own tail and renormalize. A sampled negative t is
+    labeled false when (h, r, t) is one of the hidden facts, and counted in
+    the report's histogram under its label and its hop distance from h in
+    the retained graph, read from one hop_table over the distinct heads; the
+    batches' count arrays are summed. K values must be distinct."""
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLER_KINDS}")
     if sampler == "hard" and model is None:
         raise ValueError("the hard sampler needs a scoring model")
-    if not k_values:
-        raise ValueError("k_values must not be empty")
-    if min(k_values) < 1:
-        raise ValueError(f"K values must be >= 1, got {min(k_values)}")
+    if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
+        raise ValueError(f"k_values must be one or more distinct K >= 1, got {k_values}")
     if distance_cap < 1:
         raise ValueError(f"distance_cap must be >= 1, got {distance_cap}")
     if max_triples is not None and max_triples < 1:
@@ -308,13 +323,9 @@ def run_false_negative_experiment(
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         chosen = np.sort(sub_rng.choice(len(retain), size=max_triples, replace=False))
         retain = retain[chosen]
-    # one BFS per distinct head, shared read-only by every batch of every K:
-    # the entities within cap - 1 hops, sorted, over their hop counts, in a
-    # 2 x n array (the BFS's dict takes six times the memory)
-    reached = MappingProxyType({
-        head: np.array(sorted(distances_within(idx, head, distance_cap - 1).items()), np.int32).T
-        for head in np.unique(retain[:, 0]).tolist()
-    })
+    # each distinct head's entities within cap - 1 hops, read by every batch
+    sources = np.unique(retain[:, 0])
+    reached = (sources, *hop_table(idx, sources, distance_cap - 1))
     sampler_id = SAMPLER_KINDS.index(sampler)
     counts = []
     hist = np.zeros((len(LABELS), distance_cap + 1), dtype=np.int64)

@@ -1,9 +1,12 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
-and a tiny cycle graph.
+per-row oracles of the study's two negative samplers, and a tiny cycle
+graph.
 
-The oracle is plain Python sets over the splits' triples, so it checks the
-library's int64 fact keys without sharing any code with them."""
+The fact oracle is plain Python sets over the splits' triples, so it checks
+the library's int64 fact keys without sharing any code with them. The
+sampler oracles draw one row at a time with rng.choice, so they check the
+library's batched draws id for id and stream for stream."""
 
 import numpy as np
 
@@ -33,6 +36,27 @@ def known_tails(kg) -> dict[tuple[int, int], set[int]]:
 def query(model, head: int, relation: int) -> np.ndarray:
     """The query embedding of one (head, relation) pair."""
     return aggregate_batch(model, np.array([head]), np.array([relation]))[0][0]
+
+
+def in_batch_negative_sample(
+    tails: np.ndarray, own_tail: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count draws i.i.d. from the batch's tails with every copy of own_tail
+    removed; an empty pool draws nothing and consumes nothing."""
+    pool = tails[tails != own_tail]
+    if pool.size == 0:
+        return pool
+    return rng.choice(pool, size=count, replace=True)
+
+
+def hard_negative_softmax_sample(
+    e_hr: np.ndarray, candidate_ids: np.ndarray, model, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count draws i.i.d. from the softmax of the candidates' scores against
+    the query e_hr."""
+    scores = model.entity_table[candidate_ids] @ np.asarray(e_hr, dtype=np.float64)
+    weights = np.exp(scores - scores.max())
+    return rng.choice(candidate_ids, size=count, replace=True, p=weights / weights.sum())
 
 
 def grad_row(rows: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:

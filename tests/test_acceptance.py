@@ -30,6 +30,7 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
     draw_ring_samples,
+    hop_table,
 )
 from kgcl.losses import (
     LossConfig,
@@ -43,8 +44,8 @@ from kgcl.losses import (
 from kgcl.model import EmbeddingModel, GradientTape, init_model
 from kgcl.sampling import (
     NegativeSampleBatch,
-    hard_negative_softmax_sample,
-    in_batch_negative_sample,
+    draw_in_batch_negatives,
+    draw_softmax_negatives,
     run_false_negative_experiment,
     split_retain_missing,
 )
@@ -269,7 +270,9 @@ def random_graph_kg(rng, n, n_edges):
 def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
     """On 50 random undirected graphs of up to 50 nodes, capped
     breadth-first distances equal an independently coded Floyd-Warshall
-    exactly, and the 1-/2-hop ring that training's structure draws use
+    exactly: one source at a time (distances_within), and every source at
+    once at every cap from 1 to n (hop_table, which the false-negative
+    study reads). The 1-/2-hop ring that training's structure draws use
     (the support of alpha_distribution) equals the distance-1 and
     distance-2 slices of that matrix."""
     started = time.monotonic()
@@ -288,6 +291,13 @@ def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
         # spot-check a tighter cap too
         got = distances_within(idx, 0, cap=2)
         assert got == {v: d for v, d in enumerate(oracle[0]) if d <= 2}
+        matrix = np.array(oracle)
+        for cap in range(1, n + 1):
+            keys, hops = hop_table(idx, np.arange(n), cap)
+            table = np.full((n, n), math.inf)
+            table.flat[keys] = hops
+            np.testing.assert_array_equal(
+                table, np.where(matrix <= cap, matrix, math.inf), f"trial {trial} cap {cap}")
     assert time.monotonic() - started < 60.0
 
 
@@ -302,7 +312,7 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     tails = [1, 1, 2, 2, 2, 3, 4, 1]
     batch = triple_rows(*[(9 + i, 0, t) for i, t in enumerate(tails)])
     own = tails[0]
-    draws = in_batch_negative_sample(batch[:, 2], own, draws_n, np.random.default_rng(11))
+    draws = draw_in_batch_negatives(batch[:, 2], draws_n, np.random.default_rng(11))[0]
     # each other tail in proportion to how often it occurs in the batch
     pool = Counter(t for t in tails if t != own)
     exact = {t: c / sum(pool.values()) for t, c in pool.items()}
@@ -310,13 +320,13 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
     empirical = dict(zip(values.tolist(), (counts / draws_n).tolist()))
     assert total_variation(empirical, exact) <= 0.02
 
-    # softmax of model scores over an explicit candidate set
+    # softmax of model scores over the support without the own tail 0
     model = init_model(12, 2, 6, kind="gru", seed=3, init_scale=1.0)
     candidates = np.arange(1, 10, dtype=np.int64)
     e_hr = query(model, 0, 1)
-    draws = hard_negative_softmax_sample(
-        e_hr, candidates, model, draws_n, np.random.default_rng(5)
-    )
+    draws = draw_softmax_negatives(
+        model, e_hr[None], np.arange(10), np.array([0]), draws_n, np.random.default_rng(5)
+    )[0]
     scores = [float(model.entity_table[c] @ e_hr) for c in candidates]
     z = math.fsum(math.exp(s) for s in scores)
     exact = {int(c): math.exp(s) / z for c, s in zip(candidates, scores)}

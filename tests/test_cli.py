@@ -234,7 +234,7 @@ def test_analyze_negatives_writes_both_csv_reports(tmp_path, capsys):
     assert hist_lines[0] == "sampler,label,d_bucket,count"
 
 
-@pytest.mark.parametrize("grid", ["0", "7,x", ","])
+@pytest.mark.parametrize("grid", ["0", "7,x", ",", "7,7"])
 def test_analyze_negatives_rejects_a_bad_k_grid_before_pretraining(
         tmp_path, capsys, monkeypatch, grid):
     def no_training(*args, **kwargs):

@@ -19,6 +19,7 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
     draw_ring_samples,
+    hop_table,
 )
 from support import triple_rows
 
@@ -115,6 +116,35 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
             assert got_d is None
         else:
             assert got_d == int(expect)
+
+
+def test_hop_table_one_source_per_block_matches_one_block(monkeypatch):
+    """The hop table walked one source per block equals the table walked as
+    one block; sources may repeat and may be isolated."""
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        idx = _index_from_triples(random_triples(rng, n, int(rng.integers(1, 2 * n))), n)
+        sources = rng.integers(0, n, size=int(rng.integers(1, 30)))
+        cap = int(rng.integers(0, 6))
+        monkeypatch.setattr(kgcl.graph, "HOP_TABLE_CHUNK", sources.size)
+        whole_keys, whole_hops = hop_table(idx, sources, cap)
+        monkeypatch.setattr(kgcl.graph, "HOP_TABLE_CHUNK", 1)
+        keys, hops = hop_table(idx, sources, cap)
+        np.testing.assert_array_equal(keys, whole_keys)
+        np.testing.assert_array_equal(hops, whole_hops)
+        assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+        # each source reaches itself at hop 0
+        assert np.count_nonzero(hops == 0) == sources.size
+
+
+def test_hop_table_checks_sources_and_takes_none():
+    idx = _index_from_triples(triple_rows((0, 0, 1)), 3)
+    for bad in ([3], [-1, 0]):
+        with pytest.raises(ValueError, match="source ids"):
+            hop_table(idx, np.array(bad), 2)
+    keys, hops = hop_table(idx, np.zeros(0, dtype=np.int64), 2)
+    assert keys.size == hops.size == 0
 
 
 def test_two_hop_neighborhoods_match_distance_slices():

@@ -16,25 +16,31 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
 )
-from kgcl.model import init_model
+from kgcl.model import aggregate_batch, init_model
 from kgcl.sampling import (
     DEFAULT_HARD_K,
     LABELS,
-    TOPK_CELL_BUDGET,
+    CELL_BUDGET,
     FalseNegReport,
     NegativeSampleBatch,
     _select_topk,
     assemble_training_negatives,
     bucket_labels,
-    hard_negative_softmax_sample,
-    in_batch_negative_sample,
+    draw_in_batch_negatives,
+    draw_softmax_negatives,
     run_false_negative_experiment,
     split_retain_missing,
     write_false_negative_counts,
     write_false_negative_histogram,
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
-from support import query, tails_by_query, triple_rows
+from support import (
+    hard_negative_softmax_sample,
+    in_batch_negative_sample,
+    query,
+    tails_by_query,
+    triple_rows,
+)
 
 
 def filled(row):
@@ -166,7 +172,9 @@ def test_hard_softmax_sample_matches_analytic_distribution():
     scores = model.entity_table[candidates] @ q
     expected = np.exp(scores - scores.max())
     expected /= expected.sum()
-    draws = hard_negative_softmax_sample(q, candidates, model, 60000, np.random.default_rng(11))
+    # the own tail 0 leaves candidates 1, 2, 3 of the support
+    draws = draw_softmax_negatives(model, q[None], np.arange(4), np.array([0]), 60000,
+                                   np.random.default_rng(11))[0]
     freq = np.array([(draws == c).mean() for c in candidates])
     tv = 0.5 * np.abs(freq - expected).sum()
     assert tv < 0.02
@@ -177,25 +185,86 @@ def test_hard_softmax_sample_is_seeded():
     q = query(model, 0, 0)
 
     def draw(seed):
-        return hard_negative_softmax_sample(q, np.arange(4), model, 16, np.random.default_rng(seed))
+        return draw_softmax_negatives(model, q[None], np.arange(4), np.array([2]), 16,
+                                      np.random.default_rng(seed))
 
     a, b, c = draw(5), draw(5), draw(6)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        hard_negative_softmax_sample(
-            q, np.zeros(0, dtype=np.int64), model, 4, np.random.default_rng(0)
-        )
+    assert 2 not in a
+    with pytest.raises(ValueError, match="not finite"):
+        draw_softmax_negatives(model, np.full((1, 2), np.nan), np.arange(4), np.array([2]), 4,
+                               np.random.default_rng(0))
 
 
 def test_in_batch_sample_excludes_own_tail_and_draws_nothing_from_an_empty_pool():
     tails = np.array([4, 7, 4, 9], dtype=np.int64)
-    draws = in_batch_negative_sample(tails, 4, 50, np.random.default_rng(2))
-    assert draws.size == 50 and set(draws.tolist()) <= {7, 9}
+    draws = draw_in_batch_negatives(tails, 50, np.random.default_rng(2))
+    assert draws.shape == (4, 50) and set(draws[0].tolist()) <= {7, 9}
     rng = np.random.default_rng(3)
-    assert in_batch_negative_sample(np.array([4, 4]), 4, 5, rng).size == 0
+    np.testing.assert_array_equal(draw_in_batch_negatives(np.array([4, 4]), 5, rng), -1)
     # the empty pool consumed no randomness
     assert rng.integers(1 << 30) == np.random.default_rng(3).integers(1 << 30)
+
+
+@pytest.mark.parametrize("k", [1, 4, 31])
+def test_batched_in_batch_draws_match_a_per_row_choice_loop(k):
+    """One batched draw gives the ids, in the same stream, of one
+    rng.choice(pool, k) per row, and a row whose every tail is its own (an
+    empty pool) draws nothing and consumes nothing."""
+    case_rng = np.random.default_rng(70 + k)
+    for _ in range(40):
+        size = int(case_rng.integers(1, 24))
+        tails = case_rng.integers(0, int(case_rng.integers(1, 6)), size=size)
+        seed = int(case_rng.integers(2**32))
+        batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_in_batch_negatives(tails, k, batched_rng)
+        expect = np.full((size, k), -1)
+        for i, tail in enumerate(tails.tolist()):
+            draws = in_batch_negative_sample(tails, tail, k, loop_rng)
+            if draws.size:
+                expect[i] = draws
+        np.testing.assert_array_equal(got, expect)
+        assert batched_rng.random() == loop_rng.random()
+    # a batch of one repeated tail has only empty pools
+    rng = np.random.default_rng(1)
+    assert (draw_in_batch_negatives(np.array([3, 3, 3]), k, rng) == -1).all()
+    assert rng.random() == np.random.default_rng(1).random()
+
+
+@pytest.mark.parametrize("kind, budget", [("sum", CELL_BUDGET), ("gru", CELL_BUDGET), ("gru", 1)])
+def test_batched_softmax_draws_match_a_per_row_choice_loop(monkeypatch, kind, budget):
+    """One batched draw gives the ids, in the same stream, of one
+    rng.choice(candidates, k, p=softmax) per row over the support without
+    the row's own tail, also when each row's comparisons are a chunk of
+    their own; a support of one entity draws nothing and consumes nothing."""
+    monkeypatch.setattr(kgcl.sampling, "CELL_BUDGET", budget)
+    case_rng = np.random.default_rng(91)
+    model = init_model(40, 3, 8, kind=kind, seed=5, init_scale=1.5)
+    for _ in range(40):
+        size = int(case_rng.integers(1, 20))
+        heads = case_rng.integers(0, 40, size=size)
+        rels = case_rng.integers(0, 3, size=size)
+        tails = case_rng.integers(0, int(case_rng.integers(1, 40)), size=size)
+        k = int(case_rng.integers(1, 40))
+        support = np.unique(np.concatenate([heads, tails]))
+        queries, _ = aggregate_batch(model, heads, rels)
+        seed = int(case_rng.integers(2**32))
+        batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_softmax_negatives(model, queries, support, tails, k, batched_rng)
+        expect = np.stack([
+            hard_negative_softmax_sample(queries[i], support[support != tail], model, k, loop_rng)
+            for i, tail in enumerate(tails.tolist())
+        ])
+        np.testing.assert_array_equal(got, expect)
+        assert batched_rng.random() == loop_rng.random()
+    # a batch whose heads and tails are all one entity
+    rng = np.random.default_rng(2)
+    one = np.array([7, 7])
+    queries, _ = aggregate_batch(model, one, np.array([0, 1]))
+    got = draw_softmax_negatives(model, queries, np.array([7]), one, 5, rng)
+    np.testing.assert_array_equal(got, np.full((2, 5), -1))
+    assert rng.random() == np.random.default_rng(2).random()
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +324,7 @@ def test_topk_rows_in_chunks_match_one_block(monkeypatch):
     """Scoring, masking and selecting a few rows at a time changes no id.
     Dyadic tables make every score exact, so the tie-breaking is what gets
     compared, whatever rows a chunk's product holds."""
-    assert TOPK_CELL_BUDGET // 2048 >= 256  # a B=256 batch over 2,048 entities is one pass
+    assert CELL_BUDGET // 2048 >= 256  # a B=256 batch over 2,048 entities is one pass
     spec = SyntheticKGSpec(block_count=3, entities_per_block=6, relation_count=2, seed=4)
     kg = generate_knowledge_graph(spec)
     idx = build_structure_index(kg)
@@ -274,7 +343,7 @@ def test_topk_rows_in_chunks_match_one_block(monkeypatch):
 
     monkeypatch.setattr(kgcl.sampling, "_select_topk", counted)
     for rows in (1, 3, 7):
-        monkeypatch.setattr(kgcl.sampling, "TOPK_CELL_BUDGET", rows * kg.num_entities())
+        monkeypatch.setattr(kgcl.sampling, "CELL_BUDGET", rows * kg.num_entities())
         calls.clear()
         chunked = assemble_training_negatives(batch, model, kg, idx, 4, seed=6, mode="hasa_plus")
         assert calls == [min(rows, len(batch) - at) for at in range(0, len(batch), rows)]
@@ -472,6 +541,21 @@ def test_experiment_distance_buckets_use_the_retained_graph():
     assert report.histogram[LABELS.index("false"), 2] > 0
 
 
+def test_a_cap_beyond_the_int8_hop_range_files_far_draws_in_its_last_column():
+    # on 12 entities the hop table fits int8, while the overflow column 300
+    # does not
+    kg = chain_kg(12)
+    report = run_false_negative_experiment(kg, 0.25, "simple", None, [5], seed=3,
+                                           distance_cap=300)
+    # no path is longer than 11 hops, so column 12 holds the unreachable draws
+    near = run_false_negative_experiment(kg, 0.25, "simple", None, [5], seed=3,
+                                         distance_cap=12)
+    assert report.histogram.shape == (2, 301)
+    np.testing.assert_array_equal(report.histogram[:, :12], near.histogram[:, :12])
+    np.testing.assert_array_equal(report.histogram[:, 300], near.histogram[:, 12])
+    assert not report.histogram[:, 12:300].any()
+
+
 def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key):
     """Reference for one experiment batch: the same draws, each labelled by
     set membership and placed by its own BFS from the head."""
@@ -563,6 +647,16 @@ def test_experiment_validates_inputs():
         with pytest.raises(ValueError, match="max_triples must be >= 1"):
             run_false_negative_experiment(kg, 0.2, "simple", None, [3], seed=0,
                                           max_triples=max_triples)
+
+
+def test_experiment_rejects_duplicate_k_values():
+    # two rows for one K used to report contradictory counts, and
+    # false_count(K) returned the first
+    kg = chain_kg(12)
+    with pytest.raises(ValueError, match="distinct"):
+        run_false_negative_experiment(kg, 0.3, "simple", None, [7, 7], seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        run_false_negative_experiment(kg, 0.3, "simple", None, [3, 7, 3], seed=0)
 
 
 def test_max_triples_subsampling_caps_the_workload():
