@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 
+from . import sampling
 from .data import KnowledgeGraph
 from .model import EmbeddingModel, aggregate_batch
 
@@ -27,14 +28,8 @@ class MetricsReport:
     ranks: list[int] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "mr": self.mr,
-            "mrr": self.mrr,
-            "hit1": self.hit1,
-            "hit3": self.hit3,
-            "hit10": self.hit10,
-            "triple_count": self.triple_count,
-        }
+        """Every field but the ranks."""
+        return {name: value for name, value in vars(self).items() if name != "ranks"}
 
     def write_ranks_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -49,15 +44,6 @@ def write_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
-
-
-def rank_from_scores(gold_score: float, other_scores: np.ndarray) -> int:
-    """Rank of the gold candidate among other_scores: one plus the number of
-    strictly better scores, with ties counted at their average position,
-    rounded up."""
-    above = int(np.count_nonzero(other_scores > gold_score))
-    ties = int(np.count_nonzero(other_scores == gold_score))
-    return 1 + above + (ties + 1) // 2
 
 
 def metrics_from_ranks(ranks: list[int]) -> MetricsReport:
@@ -85,21 +71,30 @@ def _check_finite(model: EmbeddingModel) -> None:
             raise ValueError(f"cannot evaluate: the model's {what} holds non-finite values")
 
 
+def _gold_scores(table: np.ndarray, gold: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(rows x 1) score of each row's gold tail by its own dot product, one
+    stacked matvec that rounds as table[gold[i]] @ queries[i] does."""
+    return (table[gold][:, None, :] @ queries[:, :, None])[:, 0]
+
+
 def _rank_chunk(model, kg, known, candidates, slot, triples):
     heads, rels, gold = triples.T
     queries, _ = aggregate_batch(model, heads, rels)
     scores = queries @ candidates.T
-    # one spare column at the end absorbs entities outside the pool
-    keep = np.ones((len(triples), len(candidates) + 1), dtype=bool)
-    if known is not None:
-        rows, tails = kg.tails_of(known, heads, rels)
-        keep[rows, slot[tails]] = False
-    keep[np.arange(len(triples)), slot[gold]] = False
-    ranks = []
-    for i, tail in enumerate(gold.tolist()):
-        gold_score = float(model.entity_table[tail] @ queries[i])
-        ranks.append(rank_from_scores(gold_score, scores[i][keep[i, :-1]]))
-    return ranks
+    golds = _gold_scores(model.entity_table, gold, queries)
+    # count over every pool column, then take back the cells of each row's
+    # gold and other known tails; slot P is an entity outside the pool
+    known_rows, known_tails = kg.tails_of(known, heads, rels)
+    rows = np.concatenate([np.arange(len(triples)), known_rows])
+    width = len(candidates) + 1
+    cells = np.unique(rows * width + slot[np.concatenate([gold, known_tails])])
+    rows, cols = np.divmod(cells[cells % width < len(candidates)], width)
+    taken, taken_golds = scores[rows, cols], golds[rows, 0]
+    above = np.add.reduce((scores > golds).view(np.int8), axis=1, dtype=np.int32)
+    above -= np.bincount(rows[taken > taken_golds], minlength=len(triples))
+    ties = np.add.reduce((scores == golds).view(np.int8), axis=1, dtype=np.int32)
+    ties -= np.bincount(rows[taken == taken_golds], minlength=len(triples))
+    return (1 + above + (ties + 1) // 2).tolist()
 
 
 def evaluate(
@@ -110,7 +105,6 @@ def evaluate(
     candidate_limit: int = 0,
     seed: int = 0,
     workers: int = 1,
-    chunk_size: int = 256,
 ) -> MetricsReport:
     """Tail-ranking metrics (MR, MRR, Hit@1/3/10) over a split.
 
@@ -136,9 +130,12 @@ def evaluate(
     slot = np.full(n, pool.size, dtype=np.int64)
     slot[pool] = np.arange(pool.size)
     candidates = model.entity_table[pool]
-    chunks = [triples[i : i + chunk_size] for i in range(0, len(triples), chunk_size)]
-    # built here, before any worker thread could race to build it
-    known = kg.known_facts if filtered else None
+    # rank a few rows at a time to bound the (rows x P) score block
+    step = max(1, sampling.CELL_BUDGET // pool.size)
+    chunks = [triples[i : i + step] for i in range(0, len(triples), step)]
+    # built here, before any worker thread could race to build it; raw
+    # ranking takes back only the gold
+    known = kg.known_facts if filtered else np.empty(0, dtype=np.int64)
     rank = partial(_rank_chunk, model, kg, known, candidates, slot)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:

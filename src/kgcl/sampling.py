@@ -275,7 +275,7 @@ def _experiment_batch(
     # the int64 hops keep a cap above the hop dtype's range from wrapping
     column = np.where(keys[at] == wanted, hops[at].astype(np.int64), cap)
     facts = (heads[owner] * relation_count + rels[owner]) * entity_count + drawn
-    cells = np.isin(facts, hidden) * (cap + 1) + column
+    cells = (hidden[np.searchsorted(hidden, facts)] == facts) * (cap + 1) + column
     return np.bincount(cells, minlength=2 * (cap + 1)).reshape(2, cap + 1)
 
 
@@ -317,7 +317,8 @@ def run_false_negative_experiment(
     retain, missing = split_retain_missing(kg.train, removal_fraction, seed)
     n = kg.num_entities()
     r = kg.num_relations()
-    hidden = fact_keys(missing, r, n)
+    # a sentinel above every key: each search lands on an entry, even with none hidden
+    hidden = np.append(fact_keys(missing, r, n), np.iinfo(np.int64).max)
     idx = _index_from_triples(retain, n)
     if max_triples is not None and len(retain) > max_triples:
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))

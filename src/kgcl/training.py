@@ -246,7 +246,7 @@ def train(
             best_model = model.copy()
         return report
 
-    step = 0
+    step, final_valid = 0, None
     for epoch in range(cfg.epochs):
         batch_seed = np.random.SeedSequence(
             [cfg.seed, _STREAM_BATCHES, epoch]
@@ -290,8 +290,11 @@ def train(
                 }
             )
             if cfg.eval_every and step % cfg.eval_every == 0:
-                run_validation(step)
-    final_valid = run_validation(step)
+                final_valid = run_validation(step)
+    if final_valid is None or log[-1]["event"] != "validation":
+        final_valid = run_validation(step)
+    else:  # the last step validated this same model: log its report again
+        log.append(dict(log[-1]))
     if best_model is None:
         best_model = model
     if cfg.out_dir:

@@ -1,12 +1,15 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
-per-row oracles of the study's two negative samplers, and a tiny cycle
-graph.
+per-row oracles of the study's two negative samplers, of tail ranking and
+of the logistic function, and a tiny cycle graph.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
 sampler oracles draw one row at a time with rng.choice, so they check the
-library's batched draws id for id and stream for stream."""
+library's batched draws id for id and stream for stream. The rank oracle
+counts one row's scores at a time, so it checks evaluate's batched counts
+rank for rank. The logistic oracle is the two-branch form with masked
+stores, so it checks model._sigmoid bit for bit."""
 
 import numpy as np
 
@@ -57,6 +60,26 @@ def hard_negative_softmax_sample(
     scores = model.entity_table[candidate_ids] @ np.asarray(e_hr, dtype=np.float64)
     weights = np.exp(scores - scores.max())
     return rng.choice(candidate_ids, size=count, replace=True, p=weights / weights.sum())
+
+
+def rank_from_scores(gold_score: float, other_scores: np.ndarray) -> int:
+    """Rank of the gold candidate among other_scores: one plus the number of
+    strictly better scores, with ties counted at their average position,
+    rounded up."""
+    above = int(np.count_nonzero(other_scores > gold_score))
+    ties = int(np.count_nonzero(other_scores == gold_score))
+    return 1 + above + (ties + 1) // 2
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    each branch stored through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def grad_row(rows: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:

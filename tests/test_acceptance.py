@@ -22,6 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import kgcl.sampling
 from fdcheck import loss_grad_rel_err
 from kgcl.data import KnowledgeGraph, load_dataset
 from kgcl.evaluation import evaluate, metrics_from_ranks
@@ -357,7 +358,7 @@ def exhaustive_rank(gold_score, other_scores):
     return math.ceil(sum(positions) / len(positions))
 
 
-def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
+def test_tail_ranking_matches_an_exhaustive_sort_on_random_models(monkeypatch):
     """100 random models on small graphs: the ranks evaluate reports equal
     the rank read off a full sort (ties at the ceiling of their average
     position) under both raw and filtered protocols, over the full entity
@@ -387,8 +388,10 @@ def test_tail_ranking_matches_an_exhaustive_sort_on_random_models():
                 table[:] = rng.integers(-2, 3, size=table.shape) / 8.0
         filtered = bool(trial % 2)
         limit = int(rng.integers(1, n_ent)) if trial % 4 >= 2 else 0
+        # three triples per chunk
+        monkeypatch.setattr(kgcl.sampling, "CELL_BUDGET", 3 * (limit or n_ent))
         report = evaluate(model, kg, split="train", filtered=filtered,
-                          candidate_limit=limit, seed=trial, chunk_size=3)
+                          candidate_limit=limit, seed=trial)
         pool = range(n_ent)
         if limit:
             pool = np.random.default_rng(trial).choice(n_ent, size=limit, replace=False)

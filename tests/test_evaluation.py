@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcl.data import KnowledgeGraph
+import kgcl.sampling
 from kgcl.evaluation import (
     FULL_CANDIDATE_THRESHOLD,
     SUBSAMPLE_CANDIDATES,
+    _gold_scores,
     default_candidate_limit,
     evaluate,
     metrics_from_ranks,
-    rank_from_scores,
     write_json,
 )
-from kgcl.model import EmbeddingModel, init_model
-from support import known_tails, query
+from kgcl.model import EmbeddingModel, aggregate_batch, init_model
+from support import known_tails, query, rank_from_scores
 
 
 def oracle_rank(gold_score, others):
@@ -55,6 +56,12 @@ def direct_ranks(model, kg, split, filtered, pool=None):
         others = [float(model.entity_table[e] @ q) for e in sorted(candidates)]
         ranks.append(oracle_rank(float(model.entity_table[tail] @ q), others))
     return ranks
+
+
+def rows_per_chunk(monkeypatch, rows, pool_size):
+    """Patch the cell budget so evaluate ranks rows triples per chunk over a
+    pool of pool_size candidates."""
+    monkeypatch.setattr(kgcl.sampling, "CELL_BUDGET", rows * pool_size)
 
 
 def ring_kg(n, n_relations=1):
@@ -231,24 +238,26 @@ def test_subsample_filters_known_tails_with_the_gold_outside_the_pool():
 # evaluate
 
 
-def test_evaluate_agrees_with_per_triple_ranking():
+def test_evaluate_agrees_with_per_triple_ranking(monkeypatch):
     kg = ring_kg(10, n_relations=2)
     model = init_model(10, kg.num_relations(), 4, kind="mlp", seed=7, init_scale=0.8)
+    rows_per_chunk(monkeypatch, 3, 10)
     for filtered in (False, True):
-        report = evaluate(model, kg, split="train", filtered=filtered, chunk_size=3)
+        report = evaluate(model, kg, split="train", filtered=filtered)
         assert report.ranks == direct_ranks(model, kg, "train", filtered)
 
 
-def test_evaluate_is_worker_invariant_and_deterministic():
+def test_evaluate_is_worker_invariant_and_deterministic(monkeypatch):
     kg = ring_kg(12)
     model = init_model(12, 1, 4, kind="sum", seed=3)
-    a = evaluate(model, kg, split="train", chunk_size=2)
-    b = evaluate(model, kg, split="train", chunk_size=2, workers=4)
+    rows_per_chunk(monkeypatch, 2, 12)
+    a = evaluate(model, kg, split="train")
+    b = evaluate(model, kg, split="train", workers=4)
     assert a.ranks == b.ranks
     assert a.to_dict() == b.to_dict()
 
 
-def test_workers_on_a_graph_with_unbuilt_fact_keys_rank_as_one_worker():
+def test_workers_on_a_graph_with_unbuilt_fact_keys_rank_as_one_worker(monkeypatch):
     # each (head, relation) has two tails, one of them held out in valid
     rows = [("e%d" % (i % 10), "r%d" % (i % 3), "e%d" % ((7 * i + 1) % 31)) for i in range(60)]
 
@@ -259,19 +268,20 @@ def test_workers_on_a_graph_with_unbuilt_fact_keys_rank_as_one_worker():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="gru", seed=2,
                        init_scale=0.7)
     assert "known_facts" not in vars(kg)
-    four = evaluate(model, kg, split="valid", chunk_size=2, workers=4)
-    one = evaluate(model, fresh(), split="valid", chunk_size=2)
+    rows_per_chunk(monkeypatch, 2, kg.num_entities())
+    four = evaluate(model, kg, split="valid", workers=4)
+    one = evaluate(model, fresh(), split="valid")
     assert four.ranks == one.ranks
     assert four.ranks == direct_ranks(model, kg, "valid", True)
     assert four.ranks != evaluate(model, kg, split="valid", filtered=False).ranks
 
 
-def test_evaluate_is_worker_invariant_under_a_candidate_limit():
+def test_evaluate_is_worker_invariant_under_a_candidate_limit(monkeypatch):
     kg = ring_kg(40)
     model = init_model(40, 1, 4, kind="gru", seed=5, init_scale=0.5)
-    one = evaluate(model, kg, split="train", candidate_limit=8, seed=1, chunk_size=3)
-    two = evaluate(model, kg, split="train", candidate_limit=8, seed=1, chunk_size=3,
-                   workers=2)
+    rows_per_chunk(monkeypatch, 3, 8)
+    one = evaluate(model, kg, split="train", candidate_limit=8, seed=1)
+    two = evaluate(model, kg, split="train", candidate_limit=8, seed=1, workers=2)
     assert one.ranks == two.ranks
     assert one.ranks == direct_ranks(model, kg, "train", True, seeded_pool(40, 8, 1))
 
@@ -286,6 +296,88 @@ def test_evaluate_candidate_limit_bounds_ranks():
     # a limit at or above the entity count falls back to the full set
     same = evaluate(model, kg, split="train", candidate_limit=40)
     assert same.ranks == full.ranks
+
+
+def per_row_ranks(model, kg, split, filtered, pool):
+    """Rank each triple of a split on its own: its query from one batched
+    aggregate over the split, its gold score as table[t] @ q, its other
+    candidates scored against q, and the per-row rank_from_scores."""
+    triples = kg.split(split)
+    queries, _ = aggregate_batch(model, triples[:, 0], triples[:, 1])
+    known = known_tails(kg)
+    ranks = []
+    for (head, relation, tail), q in zip(triples.tolist(), queries):
+        others = set(pool) - {tail}
+        if filtered:
+            others -= known[(head, relation)]
+        others = model.entity_table[sorted(others)].reshape(-1, q.size) @ q
+        ranks.append(rank_from_scores(float(model.entity_table[tail] @ q), others))
+    return ranks
+
+
+def random_graph(rng, n):
+    """A graph over n entities and two relations whose (head, relation)
+    pairs often have several tails, spread over all three splits."""
+    rows = [(f"e{i}", "r0", f"e{(i + 1) % n}") for i in range(n)]
+    rows += [(f"e{rng.integers(n // 3)}", f"r{rng.integers(2)}", f"e{rng.integers(n)}")
+             for _ in range(3 * n)]
+    return KnowledgeGraph.from_string_triples(rows[: 2 * n], rows[2 * n : 3 * n], rows[3 * n :])
+
+
+def planted_model(kg, kind, rng, seed):
+    """random: a seeded init; one_hot: entity i is the i-th basis vector, so
+    each gold ties every entity but its head; constant: one dyadic row for
+    every entity and zero relations, so every score ties; dyadic: rows in
+    multiples of 1/8, so scores are exact in any summation order."""
+    n = kg.num_entities()
+    if kind == "one_hot":
+        return EmbeddingModel(entity_table=np.eye(n),
+                              relation_table=np.zeros((kg.num_relations(), n)),
+                              kind="sum", aggregator={})
+    aggregator = ("sum", "gru", "mlp")[seed % 3] if kind == "random" else "sum"
+    model = init_model(n, kg.num_relations(), 6, kind=aggregator, seed=seed, init_scale=0.8)
+    if kind == "constant":
+        model.entity_table[:] = rng.integers(-4, 5, size=6) / 8.0
+        model.relation_table[:] = 0.0
+    elif kind == "dyadic":
+        for table in (model.entity_table, model.relation_table):
+            table[:] = rng.integers(-2, 3, size=table.shape) / 8.0
+    return model
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_batched_ranks_equal_the_per_row_oracle(monkeypatch, rows, workers):
+    rng = np.random.default_rng(100 * rows + workers)
+    gold_outside = 0
+    for seed in range(12):
+        kg = random_graph(rng, int(rng.integers(9, 16)))
+        n = kg.num_entities()
+        kind = ("random", "one_hot", "constant", "dyadic")[seed % 4]
+        model = planted_model(kg, kind, rng, seed)
+        for limit in (0, int(rng.integers(2, n))):
+            pool = seeded_pool(n, limit, seed).tolist() if limit else list(range(n))
+            rows_per_chunk(monkeypatch, rows, len(pool))
+            for split in ("train", "valid"):
+                gold_outside += sum(t not in pool for t in kg.split(split)[:, 2].tolist())
+                for filtered in (False, True):
+                    report = evaluate(model, kg, split=split, filtered=filtered,
+                                      candidate_limit=limit, seed=seed, workers=workers)
+                    assert report.ranks == per_row_ranks(model, kg, split, filtered, pool)
+    assert gold_outside
+
+
+def test_stacked_gold_scores_equal_per_row_dots_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for kind, dim in (("sum", 3), ("gru", 16), ("mlp", 64), ("gru", 200)):
+        model = init_model(50, 3, dim, kind=kind, seed=dim, init_scale=1.3)
+        heads, gold = rng.integers(50, size=(2, 300))
+        rels = rng.integers(3, size=300)
+        queries, _ = aggregate_batch(model, heads, rels)
+        got = _gold_scores(model.entity_table, gold, queries)
+        want = np.array([model.entity_table[t] @ q for t, q in zip(gold, queries)])
+        assert got.shape == (300, 1)
+        assert got[:, 0].tobytes() == want.tobytes()
 
 
 def test_evaluate_validates_entity_count_and_handles_empty_split():

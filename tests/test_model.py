@@ -14,6 +14,7 @@ from fdcheck import loss_grad_rel_err
 from kgcl.model import (
     EmbeddingModel,
     GradientTape,
+    _sigmoid,
     aggregate_batch,
     aggregator_param_shapes,
     backward,
@@ -21,7 +22,7 @@ from kgcl.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from support import grad_row, query
+from support import grad_row, masked_sigmoid, query
 
 
 def test_aggregator_param_shapes():
@@ -118,6 +119,19 @@ def test_aggregate_batch_validates_ids_and_shapes():
 def test_aggregate_is_deterministic():
     model = init_model(5, 2, 6, kind="gru", seed=11)
     np.testing.assert_array_equal(query(model, 2, 1), query(model, 2, 1))
+
+
+def test_sigmoid_equals_the_masked_two_branch_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324],
+        [709.0, -709.0, 746.0, -746.0],
+        rng.normal(scale=1.0, size=4000),
+        rng.normal(scale=800.0, size=4000),
+    ]).reshape(-1, 1)
+    got, want = _sigmoid(x), masked_sigmoid(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,18 @@ def test_experiment_labels_hidden_facts_as_false():
     np.testing.assert_array_equal(report.histogram, [[0, 0, 0, 0, 0, 5], [0, 0, 0, 0, 0, 5]])
 
 
+@pytest.mark.parametrize("sampler", ["simple", "hard"])
+def test_a_study_with_nothing_hidden_labels_every_draw_true(sampler):
+    kg = chain_kg(12)
+    # round(0.04 * 11) hides no fact
+    assert split_retain_missing(kg.train, 0.04, 0)[1].size == 0
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=1)
+    report = run_false_negative_experiment(kg, 0.04, sampler, model, [3, 7], seed=0)
+    assert [count for _, _, count in report.counts] == [0, 0]
+    assert not report.histogram[LABELS.index("false")].any()
+    assert report.total_sampled["true"] == report.histogram.sum() > 0
+
+
 def test_experiment_distance_buckets_use_the_retained_graph():
     # chain a-b-c plus hidden (a, r, c): c sits at distance 2 from a
     kg = KnowledgeGraph.from_string_triples(

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+import kgcl.training
 from kgcl.data import KnowledgeGraph, _write_replacing
 from kgcl.evaluation import write_json
 from kgcl.model import GradientTape, init_model, load_checkpoint
@@ -347,6 +348,28 @@ def test_output_files_and_log_shape(tmp_path):
     assert models_equal(final, result.model)
     validations = [r for r in parsed if r["event"] == "validation"]
     assert result.best_valid_mrr == max(v["mrr"] for v in validations)
+
+
+@pytest.mark.parametrize("eval_every, calls, records",
+                         [(0, 1, 1), (4, 2, 2), (3, 2, 3), (6, 1, 2)])
+def test_a_final_step_that_validated_is_not_evaluated_again(monkeypatch, eval_every, calls,
+                                                            records):
+    # 7 train triples in batches of 4: 2 steps an epoch, 6 in all
+    kg = chain_kg(8)
+    evaluate, reports = kgcl.training.evaluate, []
+
+    def counting(*args, **kwargs):
+        reports.append(evaluate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(kgcl.training, "evaluate", counting)
+    result = train(small_cfg(epochs=3, eval_every=eval_every), kg)
+    assert len(reports) == calls
+    assert result.final_valid is reports[-1]
+    validations = [r for r in result.log if r["event"] == "validation"]
+    assert len(validations) == records
+    # the final record repeats the last step's, as a second evaluation would
+    assert validations[-1] == {"event": "validation", "step": 6, **reports[-1].to_dict()}
 
 
 def test_zero_epochs_still_runs_final_validation():
