@@ -93,23 +93,24 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above it
 def _log_estimate(block: np.ndarray, variant: str):
     """Per row of a block of scores, -inf marking an empty cell: log K neg,
     where neg estimates E[exp(s)] from the row's K scores (-inf for a row
-    without scores), and the block of its derivatives by the scores. With c
-    the row's maximum and w = exp(s - c), alg1 takes the mean, so K neg is
-    the plain sum exp(c) sum(w). eq7 takes the self-normalized
+    without scores), and its derivatives by the scores, written over block.
+    With c the row's maximum and w = exp(s - c), alg1 takes the mean, so
+    K neg is the plain sum exp(c) sum(w). eq7 takes the self-normalized
     sum(exp(2s)) / sum(exp(s)) = exp(c) sum(w^2) / sum(w), which for samples
     drawn from a proposal estimates E[exp(s)] under the proposal tilted by
     exp(s)."""
     if not block.size:
         return np.full(len(block), -np.inf), block
     c = block.max(axis=1)
-    w = np.exp(block - np.maximum(c, _LOWEST)[:, None])
+    k = np.maximum((block > -np.inf).sum(axis=1), 1) if variant == "eq7" else 1
+    w = np.exp(np.subtract(block, np.maximum(c, _LOWEST)[:, None], out=block), out=block)
     # a row's maximum has w = 1, so only a row without scores sums below 1
     s1 = np.maximum(w.sum(axis=1), 1.0)
     if variant == "eq7":
-        k = np.maximum((block > -np.inf).sum(axis=1), 1)
         s2 = np.maximum((w * w).sum(axis=1), 1.0)
-        return c + np.log(k * s2 / s1), w * (2.0 * w / s2[:, None] - 1.0 / s1[:, None])
-    return c + np.log(s1), w / s1[:, None]
+        d = 2.0 * w / s2[:, None] - 1.0 / s1[:, None]
+        return c + np.log(k * s2 / s1), np.multiply(w, d, out=w)
+    return c + np.log(s1), np.divide(w, s1[:, None], out=w)
 
 
 def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
@@ -119,16 +120,19 @@ def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
     d log M / d neg, d log M / d struct, log K neg, log fn). A row without
     negatives has log M = -inf; a clamped row has the floor and zero
     derivatives. A step that cannot change M is skipped: the share at a
-    rate of 0 or without structure samples, the clamp without a floor."""
+    rate of 0 or without structure samples, the clamp without a floor. The
+    derivatives are written over the blocks of scores."""
+    rate = tau if variant == "eq7" else tau * (1.0 - tau)
+    debias = rate and struct is not None and struct.size
+    if floor or debias:
+        k = (neg > -np.inf).sum(axis=1)
     log_neg, d_neg = _log_estimate(neg, variant)
     log_mass, log_fn, d_fn = log_neg - math.log1p(-tau), np.full(len(neg), -np.inf), neg[:, :0]
     if struct is not None:
+        samples = np.maximum((struct > -np.inf).sum(axis=1), 1)
         log_fn, d_fn = _log_estimate(struct, variant)
-        log_fn -= np.log(np.maximum((struct > -np.inf).sum(axis=1), 1))
-    rate = tau if variant == "eq7" else tau * (1.0 - tau)
-    if floor or rate and d_fn.size:
-        k = (neg > -np.inf).sum(axis=1)
-    if rate and d_fn.size:
+        log_fn -= np.log(samples)
+    if debias:
         # share = rate fn / neg, with neg = K neg / K
         log_k = np.log(k, out=np.full(len(k), -np.inf), where=k > 0)
         share = np.exp(np.minimum(math.log(rate) + log_fn + log_k - np.maximum(log_neg, _LOWEST),
@@ -167,22 +171,29 @@ def _mean_exp(logs: np.ndarray) -> list[float]:
     return [math.inf if x > _LOG_MAX else math.exp(x) for x in log_mean.tolist()]
 
 
-def _score(anchors: np.ndarray, table: np.ndarray, block: np.ndarray, own: np.ndarray):
+def _score(anchors, table, block, own, present):
     """Score each row's anchor against the table rows its rows of two blocks
-    of ids name, -1 marking an empty cell: the shared columns of block with
-    one product, every other cell, own's included, with a row dot. Returns
-    the cells, -inf where empty, ordered shared columns, rest of block, own;
-    which of them hold an id; and the backward pass pull(grad, push). Given
-    d loss / d cell over the leading columns of the cells and the cells
-    among them whose table row takes the gradient, it returns d loss /
-    d anchors, and the table ids with their gradient rows: one for each
-    shared column with a cell in push, one for each other cell in push."""
-    top = block.max(axis=0)
-    shared = np.where(block >= 0, block, top).min(axis=0) == top
-    dense_ids, ids = top[shared], np.concatenate([block[:, ~shared], own], axis=1)
+    of ids name, -1 marking an empty cell (present is block >= 0): the shared
+    columns of block with one product, every other cell, own's included,
+    with a row dot. Returns the cells, one buffer with -inf where empty,
+    ordered shared columns, rest of block, own; which of them hold an id;
+    and pull(grad, push). Given d loss / d cell over the leading columns of
+    the cells and the cells among them whose table row takes the gradient,
+    pull returns d loss / d anchors, and the table ids with their gradient
+    rows: one per shared column with a cell in push, one per other cell."""
+    top, unsigned = block.max(axis=0), block.dtype.char.upper()  # int64 -> uint64
+    # -1 reads as the largest unsigned id, so a column whose unsigned minimum
+    # is its largest id is shared, and so is one without ids
+    shared = block.view(unsigned).min(axis=0) >= top.view(unsigned)
+    dense_ids, ids = top[shared], np.concatenate([block.compress(~shared, axis=1), own], axis=1)
     dense, rows, size = table[dense_ids], table[ids], dense_ids.size
-    filled = np.concatenate([block[:, shared], ids], axis=1) >= 0
-    scores = np.concatenate([anchors @ dense.T, np.einsum("bwd,bd->bw", rows, anchors)], axis=1)
+    # a view when the shared columns lead, as a training step's slots do
+    lead = present[:, :size] if shared[:size].all() else present.compress(shared, axis=1)
+    filled = np.concatenate([lead, ids >= 0], axis=1)
+    cells = np.empty(filled.shape)
+    np.matmul(anchors, dense.T, out=cells[:, :size])
+    np.einsum("bwd,bd->bw", rows, anchors, out=cells[:, size:])
+    np.copyto(cells, -np.inf, where=~filled)
 
     def pull(grad, push):
         # the shared block of grad is the gradient G of their product: its
@@ -194,7 +205,7 @@ def _score(anchors: np.ndarray, table: np.ndarray, block: np.ndarray, own: np.nd
         grads = [(g_dense.T @ anchors)[keep], (g_own[:, :, None] * anchors[:, None, :])[cells]]
         return d_anchors, pushed, np.concatenate(grads)
 
-    return np.where(filled, scores, -np.inf), filled, pull
+    return cells, filled, pull
 
 
 def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant="alg1",
@@ -216,13 +227,14 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
     queries, cache = aggregate_batch(model, heads, relations)
     block = negatives.hard_and_batch_negatives
     k = block.shape[1]  # the cells are the negatives', then the tail's, then the structure's
-    has_neg = (block >= 0).any(axis=1)
+    present = block >= 0
+    has_neg = present.any(axis=1)
     own = tails[:, None]
     if structure is not None:
         # a triple without negatives contributes nothing at all
         own = np.concatenate([own, np.where(has_neg[:, None], structure, -1)], axis=1)
-    cells, filled, pull = _score(queries, model.entity_table, block, own)
-    s_pos = cells[:, k]
+    cells, filled, pull = _score(queries, model.entity_table, block, own, present)
+    s_pos = cells[:, k]  # read before the gradient is written over the cells
     log_mass, clamped, d_neg, d_rho, log_neg, log_fn = _log_mass(
         cells[:, :k], None if structure is None else cells[:, k + 1 :], tau, variant, floor
     )
@@ -232,7 +244,8 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
         # the reversed term: each tail against the batch's other queries
         contexts = negatives.negative_contexts
         anchors = model.entity_table[tails]
-        ctx_cells, ctx_filled, ctx_pull = _score(anchors, queries, contexts, np.empty((n, 0), int))
+        ctx_cells, ctx_filled, ctx_pull = _score(anchors, queries, contexts, own[:, :0],
+                                                 contexts >= 0)
         ctx_mass, _, d_ctx, *_ = _log_mass(ctx_cells)
         ctx_term, p_ctx = _term(s_pos, ctx_mass)
         total, d_pos = total + ctx_term.sum(), d_pos - p_ctx
@@ -241,16 +254,18 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
     value = LossValue(float(total), n, pos, neg, false_neg, neg_hasa, int(clamped.sum()))
     if tape is None:
         return value
-    grad = [p_mass[:, None] * d_neg, d_pos[:, None]]
-    if tau != 0.0:
-        grad.append(p_mass[:, None] * d_rho)
-    grad = np.concatenate(grad, axis=1)
-    push = filled[:, : grad.shape[1]] & ~clamped[:, None]
+    # the gradient by the cells, written over them: negatives, tail, structure
+    d_neg *= p_mass[:, None]
+    d_rho *= p_mass[:, None]
+    cells[:, k], width = d_pos, k + 1 + (d_rho.shape[1] if tau != 0.0 else 0)
+    push = filled[:, :width]
+    if floor:
+        push &= ~clamped[:, None]
     push[:, k] = touched
-    d_queries, ids, rows = pull(grad, push)
+    d_queries, ids, rows = pull(cells[:, :width], push)
     tape.add_entity(ids, rows)
     if bidirectional:
-        d_tails, at, rows = ctx_pull(p_ctx[:, None] * d_ctx, ctx_filled)
+        d_tails, at, rows = ctx_pull(np.multiply(d_ctx, p_ctx[:, None], out=d_ctx), ctx_filled)
         tape.add_entity(tails[touched], d_tails[touched])
         np.add.at(d_queries, at, rows)
     backward(model, cache, d_queries, tape)

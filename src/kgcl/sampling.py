@@ -49,8 +49,8 @@ class NegativeSampleBatch:
         return len(self.hard_and_batch_negatives)
 
     def mean_negative_count(self) -> float:
-        filled = np.count_nonzero(self.hard_and_batch_negatives >= 0, axis=1)
-        return float(filled.mean()) if filled.size else 0.0
+        block = self.hard_and_batch_negatives  # an exact count: the mean of the row counts
+        return float(np.count_nonzero(block >= 0) / len(block)) if len(block) else 0.0
 
 
 def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
@@ -105,7 +105,8 @@ def assemble_training_negatives(
     size = len(batch)
     heads, rels, tails = batch.T
     slots = np.concatenate([heads, tails])
-    negatives = np.where(slots == tails[:, None], -1, slots)
+    negatives = slots[None, :].repeat(size, axis=0)
+    np.copyto(negatives, -1, where=slots == tails[:, None])
     if mode != "simple":
         queries, _ = aggregate_batch(model, heads, rels)
         # score, mask and select a few rows at a time to bound the B x N block

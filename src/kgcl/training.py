@@ -254,19 +254,12 @@ def train(
         batches = make_batches(kg, cfg.batch_size, int(batch_seed))
         for batch in batches:
             step += 1
-            structure_seed = np.random.SeedSequence(
-                [cfg.seed, _STREAM_STRUCTURE, step]
-            ).generate_state(1)[0]
-            negatives = assemble_training_negatives(
-                batch,
-                model,
-                kg,
-                idx,
-                cfg.m_structure,
-                int(structure_seed),
-                cfg.loss_mode,
-                hard_k=cfg.hard_k,
-            )
+            structure_seed = 0  # the plain modes never draw from the structure stream
+            if cfg.loss_mode in ("hasa", "hasa_plus"):
+                stream = np.random.SeedSequence([cfg.seed, _STREAM_STRUCTURE, step])
+                structure_seed = int(stream.generate_state(1)[0])
+            negatives = assemble_training_negatives(batch, model, kg, idx, cfg.m_structure,
+                                                    structure_seed, cfg.loss_mode, cfg.hard_k)
             tape = GradientTape(model)
             value = _loss_step(cfg, batch, negatives, model, tape)
             if not np.isfinite(value.loss):

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
-of the logistic function, and a tiny cycle graph.
+of the logistic function, the contrastive core's earlier batched form, and
+a tiny cycle graph.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -9,12 +10,18 @@ sampler oracles draw one row at a time with rng.choice, so they check the
 library's batched draws id for id and stream for stream. The rank oracle
 counts one row's scores at a time, so it checks evaluate's batched counts
 rank for rank. The logistic oracle is the two-branch form with masked
-stores, so it checks model._sigmoid bit for bit."""
+stores, so it checks model._sigmoid bit for bit. The core oracle allocates
+a fresh array at every step (np.where copies, boolean column indexing,
+concatenated score and gradient blocks), so it checks the library's one
+cell buffer, written in place, bit for bit."""
+
+import math
 
 import numpy as np
 
 from kgcl.data import KnowledgeGraph
-from kgcl.model import aggregate_batch
+from kgcl.losses import _LOWEST, LossValue, _mean_exp, _term
+from kgcl.model import aggregate_batch, backward
 
 
 def triple_rows(*triples) -> np.ndarray:
@@ -80,6 +87,124 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def log_estimate_oracle(block: np.ndarray, variant: str):
+    """Per row of a block of scores, -inf marking an empty cell: log K neg
+    and the block of its derivatives by the scores (losses._log_estimate)."""
+    if not block.size:
+        return np.full(len(block), -np.inf), block
+    c = block.max(axis=1)
+    w = np.exp(block - np.maximum(c, _LOWEST)[:, None])
+    s1 = np.maximum(w.sum(axis=1), 1.0)
+    if variant == "eq7":
+        k = np.maximum((block > -np.inf).sum(axis=1), 1)
+        s2 = np.maximum((w * w).sum(axis=1), 1.0)
+        return c + np.log(k * s2 / s1), w * (2.0 * w / s2[:, None] - 1.0 / s1[:, None])
+    return c + np.log(s1), w / s1[:, None]
+
+
+def log_mass_oracle(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
+    """(log M, clamped, d log M / d neg, d log M / d struct, log K neg,
+    log fn) per row, as losses._log_mass returns them."""
+    log_neg, d_neg = log_estimate_oracle(neg, variant)
+    log_mass, log_fn, d_fn = log_neg - math.log1p(-tau), np.full(len(neg), -np.inf), neg[:, :0]
+    if struct is not None:
+        log_fn, d_fn = log_estimate_oracle(struct, variant)
+        log_fn -= np.log(np.maximum((struct > -np.inf).sum(axis=1), 1))
+    rate = tau if variant == "eq7" else tau * (1.0 - tau)
+    if floor or rate and d_fn.size:
+        k = (neg > -np.inf).sum(axis=1)
+    if rate and d_fn.size:
+        log_k = np.log(k, out=np.full(len(k), -np.inf), where=k > 0)
+        share = np.exp(np.minimum(math.log(rate) + log_fn + log_k - np.maximum(log_neg, _LOWEST),
+                                  0.0))
+        log_mass += np.log1p(-share, out=np.full(len(k), -np.inf), where=share < 1.0)
+        inv = np.divide(1.0, 1.0 - share, out=np.zeros(len(k)), where=share < 1.0)
+        d_neg *= inv[:, None]
+        d_fn *= -(share * inv)[:, None]
+    else:
+        d_fn *= 0.0
+    clamped = np.zeros(len(neg), dtype=bool)
+    if floor:
+        least = k * floor
+        log_floor = np.log(least, out=np.full(len(k), -np.inf), where=least > 0.0)
+        clamped = log_mass < log_floor
+        log_mass = np.where(clamped, log_floor, log_mass)
+        d_neg *= ~clamped[:, None]
+        d_fn *= ~clamped[:, None]
+    return log_mass, clamped, d_neg, d_fn, log_neg, log_fn
+
+
+def score_oracle(anchors: np.ndarray, table: np.ndarray, block: np.ndarray, own: np.ndarray):
+    """(cells, filled, pull) as losses._score returns them: shared columns
+    of block (a column without ids among them, as id -1) by one product,
+    every other cell by a row dot."""
+    top = block.max(axis=0)
+    shared = np.where(block >= 0, block, top).min(axis=0) == top
+    dense_ids, ids = top[shared], np.concatenate([block[:, ~shared], own], axis=1)
+    dense, rows, size = table[dense_ids], table[ids], dense_ids.size
+    filled = np.concatenate([block[:, shared], ids], axis=1) >= 0
+    scores = np.concatenate([anchors @ dense.T, np.einsum("bwd,bd->bw", rows, anchors)], axis=1)
+
+    def pull(grad, push):
+        g_dense, g_own, width = grad[:, :size], grad[:, size:], grad.shape[1] - size
+        d_anchors = g_dense @ dense + np.einsum("bw,bwd->bd", g_own, rows[:, :width])
+        keep, cells = push[:, :size].any(axis=0), push[:, size:]
+        pushed = np.concatenate([dense_ids[keep], ids[:, :width][cells]])
+        grads = [(g_dense.T @ anchors)[keep], (g_own[:, :, None] * anchors[:, None, :])[cells]]
+        return d_anchors, pushed, np.concatenate(grads)
+
+    return np.where(filled, scores, -np.inf), filled, pull
+
+
+def contrastive_oracle(batch, negatives, model, tape, structure=None, tau=0.0, variant="alg1",
+                       floor=0.0, bidirectional=False) -> LossValue:
+    """losses._contrastive over the oracles above, its gradient assembled
+    from concatenated blocks."""
+    n = len(batch)
+    heads, relations, tails = batch.T
+    queries, cache = aggregate_batch(model, heads, relations)
+    block = negatives.hard_and_batch_negatives
+    k = block.shape[1]
+    has_neg = (block >= 0).any(axis=1)
+    own = tails[:, None]
+    if structure is not None:
+        own = np.concatenate([own, np.where(has_neg[:, None], structure, -1)], axis=1)
+    cells, filled, pull = score_oracle(queries, model.entity_table, block, own)
+    s_pos = cells[:, k]
+    log_mass, clamped, d_neg, d_rho, log_neg, log_fn = log_mass_oracle(
+        cells[:, :k], None if structure is None else cells[:, k + 1 :], tau, variant, floor
+    )
+    term, p_mass = _term(s_pos, log_mass)
+    total, d_pos, touched = term.sum(), -p_mass, has_neg
+    if bidirectional:
+        contexts = negatives.negative_contexts
+        anchors = model.entity_table[tails]
+        ctx_cells, ctx_filled, ctx_pull = score_oracle(anchors, queries, contexts,
+                                                       np.empty((n, 0), int))
+        ctx_mass, _, d_ctx, *_ = log_mass_oracle(ctx_cells)
+        ctx_term, p_ctx = _term(s_pos, ctx_mass)
+        total, d_pos = total + ctx_term.sum(), d_pos - p_ctx
+        touched = has_neg | ctx_filled.any(axis=1)
+    pos, neg, false_neg, neg_hasa = _mean_exp(np.array([s_pos, log_neg, log_fn, log_mass]))
+    value = LossValue(float(total), n, pos, neg, false_neg, neg_hasa, int(clamped.sum()))
+    if tape is None:
+        return value
+    grad = [p_mass[:, None] * d_neg, d_pos[:, None]]
+    if tau != 0.0:
+        grad.append(p_mass[:, None] * d_rho)
+    grad = np.concatenate(grad, axis=1)
+    push = filled[:, : grad.shape[1]] & ~clamped[:, None]
+    push[:, k] = touched
+    d_queries, ids, rows = pull(grad, push)
+    tape.add_entity(ids, rows)
+    if bidirectional:
+        d_tails, at, rows = ctx_pull(p_ctx[:, None] * d_ctx, ctx_filled)
+        tape.add_entity(tails[touched], d_tails[touched])
+        np.add.at(d_queries, at, rows)
+    backward(model, cache, d_queries, tape)
+    return value
 
 
 def grad_row(rows: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:

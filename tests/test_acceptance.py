@@ -216,7 +216,7 @@ def test_negative_mass_estimators_match_closed_forms_and_converge():
     for variant in ("eq7", "alg1"):
         cfg = LossConfig(tau=0.2, debias_variant=variant)
         knobs = (cfg.tau, cfg.debias_variant, cfg.floor_epsilon)
-        mass = math.exp(_log_mass(sigma, rho, *knobs)[0][1])
+        mass = math.exp(_log_mass(sigma.copy(), rho.copy(), *knobs)[0][1])
         k = neg_scores.size
         neg_est = estimate(neg_scores, variant)
         false_est = estimate(struct_scores, variant)

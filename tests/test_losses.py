@@ -3,8 +3,11 @@
 The oracles below re-implement every loss formula in plain Python over
 floats and lists, with no stabilization tricks and no shared code with the
 library. Library results must match them to 1e-12 on well-scaled inputs.
+The batched core must also match its earlier, allocating form
+(support.contrastive_oracle) bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdcheck import loss_grad_rel_err
+from kgcl.graph import build_structure_index
 from kgcl.losses import (
     LossConfig,
     _log_estimate,
@@ -24,8 +28,10 @@ from kgcl.losses import (
     simple_infonce,
 )
 from kgcl.model import EmbeddingModel, GradientTape, init_model
-from kgcl.sampling import NegativeSampleBatch
-from support import grad_row, query, triple_rows
+from kgcl.sampling import NegativeSampleBatch, assemble_training_negatives
+from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
+from kgcl.training import make_batches
+from support import contrastive_oracle, grad_row, query, triple_rows
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +82,9 @@ def oracle_context_term(s_pos, ctx_scores):
 
 
 def log_estimate(scores, variant):
-    """log E[exp(s)]: the row estimate carries the count K, so less log K."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """log E[exp(s)]: the row estimate carries the count K, so less log K.
+    The estimator writes its derivatives over its block, so it gets a copy."""
+    scores = np.array(scores, dtype=np.float64)
     return float(_log_estimate(scores[None, :], variant)[0][0]) - math.log(scores.size)
 
 
@@ -90,8 +97,9 @@ def mean_exp_estimate(scores):
 
 
 def log_debiased_mass(neg_scores, structure_scores, cfg):
-    sigma = np.asarray(neg_scores, dtype=np.float64)[None, :]
-    rho = np.asarray(structure_scores, dtype=np.float64)[None, :]
+    # copies, since the mass writes its derivatives over its blocks
+    sigma = np.array(neg_scores, dtype=np.float64)[None, :]
+    rho = np.array(structure_scores, dtype=np.float64)[None, :]
     knobs = (cfg.tau, cfg.debias_variant, cfg.floor_epsilon)
     return float(_log_mass(sigma, rho, *knobs)[0][0])
 
@@ -327,7 +335,7 @@ def test_row_estimators_keep_rows_apart(variant):
     block = np.full((4, 6), -np.inf)
     for row, count in enumerate((3, 1, 0, 5)):
         block[row, rng.choice(6, size=count, replace=False)] = rng.normal(0.0, 2.0, size=count)
-    value, grad = _log_estimate(block, variant)
+    value, grad = _log_estimate(block.copy(), variant)
     assert value[2] == -math.inf
     assert np.all(grad[block == -np.inf] == 0.0)
     oracle = oracle_self_normalized if variant == "eq7" else oracle_mean_exp
@@ -848,8 +856,8 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
     batch = triple_rows(*SPLIT_TRIPLES)
     negatives = neg_batch(negs, structs, SPLIT_CONTEXTS)
     heads = batch[:, 0]
-    cells, filled, pull = _score(table[heads], table, negatives.hard_and_batch_negatives,
-                                 np.zeros((len(heads), 0), dtype=np.int64))
+    ids = negatives.hard_and_batch_negatives
+    cells, filled, pull = _score(table[heads], table, ids, ids[:, :0], ids >= 0)
     assert pull(np.zeros(cells.shape), filled)[1].size == pulled
     out, tape = run_with_tape(mode, batch, negatives, model, cfg)
     expected, clamped = split_oracle(mode, table, negs, structs, cfg)
@@ -881,3 +889,140 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
             if own and mode.startswith("hasa") and cfg.tau != 0.0:
                 pushed.update(j for j in structs[i] if j >= 0)
     assert set(tape.entity_rows()[0].tolist()) == pushed
+
+
+# ---------------------------------------------------------------------------
+# the batched core against its earlier form (support.contrastive_oracle), bit
+# for bit: every LossValue field, the coalesced tape rows and the aggregator
+# gradients
+
+
+ORACLE_KNOBS = {
+    "simple": lambda negatives, cfg: {},
+    "hard": lambda negatives, cfg: {},
+    "hasa": lambda negatives, cfg: dict(
+        structure=negatives.structure_samples, tau=cfg.tau, variant=cfg.debias_variant,
+        floor=cfg.floor_epsilon),
+    "hasa_plus": lambda negatives, cfg: dict(
+        ORACLE_KNOBS["hasa"](negatives, cfg), bidirectional=True),
+}
+
+
+def value_bytes(value):
+    fields = [value.loss, value.pos, value.neg, value.false_neg, value.neg_hasa]
+    return np.array(fields).tobytes(), value.triple_count, value.clamp_hits
+
+
+def tape_bytes(tape):
+    out = [part.tobytes() for rows in (tape.entity_rows(), tape.relation_rows()) for part in rows]
+    return out + [(name, tape.aggregator[name].tobytes()) for name in sorted(tape.aggregator)]
+
+
+def assert_matches_oracle(loss_name, batch, negatives, model, cfg):
+    """The loss with and without a tape against the oracle; returns the
+    oracle's value."""
+    oracle_tape = GradientTape(model)
+    want = contrastive_oracle(batch, negatives, model, oracle_tape,
+                              **ORACLE_KNOBS[loss_name](negatives, cfg))
+    got, tape = run_with_tape(loss_name, batch, negatives, model, cfg)
+    assert value_bytes(got) == value_bytes(want)
+    assert tape_bytes(tape) == tape_bytes(oracle_tape)
+    assert value_bytes(LOSSES[loss_name](batch, negatives, model, cfg, None)) == value_bytes(want)
+    return want
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_graph():
+    spec = SyntheticKGSpec(block_count=3, entities_per_block=10, relation_count=2,
+                           intra_block_edge_probability=0.4, seed=3)
+    kg = generate_knowledge_graph(spec)
+    return kg, build_structure_index(kg)
+
+
+def training_steps(loss_name, kind, batch_size, seed, steps=None):
+    """(model, batch, negatives) of a training step's layout: the 2B slot
+    columns, the top-k block, ring samples and the B x B contexts."""
+    kg, idx = oracle_graph()
+    model = init_model(kg.num_entities(), kg.num_relations(), 6, kind=kind, seed=seed,
+                       init_scale=1.0)
+    batches = make_batches(kg, batch_size, seed)
+    for step, batch in enumerate(batches if steps is None else batches[:steps]):
+        yield model, batch, assemble_training_negatives(batch, model, kg, idx, 4, seed + step,
+                                                        loss_name, hard_k=3)
+
+
+# the plain modes ignore the knobs, so they run once per aggregator
+ORACLE_CASES = [
+    (loss_name, kind, variant, floor_epsilon, tau)
+    for loss_name in sorted(LOSSES)
+    for kind in ("sum", "gru", "mlp")
+    for variant in ("eq7", "alg1")
+    for floor_epsilon in (1e-6, 4.0)
+    for tau in (0.0, 0.3)
+    if loss_name.startswith("hasa") or (variant, floor_epsilon, tau) == ("eq7", 1e-6, 0.3)
+]
+
+
+@pytest.mark.parametrize("loss_name,kind,variant,floor_epsilon,tau", ORACLE_CASES)
+def test_core_matches_its_earlier_form_on_training_blocks(
+    loss_name, kind, variant, floor_epsilon, tau
+):
+    # 12 does not divide the split, so the last batch is short; a floor of
+    # 4.0 per negative clamps some rows and 1e-6 none
+    kg, _ = oracle_graph()
+    assert len(kg.train) % 12
+    cfg = LossConfig(tau=tau, floor_epsilon=floor_epsilon, debias_variant=variant)
+    hits = sum(assert_matches_oracle(loss_name, batch, negatives, model, cfg).clamp_hits
+               for model, batch, negatives in training_steps(loss_name, kind, 12, seed=5))
+    if loss_name.startswith("hasa"):
+        assert (hits > 0) == (floor_epsilon == 4.0)
+
+
+@pytest.mark.parametrize("loss_name", sorted(LOSSES))
+def test_core_matches_its_earlier_form_at_batch_size_one(loss_name):
+    # one triple: its own tail's slot column holds no id at all
+    cfg = LossConfig(tau=0.3)
+    for model, batch, negatives in training_steps(loss_name, "gru", 1, seed=6, steps=6):
+        assert (negatives.hard_and_batch_negatives[:, 1] == -1).all()
+        assert_matches_oracle(loss_name, batch, negatives, model, cfg)
+
+
+@pytest.mark.parametrize("loss_name", sorted(LOSSES))
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_core_matches_its_earlier_form_on_the_split_layouts(case, loss_name):
+    negs, structs, _ = SPLIT_CASES[case]
+    model = sum_model(split_table(), num_relations=2)
+    assert_matches_oracle(loss_name, triple_rows(*SPLIT_TRIPLES),
+                          neg_batch(negs, structs, SPLIT_CONTEXTS), model,
+                          SPLIT_CFG.get(case, LossConfig(tau=0.3)))
+
+
+@pytest.mark.parametrize("loss_name", sorted(LOSSES))
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_core_matches_its_earlier_form_on_scattered_ids_and_large_scores(loss_name, scale):
+    # per-row negatives drawn with replacement, so no column is shared and
+    # ids repeat, over planar rows of length sqrt(scale)
+    rng = np.random.default_rng(71)
+    for variant in ("eq7", "alg1"):
+        model, batch, negatives = random_instance(
+            rng, kind="sum", dim=2, n_triples=7, k_neg=4, m_struct=3,
+            with_ctx=loss_name == "hasa_plus")
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=len(model.entity_table))
+        model.entity_table[:] = math.sqrt(scale) * np.stack([np.cos(angles), np.sin(angles)], 1)
+        assert_matches_oracle(loss_name, batch, negatives, model,
+                              LossConfig(tau=0.3, debias_variant=variant))
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_score_splits_a_narrow_id_block_as_an_int64_one(case):
+    # the shared-column test reads -1 through the unsigned type of the
+    # block's own width, so int32 and int16 blocks split as int64 ones do
+    table = split_table()
+    wide = block(SPLIT_CASES[case][0])
+    anchors = table[[head for head, _, _ in SPLIT_TRIPLES]]
+    want_cells, want_filled, _ = _score(anchors, table, wide, wide[:, :0], wide >= 0)
+    for dtype in (np.int32, np.int16):
+        ids = wide.astype(dtype)
+        cells, filled, _ = _score(anchors, table, ids, ids[:, :0], ids >= 0)
+        assert cells.tobytes() == want_cells.tobytes()
+        assert np.array_equal(filled, want_filled)

@@ -400,6 +400,23 @@ def test_mean_negative_count():
     assert nsb.mean_negative_count() == 4.0
     empty = np.zeros((0, 0), dtype=np.int64)
     assert NegativeSampleBatch(empty, empty, empty).mean_negative_count() == 0.0
+    no_rows = np.zeros((0, 5), dtype=np.int64)
+    assert NegativeSampleBatch(no_rows, empty, empty).mean_negative_count() == 0.0
+
+
+def test_mean_negative_count_equals_the_mean_of_the_row_counts():
+    # ragged rows, each emptied at its own random rate and the first wholly:
+    # the flat count over the block gives the per-row mean's float exactly
+    rng = np.random.default_rng(17)
+    for rows in (1, 3, 7, 256):
+        block = rng.integers(0, 50, size=(rows, 13))
+        block[rng.random(block.shape) < rng.random((rows, 1))] = -1
+        block[0] = -1
+        nsb = NegativeSampleBatch(block, np.zeros((rows, 0), dtype=np.int64),
+                                  np.zeros((rows, 0), dtype=np.int64))
+        got = nsb.mean_negative_count()
+        assert type(got) is float
+        assert got == float(np.count_nonzero(block >= 0, axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

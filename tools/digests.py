@@ -1,0 +1,54 @@
+"""Print the outputs of every benchmark workload, so two checkouts can be
+compared for byte identity with one diff.
+
+    python3 tools/digests.py [--seeds 1 2] > digests.txt
+
+Run from the root of a checkout; kgcl is imported from its src/ directory
+and the workloads from perfbench/workloads.py, unchanged. For each workload
+and seed it runs one repetition, as the benchmark does, and prints one line:
+the checkpoint digest, the validation MR, a SHA-256 of the step losses
+(their float64 bytes) and the false-negative counts. BLAS is pinned to one
+thread, as in the benchmark, before numpy is imported.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import kgcl  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def outputs(workload, seed: int, scratch_dir: str) -> str:
+    state = workload.setup(kgcl, workload.inputs(seed), seed)
+    out = workload.run(kgcl, state, scratch_dir)
+    losses = hashlib.sha256(np.array(out.step_losses, dtype=np.float64).tobytes()).hexdigest()
+    return (f"{workload.name} seed={seed} digest={out.digest} mr={out.mr!r} "
+            f"losses={losses} false_counts={list(out.false_counts)}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append",
+                        help="one workload (repeatable); every workload by default")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as scratch_dir:
+        for name in args.workload or WORKLOADS:
+            for seed in args.seeds:
+                print(outputs(WORKLOADS[name], seed, scratch_dir), flush=True)
+
+
+if __name__ == "__main__":
+    main()
