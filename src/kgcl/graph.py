@@ -2,16 +2,16 @@
 and the uniform distribution over each head's 1-/2-hop ring, used to
 estimate the false-negative term."""
 
-import weakref
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property
 
 import numpy as np
 
 from .data import KnowledgeGraph
 
-# how many heads' structure distributions a StructureIndex keeps
-HOP_CACHE_SIZE = 1024
+# cells per dense (sources x N) block of the ring table's build, and steps
+# per piece of its second-hop walk
+RING_BLOCK_CELLS = 2**19
 
 # sources per dense hop block of hop_table
 HOP_TABLE_CHUNK = 8
@@ -23,8 +23,9 @@ class StructureIndex:
     in ascending order. Both arrays are read-only.
 
     Relation labels and edge direction are discarded; self-loops are dropped.
-    The structure distribution of each head is memoized in an LRU cache of
-    HOP_CACHE_SIZE heads so repeated heads during training stay cheap.
+    The 1-/2-hop ring of every entity is built once, on the first ring
+    lookup, as a second read-only CSR (rings); modes that draw no structure
+    samples never build it.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
@@ -33,8 +34,13 @@ class StructureIndex:
         self.indptr = indptr
         self.indices = indices
         self.entity_count = indptr.size - 1
-        # a weak self in the cache, so no cycle keeps a dropped index alive
-        self._ring = lru_cache(maxsize=HOP_CACHE_SIZE)(partial(_build_ring, weakref.proxy(self)))
+
+    @cached_property
+    def rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ring_indptr, ring_indices): the sorted ids at distance 1 or 2 from
+        entity n are ring_indices[ring_indptr[n]:ring_indptr[n+1]], in the
+        smallest integer dtype that holds N - 1. Both arrays are read-only."""
+        return _ring_table(self)
 
     def neighbors(self, entity: int) -> np.ndarray:
         self._check_entity(entity)
@@ -90,6 +96,14 @@ def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, in
     return dist
 
 
+def _walk(idx: StructureIndex, rows: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One hop from the frontier pairs (rows, nodes): every (row, neighbour)
+    pair, read from the CSR in frontier order."""
+    starts, counts = idx.indptr[nodes], idx.indptr[nodes + 1] - idx.indptr[nodes]
+    walk = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.repeat(rows, counts), idx.indices[walk]
+
+
 def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
     """distances_within for many sources at once: the sorted int64 keys
     i * N + v of every entity v within cap hops of sources[i], and each
@@ -107,19 +121,57 @@ def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.nd
         rows, nodes = np.arange(chunk.size), chunk
         block[rows, nodes] = 0
         for depth in range(1, cap + 1):
-            # every (row, neighbour) pair of the frontier, from the CSR
-            starts, counts = idx.indptr[nodes], idx.indptr[nodes + 1] - idx.indptr[nodes]
-            if not counts.any():
+            rows, nodes = _walk(idx, rows, nodes)
+            if not rows.size:
                 break
-            walk = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-            rows, nodes = np.repeat(rows, counts), idx.indices[walk]
             fresh = block[rows, nodes] < 0
             block[rows[fresh], nodes[fresh]] = depth
-            rows, nodes = np.nonzero(block == depth)
+            if depth < cap:
+                rows, nodes = np.nonzero(block == depth)
         reached = np.flatnonzero(block >= 0)
         keys.append(reached + at * n)
         hops.append(block.ravel()[reached])
     return np.concatenate(keys), np.concatenate(hops)
+
+
+def _ring_blocks(idx: StructureIndex):
+    """Yield (first, block) for consecutive sources first, first + 1, ...: a
+    dense boolean block of at most RING_BLOCK_CELLS cells (one row at least)
+    whose row i marks the ring of source first + i. The second hop is walked
+    in pieces of at most RING_BLOCK_CELLS steps plus one entity's degree, so
+    no block's walk grows with the degrees of its sources' neighbours."""
+    n = idx.entity_count
+    degree = np.diff(idx.indptr)
+    step = max(1, RING_BLOCK_CELLS // max(n, 1))
+    for first in range(0, n, step):
+        sources = np.arange(first, min(first + step, n))
+        block = np.zeros((sources.size, n), dtype=bool)
+        rows, nodes = _walk(idx, sources - first, sources)
+        block[rows, nodes] = True
+        cuts = (np.flatnonzero(np.diff(np.cumsum(degree[nodes]) // RING_BLOCK_CELLS)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, nodes.size]):
+            block[_walk(idx, rows[lo:hi], nodes[lo:hi])] = True
+        block[sources - first, sources] = False
+        yield first, block
+
+
+def _ring_table(idx: StructureIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The rings of StructureIndex.rings, in two passes over the blocks: one
+    counts each ring, one writes the ids into a table allocated at its exact
+    size. Beyond the table, the build holds one block at a time."""
+    n = idx.entity_count
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for first, block in _ring_blocks(idx):
+        indptr[first + 1 : first + 1 + len(block)] = np.count_nonzero(block, axis=1)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.min_scalar_type(max(n - 1, 0)))
+    for first, block in _ring_blocks(idx):
+        # row-major nonzeros come out sorted by row, then by id
+        found = np.flatnonzero(block)
+        indices[indptr[first] : indptr[first + len(block)]] = np.remainder(found, n, out=found)
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -135,17 +187,12 @@ class AlphaDistribution:
     support: np.ndarray
 
 
-def _build_ring(idx: StructureIndex, head: int) -> AlphaDistribution:
-    dist = distances_within(idx, head, 2)
-    support = np.array(sorted(node for node, d in dist.items() if d > 0), dtype=np.int64)
-    support.flags.writeable = False
-    return AlphaDistribution(head=head, support=support)
-
-
 def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
-    """The uniform distribution over head's 1- and 2-hop ring, built once per
-    head and kept in the index's LRU cache. The cached support is read-only."""
-    return idx._ring(head)
+    """The uniform distribution over head's 1- and 2-hop ring: a read-only
+    slice of the index's ring table, which the first call builds."""
+    idx._check_entity(head)
+    indptr, indices = idx.rings
+    return AlphaDistribution(head=head, support=indices[indptr[head] : indptr[head + 1]])
 
 
 def draw_ring_samples(

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
-of the logistic function, the contrastive core's earlier batched form, and
-a tiny cycle graph.
+of the logistic function, a per-head oracle of the 1-/2-hop ring, the
+contrastive core's earlier batched form, and a tiny cycle graph.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -13,13 +13,16 @@ rank for rank. The logistic oracle is the two-branch form with masked
 stores, so it checks model._sigmoid bit for bit. The core oracle allocates
 a fresh array at every step (np.where copies, boolean column indexing,
 concatenated score and gradient blocks), so it checks the library's one
-cell buffer, written in place, bit for bit."""
+cell buffer, written in place, bit for bit. The ring oracle runs one dict
+BFS per head, so it checks the ring table's blocked two-hop walk id for
+id."""
 
 import math
 
 import numpy as np
 
 from kgcl.data import KnowledgeGraph
+from kgcl.graph import StructureIndex, distances_within
 from kgcl.losses import _LOWEST, LossValue, _mean_exp, _term
 from kgcl.model import aggregate_batch, backward
 
@@ -76,6 +79,13 @@ def rank_from_scores(gold_score: float, other_scores: np.ndarray) -> int:
     above = int(np.count_nonzero(other_scores > gold_score))
     ties = int(np.count_nonzero(other_scores == gold_score))
     return 1 + above + (ties + 1) // 2
+
+
+def ring_oracle(idx: StructureIndex, head: int) -> np.ndarray:
+    """The sorted int64 ids at distance 1 or 2 from head: the distance-1 and
+    distance-2 slices of one BFS capped at 2."""
+    dist = distances_within(idx, head, 2)
+    return np.array(sorted(node for node, d in dist.items() if d > 0), dtype=np.int64)
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:

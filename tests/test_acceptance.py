@@ -274,8 +274,8 @@ def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
     exactly: one source at a time (distances_within), and every source at
     once at every cap from 1 to n (hop_table, which the false-negative
     study reads). The 1-/2-hop ring that training's structure draws use
-    (the support of alpha_distribution) equals the distance-1 and
-    distance-2 slices of that matrix."""
+    (the support of alpha_distribution, a row of the index's ring table)
+    equals the distance-1 and distance-2 slices of that matrix."""
     started = time.monotonic()
     rng = np.random.default_rng(404)
     for trial in range(50):

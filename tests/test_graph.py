@@ -6,6 +6,7 @@ explicit distance matrix, sharing no code with the library's BFS.
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from kgcl.graph import (
     draw_ring_samples,
     hop_table,
 )
-from support import triple_rows
+from support import ring_oracle, triple_rows
 
 
 def floyd_warshall(n, undirected_edges):
@@ -162,24 +163,72 @@ def test_two_hop_neighborhoods_match_distance_slices():
             assert head not in ring
 
 
-def test_hop_cache_eviction_keeps_answers_correct(monkeypatch):
-    monkeypatch.setattr(kgcl.graph, "HOP_CACHE_SIZE", 2)
-    chain = triple_rows(*[(i, 0, i + 1) for i in range(9)])
-    idx = _index_from_triples(chain, 10)
-    fresh = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
-    again = [alpha_distribution(idx, h).support.tolist() for h in range(10)]
-    assert fresh == again
-    assert fresh[0] == [1, 2] and fresh[5] == [3, 4, 6, 7]
-    assert idx._ring.cache_info().currsize <= 2
-    cached = alpha_distribution(idx, 9)
-    assert alpha_distribution(idx, 9) is cached
+@pytest.mark.parametrize("rows", ["one", "all"])
+def test_ring_table_matches_a_bfs_per_head(monkeypatch, rows):
+    """Every head's slice of the ring table equals the per-head BFS oracle,
+    built one source per block (with second-hop pieces of about one step)
+    and with every source in one block. The graphs have isolated heads,
+    self-loops, and duplicate and reversed edges."""
+    rng = np.random.default_rng(109)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        linked = int(rng.integers(1, n + 1))  # entities at or above are isolated
+        triples = random_triples(rng, linked, int(rng.integers(0, 3 * linked)))
+        triples = np.concatenate([triples, triples[:, ::-1], triples[: triples.shape[0] // 2]])
+        idx = _index_from_triples(triples, n)
+        monkeypatch.setattr(kgcl.graph, "RING_BLOCK_CELLS", 1 if rows == "one" else n * (n + 1))
+        indptr, indices = idx.rings
+        assert indptr.dtype == np.int64 and indices.dtype == np.min_scalar_type(n - 1)
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        for head in range(n):
+            support = alpha_distribution(idx, head).support
+            np.testing.assert_array_equal(support, ring_oracle(idx, head))
+            assert np.shares_memory(support, indices) or support.size == 0
+            assert not support.flags.writeable
+    chain = _index_from_triples(triple_rows(*[(i, 0, i + 1) for i in range(9)]), 10)
+    assert alpha_distribution(chain, 0).support.tolist() == [1, 2]
+    support = alpha_distribution(chain, 5).support
+    assert support.tolist() == [3, 4, 6, 7]
     with pytest.raises(ValueError):
-        cached.support[0] = 0
+        support[0] = 0
+
+
+def test_the_ring_table_is_built_on_the_first_lookup_only():
+    kg = KnowledgeGraph.from_string_triples([("a", "r", "b"), ("b", "r", "c")])
+    idx = build_structure_index(kg)
+    assert "rings" not in vars(idx)
+    assert alpha_distribution(idx, 0).support.size
+    table = vars(idx)["rings"]
+    alpha_distribution(idx, 1)
+    assert idx.rings is table
+
+
+def test_the_ring_build_holds_the_table_and_one_block(monkeypatch):
+    """On a graph with hubs, the traced peak of the build is at most the
+    table plus one block: RING_BLOCK_CELLS cells, and a walk of at most
+    RING_BLOCK_CELLS steps plus one entity's degree, five int64s a step. A
+    build that kept a second copy of the table would fail that bound."""
+    n, edges = 3000, 20000
+    rng = np.random.default_rng(113)
+    weights = np.arange(1, n + 1) ** -0.9
+    ends = rng.choice(n, size=(edges, 2), p=weights / weights.sum())
+    idx = _index_from_triples(triple_rows(*[(h, 0, t) for h, t in ends.tolist()]), n)
+    monkeypatch.setattr(kgcl.graph, "RING_BLOCK_CELLS", 4096)
+    tracemalloc.start()
+    try:
+        indptr, indices = idx.rings
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = indptr.nbytes + indices.nbytes
+    block = 4096 + 5 * 8 * (4096 + n)
+    assert table > 10 * block  # the bound is tight enough to see a second table
+    assert peak <= table + block
 
 
 def test_a_dropped_index_is_freed_without_the_cycle_collector():
-    # the ring cache must not hold its index in a reference cycle: an
-    # index per set-up would otherwise pile up until the collector runs
+    # the cached ring table must not hold its index in a reference cycle:
+    # an index per set-up would otherwise pile up until the collector runs
     idx = _index_from_triples(triple_rows((0, 0, 1), (1, 0, 2)), 3)
     assert alpha_distribution(idx, 0).support.tolist() == [1, 2]
     dropped = weakref.ref(idx)
@@ -210,8 +259,13 @@ def test_entity_range_checks():
         idx.neighbors(2)
     with pytest.raises(ValueError):
         distances_within(idx, -1, 2)
-    with pytest.raises(ValueError):
-        alpha_distribution(idx, 5)
+    for head in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            alpha_distribution(idx, head)
+    # one head out of range fails the whole batch of draws
+    for heads in ([0, 2], [-1, 1]):
+        with pytest.raises(ValueError):
+            draw_ring_samples(idx, np.array(heads), 3, np.random.default_rng(0))
     # an index is built from a graph's split, whose ids the graph checks
     kg = KnowledgeGraph.from_string_triples([("a", "r", "b")])
     with pytest.raises(ValueError):

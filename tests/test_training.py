@@ -9,9 +9,11 @@ import os
 import numpy as np
 import pytest
 
+import kgcl.graph
 import kgcl.training
 from kgcl.data import KnowledgeGraph, _write_replacing
 from kgcl.evaluation import write_json
+from kgcl.graph import build_structure_index
 from kgcl.model import GradientTape, init_model, load_checkpoint
 from kgcl.synthetic import SyntheticKGSpec, _write_tsv, generate_knowledge_graph
 from kgcl.training import (
@@ -417,6 +419,19 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "tau,mr,mrr,hit1,hit3,hit10,triple_count"
     assert len(lines) == 3
+
+
+def test_the_ring_table_is_built_once_per_index_and_only_by_debiased_runs(monkeypatch):
+    built = []
+    build = kgcl.graph._ring_table
+    monkeypatch.setattr(kgcl.graph, "_ring_table", lambda idx: built.append(idx) or build(idx))
+    kg = chain_kg(10)
+    idx = build_structure_index(kg)
+    for mode in ("simple", "hard"):
+        train(small_cfg(loss_mode=mode, epochs=1), kg, idx)
+    assert built == [] and "rings" not in vars(idx)
+    sweep_tau(small_cfg(loss_mode="hasa", m_structure=2, epochs=1), [0.0, 0.05, 0.1], kg, idx)
+    assert built == [idx]
 
 
 def test_sweep_tau_zero_row_matches_self_normalized_hard_metrics():
