@@ -39,9 +39,7 @@ reports = {
 }
 print()
 print("hidden true facts proposed as negatives:")
-for k in k_values:
-    simple = reports["simple"].false_count(k)
-    hard = reports["hard"].false_count(k)
+for (k, _, simple), (_, _, hard) in zip(reports["simple"].counts, reports["hard"].counts):
     print("  K=%2d   simple %4d   hard %4d   ratio %.2f"
           % (k, simple, hard, hard / max(1, simple)))
 

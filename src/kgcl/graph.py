@@ -9,12 +9,8 @@ import numpy as np
 
 from .data import KnowledgeGraph
 
-# cells per dense (sources x N) block of the ring table's build, and steps
-# per piece of its second-hop walk
-RING_BLOCK_CELLS = 2**19
-
-# sources per dense hop block of hop_table
-HOP_TABLE_CHUNK = 8
+# cells per dense (sources x N) hop block of the ring table and hop_table
+HOP_BLOCK_CELLS = 2**19
 
 
 class StructureIndex:
@@ -104,70 +100,73 @@ def _walk(idx: StructureIndex, rows: np.ndarray, nodes: np.ndarray) -> tuple[np.
     return np.repeat(rows, counts), idx.indices[walk]
 
 
-def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
-    """distances_within for many sources at once: the sorted int64 keys
-    i * N + v of every entity v within cap hops of sources[i], and each
-    key's hop count. The sources are walked HOP_TABLE_CHUNK at a time over a
-    dense (chunk x N) hop block, one frontier per depth."""
-    n = idx.entity_count
-    if sources.size and not (0 <= sources.min() and sources.max() < n):
-        raise ValueError(f"source ids must lie in [0, {n})")
-    # -1 marks an unreached entity; the dtype holds every depth a BFS can reach
-    dtype = np.min_scalar_type(-1 - max(0, min(cap, n)))
-    keys, hops = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
-    for at in range(0, sources.size, HOP_TABLE_CHUNK):
-        chunk = sources[at : at + HOP_TABLE_CHUNK]
-        block = np.full((chunk.size, n), -1, dtype=dtype)
-        rows, nodes = np.arange(chunk.size), chunk
-        block[rows, nodes] = 0
-        for depth in range(1, cap + 1):
-            rows, nodes = _walk(idx, rows, nodes)
-            if not rows.size:
-                break
-            fresh = block[rows, nodes] < 0
-            block[rows[fresh], nodes[fresh]] = depth
-            if depth < cap:
-                rows, nodes = np.nonzero(block == depth)
-        reached = np.flatnonzero(block >= 0)
-        keys.append(reached + at * n)
-        hops.append(block.ravel()[reached])
-    return np.concatenate(keys), np.concatenate(hops)
-
-
-def _ring_blocks(idx: StructureIndex):
-    """Yield (first, block) for consecutive sources first, first + 1, ...: a
-    dense boolean block of at most RING_BLOCK_CELLS cells (one row at least)
-    whose row i marks the ring of source first + i. The second hop is walked
-    in pieces of at most RING_BLOCK_CELLS steps plus one entity's degree, so
-    no block's walk grows with the degrees of its sources' neighbours."""
+def _hop_blocks(idx: StructureIndex, sources: np.ndarray, cap: int):
+    """Yield (first, block) for consecutive runs of sources: a dense block of
+    at most HOP_BLOCK_CELLS cells (one row at least) whose cell (i, v) counts
+    the depths 0..cap at which v lay within reach of sources[first + i]:
+    cap + 1 - hop, or 0 beyond cap hops. The first hop's pairs are the next
+    frontier (a source's neighbours are distinct), a later one the cells
+    counted once; each later depth is walked in pieces of at most the
+    block's cell count of steps plus one entity's degree."""
     n = idx.entity_count
     degree = np.diff(idx.indptr)
-    step = max(1, RING_BLOCK_CELLS // max(n, 1))
-    for first in range(0, n, step):
-        sources = np.arange(first, min(first + step, n))
-        block = np.zeros((sources.size, n), dtype=bool)
-        rows, nodes = _walk(idx, sources - first, sources)
-        block[rows, nodes] = True
-        cuts = (np.flatnonzero(np.diff(np.cumsum(degree[nodes]) // RING_BLOCK_CELLS)) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, nodes.size]):
-            block[_walk(idx, rows[lo:hi], nodes[lo:hi])] = True
-        block[sources - first, sources] = False
+    step = max(1, HOP_BLOCK_CELLS // max(n, 1))
+    for first in range(0, sources.size, step):
+        nodes = sources[first : first + step]
+        rows = np.arange(nodes.size)
+        seen = np.zeros((nodes.size, n), dtype=bool)
+        seen[rows, nodes] = True
+        block = seen.astype(np.min_scalar_type(cap + 1))
+        for depth in range(1, cap + 1):
+            if depth == 1:  # a source's neighbours are distinct: the next frontier
+                rows, nodes = _walk(idx, rows, nodes)
+                seen[rows, nodes] = True
+            else:
+                cuts = (np.flatnonzero(np.diff(np.cumsum(degree[nodes]) // seen.size)) + 1).tolist()
+                for lo, hi in zip([0, *cuts], [*cuts, nodes.size]):
+                    seen[_walk(idx, rows[lo:hi], nodes[lo:hi])] = True
+            block += seen.view(np.uint8)
+            if 1 < depth < cap:  # the cells first seen at this depth
+                rows, nodes = np.divmod(np.flatnonzero(block == 1), n)
+            if not nodes.size:  # no later depth sees a new cell
+                block[seen] += cap - depth
+                break
         yield first, block
 
 
+def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
+    """distances_within for many sources at once: the sorted int64 keys
+    i * N + v of every entity v within cap hops of sources[i], and each
+    key's hop count, read from the dense hop blocks of _hop_blocks."""
+    n = idx.entity_count
+    if sources.size and not (0 <= sources.min() and sources.max() < n):
+        raise ValueError(f"source ids must lie in [0, {n})")
+    cap = max(0, min(cap, n))
+    dtype = np.min_scalar_type(-1 - cap)  # signed, and holds every depth a BFS reaches
+    keys, hops = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    for first, block in _hop_blocks(idx, sources, cap):
+        reached = np.flatnonzero(block != 0)
+        keys.append(reached + first * n)
+        hops.append((cap + 1 - block.ravel()[reached]).astype(dtype))
+    return np.concatenate(keys), np.concatenate(hops)
+
+
 def _ring_table(idx: StructureIndex) -> tuple[np.ndarray, np.ndarray]:
-    """The rings of StructureIndex.rings, in two passes over the blocks: one
-    counts each ring, one writes the ids into a table allocated at its exact
-    size. Beyond the table, the build holds one block at a time."""
+    """The rings of StructureIndex.rings: hops 1 and 2 of the hop blocks at
+    cap 2, in two passes. One counts each ring, one writes the ids into a
+    table of its exact size, so the build holds one block beyond the table."""
     n = idx.entity_count
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for first, block in _ring_blocks(idx):
+    for first, block in _hop_blocks(idx, np.arange(n), 2):
+        np.fill_diagonal(block[:, first:], 0)  # each source's own cell
         indptr[first + 1 : first + 1 + len(block)] = np.count_nonzero(block, axis=1)
     np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=np.min_scalar_type(max(n - 1, 0)))
-    for first, block in _ring_blocks(idx):
-        # row-major nonzeros come out sorted by row, then by id
-        found = np.flatnonzero(block)
+    for first, block in _hop_blocks(idx, np.arange(n), 2):
+        np.fill_diagonal(block[:, first:], 0)
+        # row-major nonzeros come out sorted by row, then by id; a boolean
+        # block reads back several times faster than the uint8 one
+        found = np.flatnonzero(block != 0)
         indices[indptr[first] : indptr[first + len(block)]] = np.remainder(found, n, out=found)
     indptr.flags.writeable = False
     indices.flags.writeable = False
@@ -195,6 +194,20 @@ def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
     return AlphaDistribution(head=head, support=indices[indptr[head] : indptr[head + 1]])
 
 
+def _draw_segments(
+    pool: np.ndarray, sizes: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """A (len(sizes) x m) block: row i draws m entries with replacement from
+    pool's next sizes[i] entries as rng.choice(segment, m) would, rows in
+    order from one stream; an empty segment gives a -1 row and draws nothing."""
+    out = np.full((sizes.size, m), -1, dtype=np.int64)
+    full = np.flatnonzero(sizes)
+    if m and full.size:
+        picks = rng.integers(0, sizes[full, None], size=(full.size, m))
+        out[full] = pool[(np.cumsum(sizes) - sizes)[full, None] + picks]
+    return out
+
+
 def draw_ring_samples(
     idx: StructureIndex, heads: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -203,9 +216,5 @@ def draw_ring_samples(
     stream; a -1 row has an empty ring and, like m == 0, draws nothing."""
     supports = [alpha_distribution(idx, head).support for head in heads.tolist()]
     sizes = np.array([support.size for support in supports], dtype=np.int64)
-    out = np.full((len(supports), m), -1, dtype=np.int64)
-    full = np.flatnonzero(sizes)
-    if m and full.size:
-        picks = rng.integers(0, sizes[full, None], size=(full.size, m))
-        out[full] = np.concatenate(supports)[(np.cumsum(sizes) - sizes)[full, None] + picks]
-    return out
+    # the empty sizes[:0] keeps a batch of no heads concatenable
+    return _draw_segments(np.concatenate([*supports, sizes[:0]]), sizes, m, rng)

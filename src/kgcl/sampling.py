@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KnowledgeGraph, fact_keys
-from .graph import StructureIndex, _index_from_triples, draw_ring_samples, hop_table
+from .graph import StructureIndex, _draw_segments, _index_from_triples, draw_ring_samples, hop_table
 from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
@@ -167,12 +167,6 @@ class FalseNegReport:
     def total_sampled(self) -> dict[str, int]:
         return dict(zip(LABELS, self.histogram.sum(axis=1).tolist()))
 
-    def false_count(self, k: int) -> int:
-        for row_k, _, count in self.counts:
-            if row_k == k:
-                return count
-        raise KeyError(f"no row for K={k}")
-
     def _row(self, label: str) -> np.ndarray:
         if label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}, got {label!r}")
@@ -199,15 +193,9 @@ def draw_in_batch_negatives(tails: np.ndarray, k: int, rng: np.random.Generator)
     without the copies of tails[i], as rng.choice(pool, k) would, rows in
     order from one stream; a -1 row has an empty pool and draws nothing."""
     others = tails != tails[:, None]
-    sizes = np.count_nonzero(others, axis=1)
-    out = np.full((tails.size, k), -1, dtype=np.int64)
-    full = np.flatnonzero(sizes)
-    if k and full.size:
-        picks = rng.integers(0, sizes[full, None], size=(full.size, k))
-        # every row's pool in batch order, rows one after another
-        pools = np.broadcast_to(tails, others.shape)[others]
-        out[full] = pools[(np.cumsum(sizes) - sizes)[full, None] + picks]
-    return out
+    # every row's pool in batch order, rows one after another
+    pools = np.broadcast_to(tails, others.shape)[others]
+    return _draw_segments(pools, np.count_nonzero(others, axis=1), k, rng)
 
 
 def draw_softmax_negatives(

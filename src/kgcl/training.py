@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if not 0.0 <= self.weight_decay < 1.0:
             raise ValueError(f"weight_decay must lie in [0, 1), got {self.weight_decay}")
         if self.eval_every < 0:

@@ -4,16 +4,17 @@ that only tests or demos reach is dead weight; move it under tests/ or
 delete it.
 
 Uses are matched by bare name (a loaded name or attribute, an imported name,
-or a string naming it, as the benchmark's hooks do), so two definitions that
-share a name share their uses. The check can miss a dead name that way, but
-never flags a used one."""
+or, under perfbench/ only, a string naming it, as the benchmark's hooks do),
+so two definitions that share a name share their uses. The check can miss a
+dead name that way, but never flags a used one. A string in the package is
+data, such as a CSV header, and names no function."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kgcl"
-PRODUCT_PATHS = [PACKAGE, ROOT / "perfbench"]
+BENCHMARK = ROOT / "perfbench"
 
 # documented library API that no product path calls
 ALLOWED = {
@@ -43,7 +44,9 @@ def public_definitions(path: Path) -> dict[str, str]:
     return found
 
 
-def used_names(path: Path) -> set[str]:
+def used_names(path: Path, strings: bool) -> set[str]:
+    """Bare names the module loads or imports, and, when strings is set, its
+    string constants."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -52,7 +55,7 @@ def used_names(path: Path) -> set[str]:
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     return used
 
@@ -62,7 +65,10 @@ def test_every_public_name_has_a_product_caller():
     for path in sorted(PACKAGE.glob("*.py")):
         defined.update(public_definitions(path))
     assert {"data.KnowledgeGraph", "data.KnowledgeGraph.split"} <= set(defined)
-    used = set().union(*(used_names(p) for root in PRODUCT_PATHS for p in root.glob("*.py")))
+    used = set().union(
+        *(used_names(p, strings=False) for p in PACKAGE.glob("*.py")),
+        *(used_names(p, strings=True) for p in BENCHMARK.glob("*.py")),
+    )
     dead = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
     assert not dead, f"public names with no caller in src/kgcl or perfbench: {dead}"
     stale = sorted(q for q in ALLOWED if q not in defined)

@@ -148,17 +148,25 @@ def test_gen_synthetic_writes_all_three_splits(tmp_path, capsys):
     assert info["counts"]["train"] > 0
 
 
-def test_a_nan_learning_rate_exits_2_and_writes_no_file(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, name", [
+    ("--lr", "nan", "learning_rate"),
+    ("--init-scale", "nan", "init_scale"),
+    ("--init-scale", "-0.05", "init_scale"),
+])
+def test_a_bad_learning_rate_or_init_scale_exits_2_and_writes_no_file(
+    tmp_path, capsys, flag, value, name
+):
     data, _ = gen_dataset(tmp_path, capsys)
     run = tmp_path / "run"
     code = main(["train", "--train", str(data / "train.tsv"),
                  "--valid", str(data / "valid.tsv"),
                  "--test", str(data / "test.tsv"),
                  "--loss", "simple", "--aggregator", "sum", "--dim", "8",
-                 "--epochs", "2", "--lr", "nan", "--batch-size", "8",
+                 "--epochs", "2", "--batch-size", "8", flag, value,
                  "--out-dir", str(run)])
     assert code == 2
-    assert "learning_rate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and name in err and "Traceback" not in err
     assert not run.exists()
 
 

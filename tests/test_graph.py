@@ -128,9 +128,9 @@ def test_hop_table_one_source_per_block_matches_one_block(monkeypatch):
         idx = _index_from_triples(random_triples(rng, n, int(rng.integers(1, 2 * n))), n)
         sources = rng.integers(0, n, size=int(rng.integers(1, 30)))
         cap = int(rng.integers(0, 6))
-        monkeypatch.setattr(kgcl.graph, "HOP_TABLE_CHUNK", sources.size)
+        monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", sources.size * n)
         whole_keys, whole_hops = hop_table(idx, sources, cap)
-        monkeypatch.setattr(kgcl.graph, "HOP_TABLE_CHUNK", 1)
+        monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 1)
         keys, hops = hop_table(idx, sources, cap)
         np.testing.assert_array_equal(keys, whole_keys)
         np.testing.assert_array_equal(hops, whole_hops)
@@ -166,9 +166,9 @@ def test_two_hop_neighborhoods_match_distance_slices():
 @pytest.mark.parametrize("rows", ["one", "all"])
 def test_ring_table_matches_a_bfs_per_head(monkeypatch, rows):
     """Every head's slice of the ring table equals the per-head BFS oracle,
-    built one source per block (with second-hop pieces of about one step)
-    and with every source in one block. The graphs have isolated heads,
-    self-loops, and duplicate and reversed edges."""
+    built one source per block (with second-hop pieces of at most N steps
+    plus one degree) and with every source in one block. The graphs have
+    isolated heads, self-loops, and duplicate and reversed edges."""
     rng = np.random.default_rng(109)
     for _ in range(20):
         n = int(rng.integers(1, 40))
@@ -176,7 +176,7 @@ def test_ring_table_matches_a_bfs_per_head(monkeypatch, rows):
         triples = random_triples(rng, linked, int(rng.integers(0, 3 * linked)))
         triples = np.concatenate([triples, triples[:, ::-1], triples[: triples.shape[0] // 2]])
         idx = _index_from_triples(triples, n)
-        monkeypatch.setattr(kgcl.graph, "RING_BLOCK_CELLS", 1 if rows == "one" else n * (n + 1))
+        monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 1 if rows == "one" else n * (n + 1))
         indptr, indices = idx.rings
         assert indptr.dtype == np.int64 and indices.dtype == np.min_scalar_type(n - 1)
         assert not indptr.flags.writeable and not indices.flags.writeable
@@ -203,27 +203,60 @@ def test_the_ring_table_is_built_on_the_first_lookup_only():
     assert idx.rings is table
 
 
-def test_the_ring_build_holds_the_table_and_one_block(monkeypatch):
-    """On a graph with hubs, the traced peak of the build is at most the
-    table plus one block: RING_BLOCK_CELLS cells, and a walk of at most
-    RING_BLOCK_CELLS steps plus one entity's degree, five int64s a step. A
-    build that kept a second copy of the table would fail that bound."""
+def hub_index():
+    """A 3,000-entity graph of 20,000 edges whose ends are drawn Zipf(0.9),
+    so the low ids are hubs."""
     n, edges = 3000, 20000
     rng = np.random.default_rng(113)
     weights = np.arange(1, n + 1) ** -0.9
     ends = rng.choice(n, size=(edges, 2), p=weights / weights.sum())
-    idx = _index_from_triples(triple_rows(*[(h, 0, t) for h, t in ends.tolist()]), n)
-    monkeypatch.setattr(kgcl.graph, "RING_BLOCK_CELLS", 4096)
+    return _index_from_triples(triple_rows(*[(h, 0, t) for h, t in ends.tolist()]), n)
+
+
+def traced_peak(call):
+    """call() and the peak of its traced allocations."""
     tracemalloc.start()
     try:
-        indptr, indices = idx.rings
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def one_block_bytes(n):
+    """The bytes one hop block may hold at HOP_BLOCK_CELLS = 4096: its cells,
+    and a walk of at most 4096 steps plus one entity's degree (< n), five
+    int64s a step."""
+    return 4096 + 5 * 8 * (4096 + n)
+
+
+def test_the_ring_build_holds_the_table_and_one_block(monkeypatch):
+    """On a graph with hubs, the traced peak of the build is at most the
+    table plus one block. A build that kept a second copy of the table
+    would fail that bound."""
+    idx = hub_index()
+    monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 4096)
+    (indptr, indices), peak = traced_peak(lambda: idx.rings)
     table = indptr.nbytes + indices.nbytes
-    block = 4096 + 5 * 8 * (4096 + n)
+    block = one_block_bytes(idx.entity_count)
     assert table > 10 * block  # the bound is tight enough to see a second table
     assert peak <= table + block
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_hop_table_from_hubs_holds_its_output_and_one_block(monkeypatch, cap):
+    """hop_table from the eight hubs of that graph peaks at no more than its
+    output plus one block, where a walk of a whole depth from the hubs'
+    frontier at once would fail that bound, and the table walked in those
+    pieces equals the table walked in one block."""
+    idx = hub_index()
+    whole_keys, whole_hops = hop_table(idx, np.arange(8), cap)
+    monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 4096)
+    (keys, hops), peak = traced_peak(lambda: hop_table(idx, np.arange(8), cap))
+    assert peak <= keys.nbytes + hops.nbytes + one_block_bytes(idx.entity_count)
+    np.testing.assert_array_equal(keys, whole_keys)
+    np.testing.assert_array_equal(hops, whole_hops)
+    assert hops.dtype == whole_hops.dtype == np.int8
 
 
 def test_a_dropped_index_is_freed_without_the_cycle_collector():

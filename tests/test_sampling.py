@@ -472,10 +472,6 @@ def cap3_report(true_row, false_row):
 
 def test_report_arithmetic():
     report = cap3_report(true_row=[0, 0, 5, 5], false_row=[0, 6, 0, 2])
-    assert report.false_count(7) == 4
-    assert report.false_count(15) == 9
-    with pytest.raises(KeyError):
-        report.false_count(31)
     assert report.total_sampled == {"true": 10, "false": 8}
     np.testing.assert_allclose(report.mean_distance("false"), (6 * 1 + 2 * 3) / 8.0)
     np.testing.assert_allclose(report.mean_distance("true"), (5 * 2 + 5 * 3) / 10.0)
@@ -536,7 +532,7 @@ def test_experiment_labels_hidden_facts_as_false():
         k_values=[5], seed=seed)
     # retained batch tails are {b, d}: the (a, r, b) triple can only draw d,
     # which is the hidden fact, and (c, r, d) can only draw b, which is not
-    assert report.false_count(5) == 5
+    assert report.counts == [(5, "simple", 5)]
     assert report.total_sampled == {"false": 5, "true": 5}
     # the retained graph has edges a-b and c-d only, so both sampled
     # entities are unreachable from the query head
@@ -679,8 +675,7 @@ def test_experiment_validates_inputs():
 
 
 def test_experiment_rejects_duplicate_k_values():
-    # two rows for one K used to report contradictory counts, and
-    # false_count(K) returned the first
+    # two rows for one K used to report contradictory counts
     kg = chain_kg(12)
     with pytest.raises(ValueError, match="distinct"):
         run_false_negative_experiment(kg, 0.3, "simple", None, [7, 7], seed=0)

@@ -165,6 +165,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
     TrainConfig(learning_rate=0.0)
+    for scale in (-0.05, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="init_scale"):
+            TrainConfig(init_scale=scale)
+    TrainConfig(init_scale=0.0)
     for decay in (-1e-4, 1.0, 2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="weight_decay"):
             TrainConfig(weight_decay=decay)

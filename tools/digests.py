@@ -7,7 +7,11 @@ Run from the root of a checkout; kgcl is imported from its src/ directory
 and the workloads from perfbench/workloads.py, unchanged. For each workload
 and seed it runs one repetition, as the benchmark does, and prints one line:
 the checkpoint digest, the validation MR, a SHA-256 of the step losses
-(their float64 bytes) and the false-negative counts. BLAS is pinned to one
+(their float64 bytes), the false-negative counts, and a SHA-256 of the hop
+walk's outputs: a train workload's ring table (idx.rings), or the distance
+histograms of the analyze workload's two studies, which the tool runs again
+from the workload's own fields on a model trained again from its seed;
+these two cover their arrays' dtypes and bytes. BLAS is pinned to one
 thread, as in the benchmark, before numpy is imported.
 """
 
@@ -27,7 +31,30 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import kgcl  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, AnalyzeWorkload  # noqa: E402
+
+
+def sha256(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.dtype.str.encode() + array.tobytes())
+    return digest.hexdigest()
+
+
+def walk_outputs(workload, state) -> str:
+    if not isinstance(workload, AnalyzeWorkload):
+        _, idx, _ = state
+        return f"rings={sha256(*idx.rings)}"
+    kg, retain, cfg = state
+    model = kgcl.training.train(cfg, kg.replace_train(retain)).model
+    reports = [
+        kgcl.sampling.run_false_negative_experiment(
+            kg, workload.removal_fraction, sampler, model, list(workload.k_values), cfg.seed,
+            distance_cap=workload.distance_cap, max_triples=workload.max_triples,
+        )
+        for sampler in ("simple", "hard")
+    ]
+    return f"histograms={sha256(*(report.histogram for report in reports))}"
 
 
 def outputs(workload, seed: int, scratch_dir: str) -> str:
@@ -35,7 +62,8 @@ def outputs(workload, seed: int, scratch_dir: str) -> str:
     out = workload.run(kgcl, state, scratch_dir)
     losses = hashlib.sha256(np.array(out.step_losses, dtype=np.float64).tobytes()).hexdigest()
     return (f"{workload.name} seed={seed} digest={out.digest} mr={out.mr!r} "
-            f"losses={losses} false_counts={list(out.false_counts)}")
+            f"losses={losses} false_counts={list(out.false_counts)} "
+            f"{walk_outputs(workload, state)}")
 
 
 def main() -> None:
