@@ -28,10 +28,6 @@ from .training import TrainConfig, sweep_tau, train, write_sweep_csv
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
-
-
 def _default_workers() -> int:
     raw = os.environ.get("KGE_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -55,13 +51,6 @@ def _coerce(name: str, raw: str, path: str):
         return int(raw)
     if kind in ("float", float):
         return float(raw)
-    if kind in ("bool", bool):
-        lowered = raw.lower()
-        if lowered in _BOOL_TRUE:
-            return True
-        if lowered in _BOOL_FALSE:
-            return False
-        raise ValueError(f"{path}: cannot read {raw!r} as a boolean for {name!r}")
     return raw
 
 
@@ -112,13 +101,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m-structure", dest="m_structure", type=int)
     parser.add_argument("--debias-variant", dest="debias_variant", choices=DEBIAS_VARIANTS)
     parser.add_argument("--floor-epsilon", dest="floor_epsilon", type=float)
-    parser.add_argument(
-        "--self-normalized",
-        dest="self_normalized",
-        action="store_const",
-        const=True,
-        help="hard mode only: use the ratio-form negative mass",
-    )
     parser.add_argument("--hard-k", dest="hard_k", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--init-scale", dest="init_scale", type=float)

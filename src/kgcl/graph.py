@@ -73,23 +73,11 @@ def build_structure_index(kg: KnowledgeGraph) -> StructureIndex:
 
 
 def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, int]:
-    """BFS level sets: every entity at distance <= cap from source, mapped to
-    its exact distance. The source itself is included at distance 0."""
+    """Every entity at distance <= cap from source, mapped to its exact
+    distance, the source itself at 0: hop_table's row for one source."""
     idx._check_entity(source)
-    dist = {source: 0}
-    frontier = [source]
-    depth = 0
-    indptr, indices = idx.indptr, idx.indices
-    while frontier and depth < cap:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            for nb in indices[indptr[node] : indptr[node + 1]].tolist():
-                if nb not in dist:
-                    dist[nb] = depth
-                    nxt.append(nb)
-        frontier = nxt
-    return dist
+    keys, hops = hop_table(idx, np.array([source]), cap)
+    return dict(zip(keys.tolist(), hops.tolist()))
 
 
 def _walk(idx: StructureIndex, rows: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -14,6 +14,7 @@ sparse per-row accumulators for the tables and dense accumulators for the
 aggregator parameters; the optimizer consumes the coalesced rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,43 @@ def aggregator_param_shapes(kind: str, dim: int) -> list[tuple[str, tuple[int, .
     raise ValueError(f"unknown aggregator kind {kind!r}, expected one of {AGGREGATOR_KINDS}")
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes: list[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
+    """{name: view of the next prod(shape) entries of flat}, in order; the
+    shapes must cover flat exactly."""
+    views, offset = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    if offset != flat.size:
+        raise ValueError(f"the parameter shapes hold {offset} values, not {flat.size}")
+    return views
+
+
+def _aggregator_size(kind: str, dim: int) -> int:
+    return sum(math.prod(shape) for _, shape in aggregator_param_shapes(kind, dim))
+
+
 class EmbeddingModel:
-    entity_table: np.ndarray
-    relation_table: np.ndarray
-    kind: str
-    aggregator: dict[str, np.ndarray]
+    """Every parameter lives in one float64 vector, params, in checkpoint
+    order: the entity rows, the relation rows, then the aggregator
+    parameters in aggregator_param_shapes order. tables is its
+    (N + R) x dim row block; entity_table and relation_table are the two
+    parts of tables, and aggregator[name] the rest, all views of params."""
+
+    def __init__(self, params: np.ndarray, num_entities: int, num_relations: int, dim: int,
+                 kind: str):
+        rows = num_entities + num_relations
+        self.params = params
+        self.kind = kind
+        self.tables = params[: rows * dim].reshape(rows, dim)
+        self.entity_table = self.tables[:num_entities]
+        self.relation_table = self.tables[num_entities:]
+        self.aggregator = _views(params[rows * dim :], aggregator_param_shapes(kind, dim))
 
     @property
     def dim(self) -> int:
-        return self.entity_table.shape[1]
+        return self.tables.shape[1]
 
     def num_entities(self) -> int:
         return self.entity_table.shape[0]
@@ -60,12 +88,8 @@ class EmbeddingModel:
         return self.relation_table.shape[0]
 
     def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            entity_table=self.entity_table.copy(),
-            relation_table=self.relation_table.copy(),
-            kind=self.kind,
-            aggregator={k: v.copy() for k, v in self.aggregator.items()},
-        )
+        return EmbeddingModel(self.params.copy(), self.num_entities(), self.num_relations(),
+                              self.dim, self.kind)
 
 
 def init_model(
@@ -76,17 +100,14 @@ def init_model(
     seed: int = 0,
     init_scale: float = 0.05,
 ) -> EmbeddingModel:
-    """Uniform(-init_scale, init_scale) initialization, drawn in a fixed
-    order (entities, relations, aggregator parameters) from one seeded
-    generator, so a seed pins the whole model."""
+    """Uniform(-init_scale, init_scale) initialization of params, drawn in
+    checkpoint order from one seeded generator, so a seed pins the whole
+    model."""
     if num_entities < 1 or num_relations < 1 or dim < 1:
         raise ValueError("num_entities, num_relations and dim must all be >= 1")
-    shapes = aggregator_param_shapes(kind, dim)
-    rng = np.random.default_rng(seed)
-    entity = rng.uniform(-init_scale, init_scale, size=(num_entities, dim))
-    relation = rng.uniform(-init_scale, init_scale, size=(num_relations, dim))
-    agg = {name: rng.uniform(-init_scale, init_scale, size=shape) for name, shape in shapes}
-    return EmbeddingModel(entity_table=entity, relation_table=relation, kind=kind, aggregator=agg)
+    size = (num_entities + num_relations) * dim + _aggregator_size(kind, dim)
+    params = np.random.default_rng(seed).uniform(-init_scale, init_scale, size=size)
+    return EmbeddingModel(params, num_entities, num_relations, dim, kind)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -196,9 +217,10 @@ class GradientTape:
         self._entity_grads: list[np.ndarray] = []
         self._relation_ids: list[np.ndarray] = []
         self._relation_grads: list[np.ndarray] = []
-        self.aggregator: dict[str, np.ndarray] = {
-            name: np.zeros_like(arr) for name, arr in model.aggregator.items()
-        }
+        # the aggregator part of params' gradient, and its views by name
+        self.aggregator_grad = np.zeros(model.params.size - model.tables.size)
+        shapes = aggregator_param_shapes(model.kind, self._dim)
+        self.aggregator = _views(self.aggregator_grad, shapes)
 
     def add_entity(self, ids: np.ndarray, grads: np.ndarray) -> None:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
@@ -274,19 +296,16 @@ def backward(
 
 
 def save_checkpoint(model: EmbeddingModel, path: str) -> None:
-    """Write an ASCII header line followed by raw little-endian float64 rows:
-    entity table, relation table, then aggregator parameters in canonical
-    order."""
+    """Write an ASCII header line followed by params as raw little-endian
+    float64: entity table, relation table, then aggregator parameters in
+    canonical order."""
     header = (
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} "
         f"{model.num_entities()} {model.num_relations()} {model.dim} {model.kind}\n"
     )
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii"))
-        handle.write(np.ascontiguousarray(model.entity_table, dtype="<f8").tobytes())
-        handle.write(np.ascontiguousarray(model.relation_table, dtype="<f8").tobytes())
-        for name, _ in aggregator_param_shapes(model.kind, model.dim):
-            handle.write(np.ascontiguousarray(model.aggregator[name], dtype="<f8").tobytes())
+        handle.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path: str) -> EmbeddingModel:
@@ -297,26 +316,11 @@ def load_checkpoint(path: str) -> EmbeddingModel:
             raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} checkpoint")
         num_entities, num_relations, dim = int(parts[2]), int(parts[3]), int(parts[4])
         kind = parts[5]
-        shapes = aggregator_param_shapes(kind, dim)
+        expected = (num_entities + num_relations) * dim + _aggregator_size(kind, dim)
         payload = handle.read()
-    expected = (num_entities + num_relations) * dim
-    for _, shape in shapes:
-        expected += int(np.prod(shape))
     if len(payload) != expected * 8:
         raise ValueError(
             f"{path}: payload holds {len(payload) // 8} float64 values, expected {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        size = int(np.prod(shape))
-        block = flat[offset : offset + size].reshape(shape)
-        offset += size
-        return block.copy()
-
-    entity = take((num_entities, dim))
-    relation = take((num_relations, dim))
-    agg = {name: take(shape) for name, shape in shapes}
-    return EmbeddingModel(entity_table=entity, relation_table=relation, kind=kind, aggregator=agg)
+    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return EmbeddingModel(params, num_entities, num_relations, dim, kind)

@@ -48,7 +48,6 @@ class TrainConfig:
     m_structure: int = 8
     debias_variant: str = "eq7"
     floor_epsilon: float = 1e-6
-    self_normalized: bool = False
     hard_k: int = 3
     seed: int = 0
     init_scale: float = 0.05
@@ -93,19 +92,10 @@ class TrainConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.eval_candidates < 0:
             raise ValueError(f"eval_candidates must be >= 0, got {self.eval_candidates}")
-        if self.self_normalized and self.loss_mode != "hard":
-            raise ValueError(
-                f"self_normalized applies to the hard loss only, got loss_mode {self.loss_mode!r}"
-            )
         # delegate range checks for the loss knobs
         self.loss_config()
 
     def loss_config(self) -> LossConfig:
-        if self.self_normalized:
-            # the self-normalized estimator at tau 0 (the hard mode draws no
-            # structure samples) is the hard loss with the ratio-form
-            # negative mass
-            return LossConfig(tau=0.0, floor_epsilon=self.floor_epsilon, debias_variant="eq7")
         return LossConfig(
             tau=self.tau,
             floor_epsilon=self.floor_epsilon,
@@ -122,22 +112,18 @@ class TrainResult:
 
 
 class AdamState:
-    """Adam with dense moments per table and per aggregator parameter, and
-    one global step counter for bias correction. Updates are lazy: only the
-    rows a step touched get their moments, decay and step, so an untouched
-    row keeps its moments and its value. Weight decay is decoupled from the
-    gradient and from the learning rate: every touched row is shrunk by
-    (1 - weight_decay) before the Adam step, so a zero learning rate leaves
-    pure shrinkage."""
+    """Adam with one dense pair of moments shaped like the model's params,
+    and one global step counter for bias correction. Updates are lazy: only
+    the table rows a step touched get their moments, decay and step, so an
+    untouched row keeps its moments and its value; the aggregator part is
+    updated whole. Weight decay is decoupled from the gradient and from the
+    learning rate: every touched row is shrunk by (1 - weight_decay) before
+    the Adam step, so a zero learning rate leaves pure shrinkage."""
 
     def __init__(self, model: EmbeddingModel):
         self.step = 0
-        self.entity_m = np.zeros_like(model.entity_table)
-        self.entity_v = np.zeros_like(model.entity_table)
-        self.relation_m = np.zeros_like(model.relation_table)
-        self.relation_v = np.zeros_like(model.relation_table)
-        self.agg_m = {name: np.zeros_like(arr) for name, arr in model.aggregator.items()}
-        self.agg_v = {name: np.zeros_like(arr) for name, arr in model.aggregator.items()}
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
 
     def apply(self, model: EmbeddingModel, tape: GradientTape, lr: float, decay: float) -> None:
         self.step += 1
@@ -145,15 +131,15 @@ class AdamState:
         bc2 = 1.0 - ADAM_BETA2**self.step
         ent_ids, ent_grads = tape.entity_rows()
         rel_ids, rel_grads = tape.relation_rows()
+        cut, shape = model.tables.size, model.tables.shape
         # (parameter, first moment, second moment, rows, gradient of those
-        # rows); the rows ... select a whole aggregator parameter
+        # rows): the touched rows of tables, where relation r is row N + r,
+        # then the whole aggregator part
         groups = [
-            (model.entity_table, self.entity_m, self.entity_v, ent_ids, ent_grads),
-            (model.relation_table, self.relation_m, self.relation_v, rel_ids, rel_grads),
-        ]
-        groups += [
-            (model.aggregator[name], self.agg_m[name], self.agg_v[name], ..., g)
-            for name, g in tape.aggregator.items()
+            (model.tables, self.m[:cut].reshape(shape), self.v[:cut].reshape(shape),
+             np.concatenate([ent_ids, rel_ids + model.num_entities()]),
+             np.concatenate([ent_grads, rel_grads])),
+            (model.params[cut:], self.m[cut:], self.v[cut:], ..., tape.aggregator_grad),
         ]
         for param, m, v, rows, g in groups:
             m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
@@ -169,8 +155,6 @@ def _loss_step(cfg: TrainConfig, batch, negatives, model, tape):
     if cfg.loss_mode == "simple":
         return simple_infonce(batch, negatives, model, tape)
     if cfg.loss_mode == "hard":
-        if cfg.self_normalized:
-            return hasa_loss(batch, negatives, model, cfg.loss_config(), tape)
         return hard_infonce(batch, negatives, model, tape)
     if cfg.loss_mode == "hasa":
         return hasa_loss(batch, negatives, model, cfg.loss_config(), tape)
@@ -323,9 +307,12 @@ def sweep_tau(
     if not tau_values:
         raise ValueError("the tau sweep needs at least one tau value")
     # every config is built, and so validated, before the first run writes
+    names = [f"tau_{tau:g}" for tau in tau_values]
+    if len(set(names)) < len(names):
+        raise ValueError(f"the taus {tau_values} give two runs one directory name tau_<tau:g>")
     run_cfgs = [
-        replace(cfg, tau=tau, out_dir=cfg.out_dir and os.path.join(cfg.out_dir, f"tau_{tau:g}"))
-        for tau in tau_values
+        replace(cfg, tau=tau, out_dir=cfg.out_dir and os.path.join(cfg.out_dir, name))
+        for tau, name in zip(tau_values, names)
     ]
     if idx is None:
         idx = build_structure_index(kg)

@@ -1,10 +1,12 @@
 """Finite-difference gradient checking shared by the test modules.
 
-The checker flattens every trainable array of a model (entity table,
-relation table, aggregator parameters) into one vector, evaluates the loss
-as a scalar function of that vector, and compares analytic tape gradients
-against central differences on a sampled subset of coordinates. Relative
-error is measured on the sampled sub-vector:
+The checker evaluates the loss as a scalar function of model.params, the
+one vector that every table row and aggregator parameter is a view of,
+perturbing its coordinates in place; a part of the model that stopped being
+a view of params would not see the perturbation and would show up as a
+mismatch. Analytic tape gradients are compared against central differences
+on a sampled subset of coordinates. Relative error is measured on the
+sampled sub-vector:
 
     err = |analytic - numeric| / max(|analytic|, |numeric|, floor)
 
@@ -13,47 +15,21 @@ with the norms taken over the sampled coordinates only.
 
 import numpy as np
 
-from kgcl.model import GradientTape, aggregator_param_shapes
+from kgcl.model import GradientTape
 
 FD_STEP = 1e-5
 
 
-def flatten_model(model):
-    """Concatenate entity table, relation table and aggregator parameters
-    into one float vector, in a fixed order."""
-    parts = [model.entity_table.ravel(), model.relation_table.ravel()]
-    for name, _ in aggregator_param_shapes(model.kind, model.dim):
-        parts.append(model.aggregator[name].ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def unflatten_into(model, flat):
-    """Write a flat vector produced by flatten_model back into the model."""
-    n_e = model.entity_table.size
-    n_r = model.relation_table.size
-    model.entity_table[...] = flat[:n_e].reshape(model.entity_table.shape)
-    model.relation_table[...] = flat[n_e : n_e + n_r].reshape(model.relation_table.shape)
-    offset = n_e + n_r
-    for name, shape in aggregator_param_shapes(model.kind, model.dim):
-        size = int(np.prod(shape)) if shape else 1
-        model.aggregator[name][...] = flat[offset : offset + size].reshape(shape)
-        offset += size
-
-
 def tape_to_flat(model, tape):
-    """Expand a sparse GradientTape into the flatten_model layout."""
-    grad_e = np.zeros_like(model.entity_table)
-    ids, grads = tape.entity_rows()
-    if ids.size:
-        grad_e[ids] = grads
-    grad_r = np.zeros_like(model.relation_table)
-    ids, grads = tape.relation_rows()
-    if ids.size:
-        grad_r[ids] = grads
-    parts = [grad_e.ravel(), grad_r.ravel()]
-    for name, _ in aggregator_param_shapes(model.kind, model.dim):
-        parts.append(np.asarray(tape.aggregator[name]).ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """Expand a sparse GradientTape into the layout of model.params, where
+    relation r is row N + r of the tables."""
+    flat = np.zeros_like(model.params)
+    tables = flat[: model.tables.size].reshape(model.tables.shape)
+    for offset, (ids, grads) in ((0, tape.entity_rows()),
+                                 (model.num_entities(), tape.relation_rows())):
+        tables[ids + offset] = grads
+    flat[model.tables.size :] = tape.aggregator_grad
+    return flat
 
 
 def sample_coordinates(rng, total, count):
@@ -73,20 +49,17 @@ def loss_grad_rel_err(loss_fn, model, rng, coord_count=120, step=FD_STEP):
     base = loss_fn(model, tape)
     assert np.isfinite(base)
     analytic = tape_to_flat(model, tape)
-    flat = flatten_model(model)
+    flat = model.params
     coords = sample_coordinates(rng, flat.size, coord_count)
     numeric = np.zeros(coords.size)
     for slot, c in enumerate(coords):
         saved = flat[c]
         flat[c] = saved + step
-        unflatten_into(model, flat)
         up = loss_fn(model, None)
         flat[c] = saved - step
-        unflatten_into(model, flat)
         down = loss_fn(model, None)
         flat[c] = saved
         numeric[slot] = (up - down) / (2.0 * step)
-    unflatten_into(model, flat)
     a = analytic[coords]
     diff = np.linalg.norm(a - numeric)
     denom = max(np.linalg.norm(a), np.linalg.norm(numeric), 1e-8)

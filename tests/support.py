@@ -1,8 +1,9 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
-of the logistic function, a per-head oracle of the 1-/2-hop ring, the
-contrastive core's earlier batched form, and a tiny cycle graph.
+of the logistic function, a dict BFS and the per-head 1-/2-hop ring read
+from it, the contrastive core's earlier batched form, a model built from
+its parts, and a tiny cycle graph.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -13,18 +14,19 @@ rank for rank. The logistic oracle is the two-branch form with masked
 stores, so it checks model._sigmoid bit for bit. The core oracle allocates
 a fresh array at every step (np.where copies, boolean column indexing,
 concatenated score and gradient blocks), so it checks the library's one
-cell buffer, written in place, bit for bit. The ring oracle runs one dict
-BFS per head, so it checks the ring table's blocked two-hop walk id for
-id."""
+cell buffer, written in place, bit for bit. The BFS oracle walks one
+source level by level through Python dicts, so it checks the package's
+blocked hop walk (the ring table, hop_table and distances_within) id for
+id and hop for hop."""
 
 import math
 
 import numpy as np
 
 from kgcl.data import KnowledgeGraph
-from kgcl.graph import StructureIndex, distances_within
+from kgcl.graph import StructureIndex
 from kgcl.losses import _LOWEST, LossValue, _mean_exp, _term
-from kgcl.model import aggregate_batch, backward
+from kgcl.model import EmbeddingModel, aggregate_batch, backward
 
 
 def triple_rows(*triples) -> np.ndarray:
@@ -81,10 +83,30 @@ def rank_from_scores(gold_score: float, other_scores: np.ndarray) -> int:
     return 1 + above + (ties + 1) // 2
 
 
+def bfs_distances(idx: StructureIndex, source: int, cap: int) -> dict[int, int]:
+    """{entity: its distance from source} for every entity within cap hops,
+    the source at 0: one breadth-first search over the index's CSR, level by
+    level through Python dicts and lists."""
+    dist = {source: 0}
+    frontier = [source]
+    depth = 0
+    indptr, indices = idx.indptr, idx.indices
+    while frontier and depth < cap:
+        depth += 1
+        nxt = []
+        for node in frontier:
+            for nb in indices[indptr[node] : indptr[node + 1]].tolist():
+                if nb not in dist:
+                    dist[nb] = depth
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
 def ring_oracle(idx: StructureIndex, head: int) -> np.ndarray:
     """The sorted int64 ids at distance 1 or 2 from head: the distance-1 and
     distance-2 slices of one BFS capped at 2."""
-    dist = distances_within(idx, head, 2)
+    dist = bfs_distances(idx, head, 2)
     return np.array(sorted(node for node, d in dist.items() if d > 0), dtype=np.int64)
 
 
@@ -223,6 +245,18 @@ def grad_row(rows: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:
     ids, grads = rows
     hit = np.flatnonzero(ids == row)
     return grads[hit[0]] if hit.size else np.zeros(grads.shape[1])
+
+
+def sum_model(entity_rows, relation_rows=None, num_relations=1) -> EmbeddingModel:
+    """A sum-aggregator model over copies of the given rows; without
+    relation rows, num_relations zero rows, so the query of (h, r) is
+    exactly the entity row of h."""
+    entity = np.asarray(entity_rows, dtype=np.float64)
+    if relation_rows is None:
+        relation_rows = np.zeros((num_relations, entity.shape[1]))
+    relation = np.asarray(relation_rows, dtype=np.float64)
+    params = np.concatenate([entity.ravel(), relation.ravel()])
+    return EmbeddingModel(params, len(entity), len(relation), entity.shape[1], "sum")
 
 
 def toy_cycle_kg(ring_size: int = 6) -> KnowledgeGraph:

@@ -27,6 +27,7 @@ from fdcheck import loss_grad_rel_err
 from kgcl.data import KnowledgeGraph, load_dataset
 from kgcl.evaluation import evaluate, metrics_from_ranks
 from kgcl.graph import (
+    _index_from_triples,
     alpha_distribution,
     build_structure_index,
     distances_within,
@@ -42,7 +43,7 @@ from kgcl.losses import (
     hasa_plus_loss,
     simple_infonce,
 )
-from kgcl.model import EmbeddingModel, GradientTape, init_model
+from kgcl.model import GradientTape, init_model
 from kgcl.sampling import (
     NegativeSampleBatch,
     draw_in_batch_negatives,
@@ -52,7 +53,7 @@ from kgcl.sampling import (
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from kgcl.training import TrainConfig, sweep_tau, train
-from support import grad_row, known_tails, query, toy_cycle_kg, triple_rows
+from support import grad_row, known_tails, query, sum_model, toy_cycle_kg, triple_rows
 
 WN18RR_DIR = os.environ.get("KGCL_WN18RR_DIR", "")
 
@@ -91,13 +92,6 @@ def random_instance(rng, kind, dim, n_entities, n_relations=3, n_triples=3,
         structs.append(rng.integers(n_entities, size=m_struct))
         ctxs.append(np.array([j for j in range(n_triples) if j != i]))
     return model, triple_rows(*triples), neg_batch(negs, structs, ctxs)
-
-
-def sum_model(entity_rows, num_relations=1):
-    table = np.asarray(entity_rows, dtype=np.float64)
-    relations = np.zeros((num_relations, table.shape[1]))
-    return EmbeddingModel(entity_table=table, relation_table=relations,
-                          kind="sum", aggregator={})
 
 
 def total_variation(empirical: dict, exact: dict) -> float:
@@ -271,11 +265,13 @@ def random_graph_kg(rng, n, n_edges):
 def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
     """On 50 random undirected graphs of up to 50 nodes, capped
     breadth-first distances equal an independently coded Floyd-Warshall
-    exactly: one source at a time (distances_within), and every source at
-    once at every cap from 1 to n (hop_table, which the false-negative
-    study reads). The 1-/2-hop ring that training's structure draws use
-    (the support of alpha_distribution, a row of the index's ring table)
-    equals the distance-1 and distance-2 slices of that matrix."""
+    exactly: one source at a time (distances_within, hop_table's row for
+    that source), and every source at once at every cap from 1 to n
+    (hop_table, which the false-negative study reads), so the package's one
+    hop walk is checked from each source alone and from all together. The
+    1-/2-hop ring that training's structure draws use (the support of
+    alpha_distribution, a row of the index's ring table) equals the
+    distance-1 and distance-2 slices of that matrix."""
     started = time.monotonic()
     rng = np.random.default_rng(404)
     for trial in range(50):
@@ -508,45 +504,53 @@ def test_wn18rr_shows_the_same_false_negative_pattern():
     assert time.monotonic() - started < 300.0
 
 
-def test_toy_graph_reaches_high_mrr_and_debiasing_keeps_pace_with_hard():
+# Guarantee 8's tau, seeds and margins, chosen from a sweep of seeds 0-47
+# and 100-147 (each seed its own graph): at tau 0.5 the gain over tau 0
+# holds on each of its twelve runs of eight seeds and the edge over the
+# control on ten.
+DEBIAS_TAU = 0.5
+DEBIAS_SEEDS = range(8)
+DEBIAS_MIN_WINS = 6
+DEBIAS_MIN_EDGE = 0.004
+
+
+def test_toy_graph_reaches_high_mrr_and_the_head_ring_debiases_best():
     """A memorizable two-ring graph trains to validation MRR >= 0.8 well
-    inside 200 epochs, and on a blocky benchmark the best tau of a small
-    sweep matches or beats the hard-negative baseline on the median of
-    three seeds (tau=0 reduces to that baseline exactly, so the sweep can
-    never fall below it)."""
+    inside 200 epochs. On blocky graphs, one per seed, the debiased loss
+    with the head's 1-/2-hop ring at DEBIAS_TAU beats the same loss at
+    tau 0 (the hard baseline) on at least DEBIAS_MIN_WINS of the eight
+    seeds, and beats a structure-blind control, whose ring around every
+    head is every other entity, by at least DEBIAS_MIN_EDGE MRR on the
+    median of the paired differences. At tau 0 the structure samples carry
+    no weight, so the real ring and the control write equal models."""
     started = time.monotonic()
     toy = train(TrainConfig(loss_mode="simple", aggregator="gru", dim=16,
                             batch_size=8, epochs=100, learning_rate=0.01,
                             weight_decay=0.0, seed=0), toy_cycle_kg())
     assert toy.final_valid.mrr >= 0.8
 
-    shared = dict(aggregator="sum", dim=16, batch_size=16, epochs=40,
+    shared = dict(loss_mode="hasa", aggregator="sum", dim=16, batch_size=16, epochs=40,
                   learning_rate=0.01, weight_decay=0.0, m_structure=8)
-    kgs = {}
-    for seed in (0, 1, 2):
-        spec = SyntheticKGSpec(block_count=4, entities_per_block=12,
-                               relation_count=2,
-                               intra_block_edge_probability=0.6,
-                               inter_block_edge_probability=0.02,
-                               missing_fraction=0.3, seed=seed)
-        kgs[seed] = generate_knowledge_graph(spec)
-    hard = [
-        train(TrainConfig(loss_mode="hard", self_normalized=True, seed=s,
-                          **shared), kgs[s]).final_valid.mrr
-        for s in (0, 1, 2)
-    ]
-    hard_median = statistics.median(hard)
-    tau_medians = {}
-    for tau in (0.0, 0.15, 0.3):
-        values = [
-            train(TrainConfig(loss_mode="hasa", tau=tau, seed=s, **shared),
-                  kgs[s]).final_valid.mrr
-            for s in (0, 1, 2)
-        ]
-        tau_medians[tau] = statistics.median(values)
-        if tau == 0.0:
-            assert values == hard, "tau=0 must reduce to the hard baseline"
-    assert max(tau_medians.values()) >= hard_median
+    gains, edges = [], []
+    for seed in DEBIAS_SEEDS:
+        kg = generate_knowledge_graph(SyntheticKGSpec(
+            block_count=4, entities_per_block=12, relation_count=2,
+            intra_block_edge_probability=0.6, inter_block_edge_probability=0.02,
+            missing_fraction=0.3, seed=seed))
+        n = kg.num_entities()
+        heads, tails = np.triu_indices(n, 1)
+        control = _index_from_triples(np.stack([heads, 0 * heads, tails], axis=1), n)
+        ring = build_structure_index(kg)
+        base, real, blind = (train(TrainConfig(tau=tau, seed=seed, **shared), kg, idx)
+                             for tau, idx in ((0.0, ring), (DEBIAS_TAU, ring),
+                                              (DEBIAS_TAU, control)))
+        if seed < 2:  # an exact identity: two graphs show it
+            blind_base = train(TrainConfig(tau=0.0, seed=seed, **shared), kg, control)
+            assert np.array_equal(base.model.params, blind_base.model.params)
+        gains.append(real.final_valid.mrr - base.final_valid.mrr)
+        edges.append(real.final_valid.mrr - blind.final_valid.mrr)
+    assert sum(gain > 0 for gain in gains) >= DEBIAS_MIN_WINS, gains
+    assert statistics.median(edges) >= DEBIAS_MIN_EDGE, edges
     assert time.monotonic() - started < 600.0
 
 

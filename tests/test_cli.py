@@ -25,13 +25,11 @@ def test_config_file_parses_types_and_comments(tmp_path):
 dim = 8
 learning_rate=0.5   # trailing comment
 loss_mode=hasa
-self_normalized=yes
 
 epochs=3
 """)
     values = read_config_file(path)
-    assert values == {"dim": 8, "learning_rate": 0.5, "loss_mode": "hasa",
-                      "self_normalized": True, "epochs": 3}
+    assert values == {"dim": 8, "learning_rate": 0.5, "loss_mode": "hasa", "epochs": 3}
 
 
 def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
@@ -46,10 +44,16 @@ def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
         read_config_file(path2)
     assert "expected key=value" in str(err.value)
 
-    path3 = write_config(tmp_path, "self_normalized=maybe\n")
-    with pytest.raises(ValueError) as err:
-        read_config_file(path3)
-    assert "boolean" in str(err.value)
+
+def test_train_has_no_self_normalized_flag_or_key(tmp_path, capsys):
+    """The hard loss with the ratio-form mass is hasa at tau 0 with eq7, so
+    no knob selects it: the flag and the config key both exit 2."""
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--self-normalized"])
+    assert err.value.code == 2
+    path = write_config(tmp_path, "self_normalized=yes\n")
+    assert main(["train", "--config", path]) == 2
+    assert "self_normalized" in capsys.readouterr().err
 
 
 def test_flags_override_config_file(tmp_path):
@@ -350,7 +354,7 @@ def test_sweep_tau_rejects_a_loss_that_is_not_debiased(tmp_path, capsys, source)
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("taus", ["0.1,1.5", "", ","])
+@pytest.mark.parametrize("taus", ["0.1,1.5", "", ",", "0.1,0.1", "1e-06,1.0000001e-06"])
 def test_sweep_tau_rejects_bad_taus_before_any_training(tmp_path, capsys, monkeypatch, taus):
     def no_training(*args, **kwargs):
         raise AssertionError("a sweep run started before every tau was checked")

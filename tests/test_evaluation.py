@@ -20,8 +20,8 @@ from kgcl.evaluation import (
     metrics_from_ranks,
     write_json,
 )
-from kgcl.model import EmbeddingModel, aggregate_batch, init_model
-from support import known_tails, query, rank_from_scores
+from kgcl.model import aggregate_batch, init_model
+from support import known_tails, query, rank_from_scores, sum_model
 
 
 def oracle_rank(gold_score, others):
@@ -144,10 +144,7 @@ def one_hot_model(num_entities, dim_pad=0, kind="sum"):
     """Entity i embeds to the i-th basis vector; the query of (h, r) is e_h
     because relations embed to zero. So score(h, t) = 1 when t == h."""
     dim = num_entities + dim_pad
-    entity = np.eye(num_entities, dim)
-    relation = np.zeros((1, dim))
-    return EmbeddingModel(entity_table=entity, relation_table=relation,
-                          kind="sum", aggregator={})
+    return sum_model(np.eye(num_entities, dim))
 
 
 def test_evaluate_counts_better_candidates():
@@ -331,9 +328,7 @@ def planted_model(kg, kind, rng, seed):
     multiples of 1/8, so scores are exact in any summation order."""
     n = kg.num_entities()
     if kind == "one_hot":
-        return EmbeddingModel(entity_table=np.eye(n),
-                              relation_table=np.zeros((kg.num_relations(), n)),
-                              kind="sum", aggregator={})
+        return sum_model(np.eye(n), num_relations=kg.num_relations())
     aggregator = ("sum", "gru", "mlp")[seed % 3] if kind == "random" else "sum"
     model = init_model(n, kg.num_relations(), 6, kind=aggregator, seed=seed, init_scale=0.8)
     if kind == "constant":

@@ -22,7 +22,7 @@ from kgcl.graph import (
     draw_ring_samples,
     hop_table,
 )
-from support import ring_oracle, triple_rows
+from support import bfs_distances, ring_oracle, triple_rows
 
 
 def floyd_warshall(n, undirected_edges):
@@ -103,6 +103,7 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
             assert not idx.neighbors(e).flags.writeable
         for src in range(n):
             got = distances_within(idx, src, n)
+            assert bfs_distances(idx, src, n) == got  # the tests' BFS oracle
             for target in range(n):
                 expect = oracle[src, target]
                 if math.isinf(expect):

@@ -27,11 +27,11 @@ from kgcl.losses import (
     hasa_plus_loss,
     simple_infonce,
 )
-from kgcl.model import EmbeddingModel, GradientTape, init_model
+from kgcl.model import GradientTape, init_model
 from kgcl.sampling import NegativeSampleBatch, assemble_training_negatives
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from kgcl.training import make_batches
-from support import contrastive_oracle, grad_row, query, triple_rows
+from support import contrastive_oracle, grad_row, query, sum_model, triple_rows
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +106,6 @@ def log_debiased_mass(neg_scores, structure_scores, cfg):
 
 # ---------------------------------------------------------------------------
 # instance construction helpers
-
-
-def sum_model(entity_rows, num_relations=1):
-    """A sum-aggregator model whose relation rows are zero, so the query of
-    (h, r) is exactly the entity row of h."""
-    table = np.asarray(entity_rows, dtype=np.float64)
-    rel = np.zeros((num_relations, table.shape[1]))
-    return EmbeddingModel(entity_table=table, relation_table=rel, kind="sum", aggregator={})
 
 
 def block(lists):

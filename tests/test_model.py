@@ -12,7 +12,7 @@ import pytest
 
 from fdcheck import loss_grad_rel_err
 from kgcl.model import (
-    EmbeddingModel,
+    AGGREGATOR_KINDS,
     GradientTape,
     _sigmoid,
     aggregate_batch,
@@ -22,7 +22,7 @@ from kgcl.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from support import grad_row, masked_sigmoid, query
+from support import grad_row, masked_sigmoid, query, sum_model
 
 
 def test_aggregator_param_shapes():
@@ -57,6 +57,41 @@ def test_model_copy_is_independent():
     b.aggregator["b"][0] += 1.0
     assert a.entity_table[0, 0] != b.entity_table[0, 0]
     assert a.aggregator["b"][0] != b.aggregator["b"][0]
+
+
+def test_init_model_draws_params_as_the_per_part_draws_did():
+    """One uniform draw over params gives the values that one draw per
+    table and per aggregator parameter, in checkpoint order, gave."""
+    for kind in AGGREGATOR_KINDS:
+        rng = np.random.default_rng(11)
+        parts = [rng.uniform(-0.1, 0.1, size=(6, 4)), rng.uniform(-0.1, 0.1, size=(2, 4))]
+        parts += [rng.uniform(-0.1, 0.1, size=shape)
+                  for _, shape in aggregator_param_shapes(kind, 4)]
+        model = init_model(6, 2, 4, kind=kind, seed=11, init_scale=0.1)
+        assert model.params.tobytes() == np.concatenate([p.ravel() for p in parts]).tobytes()
+
+
+def test_every_part_of_a_model_is_a_view_of_params(tmp_path):
+    """Models from init_model, copy() and load_checkpoint hold every table
+    and aggregator parameter as a view of params, in checkpoint order, and
+    a checkpoint's payload is params' bytes; a tape's aggregator gradients
+    are views of its aggregator_grad."""
+    for kind in AGGREGATOR_KINDS:
+        model = init_model(5, 2, 3, kind=kind, seed=7)
+        path = tmp_path / f"{kind}.kge"
+        save_checkpoint(model, str(path))
+        assert path.read_bytes().split(b"\n", 1)[1] == model.params.tobytes()
+        for m in (model, model.copy(), load_checkpoint(str(path))):
+            named = [m.aggregator[name] for name, _ in aggregator_param_shapes(kind, 3)]
+            assert all(np.shares_memory(part, m.params)
+                       for part in [m.tables, m.entity_table, m.relation_table, *named])
+            in_order = np.concatenate([p.ravel() for p in [m.entity_table, m.relation_table,
+                                                           *named]])
+            assert in_order.tobytes() == m.params.tobytes() == model.params.tobytes()
+        assert not np.shares_memory(model.copy().params, model.params)
+        tape = GradientTape(model)
+        assert all(np.shares_memory(g, tape.aggregator_grad) for g in tape.aggregator.values())
+        assert tape.aggregator_grad.size == model.params.size - model.tables.size
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +277,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 def test_checkpoint_byte_layout(tmp_path):
     entity = np.array([[1.0, 2.0], [3.0, 4.0]])
     relation = np.array([[5.0, 6.0]])
-    model = EmbeddingModel(entity_table=entity, relation_table=relation,
-                           kind="sum", aggregator={})
+    model = sum_model(entity, relation)
     path = tmp_path / "tiny.kge"
     save_checkpoint(model, str(path))
     raw = path.read_bytes()

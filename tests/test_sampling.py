@@ -14,7 +14,6 @@ from kgcl.graph import (
     _index_from_triples,
     alpha_distribution,
     build_structure_index,
-    distances_within,
 )
 from kgcl.model import aggregate_batch, init_model
 from kgcl.sampling import (
@@ -35,6 +34,7 @@ from kgcl.sampling import (
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from support import (
+    bfs_distances,
     hard_negative_softmax_sample,
     in_batch_negative_sample,
     query,
@@ -599,7 +599,7 @@ def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key
                 continue
             e_hr = query(model, head, relation)
             draws = hard_negative_softmax_sample(e_hr, cand, model, k, rng)
-        dist = distances_within(idx, head, cap - 1)
+        dist = bfs_distances(idx, head, cap - 1)
         for neg in draws.tolist():
             hidden = (head, relation, neg) in hidden_facts
             counts[LABELS.index("false" if hidden else "true"), dist.get(neg, cap)] += 1

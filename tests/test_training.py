@@ -14,6 +14,7 @@ import kgcl.training
 from kgcl.data import KnowledgeGraph, _write_replacing
 from kgcl.evaluation import write_json
 from kgcl.graph import build_structure_index
+from kgcl.losses import LossConfig
 from kgcl.model import GradientTape, init_model, load_checkpoint
 from kgcl.synthetic import SyntheticKGSpec, _write_tsv, generate_knowledge_graph
 from kgcl.training import (
@@ -121,6 +122,23 @@ def test_aggregator_parameters_follow_the_same_update():
     np.testing.assert_allclose(model.aggregator["b"], expected, rtol=1e-12)
 
 
+def test_adam_keeps_one_moment_pair_laid_out_as_params():
+    model = init_model(4, 2, 3, kind="mlp", seed=6)
+    state = AdamState(model)
+    assert set(vars(state)) == {"step", "m", "v"}
+    tape = GradientTape(model)
+    tape.add_entity(np.array([2]), np.ones((1, 3)))
+    tape.add_relation(np.array([1]), np.full((1, 3), 2.0))
+    tape.aggregator["b"] += 3.0
+    state.apply(model, tape, lr=0.01, decay=0.0)
+    g = np.zeros_like(model.params)
+    g[2 * 3 : 3 * 3] = 1.0  # entity 2
+    g[(4 + 1) * 3 : (4 + 2) * 3] = 2.0  # relation 1 is row N + 1
+    g[-3:] = 3.0  # the mlp's b closes params
+    np.testing.assert_array_equal(state.m, (1.0 - ADAM_BETA1) * g)
+    np.testing.assert_array_equal(state.v, (1.0 - ADAM_BETA2) * g * g)
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -158,9 +176,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="eval_candidates"):
         TrainConfig(eval_candidates=-5)
     TrainConfig(eval_candidates=0)
-    for mode in ("simple", "hasa", "hasa_plus"):
-        with pytest.raises(ValueError):
-            TrainConfig(loss_mode=mode, self_normalized=True)
     for lr in (-1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
@@ -177,14 +192,10 @@ def test_config_validation():
         TrainConfig(floor_epsilon=math.nan)
 
 
-def test_self_normalized_hard_mode_maps_to_ratio_estimator_config():
-    cfg = TrainConfig(loss_mode="hard", self_normalized=True, tau=0.5, m_structure=9)
-    lc = cfg.loss_config()
-    assert lc.tau == 0.0
-    assert lc.debias_variant == "eq7"
-    plain = TrainConfig(loss_mode="hasa", tau=0.5, m_structure=9, debias_variant="alg1")
-    assert plain.loss_config().tau == 0.5
-    assert plain.loss_config().debias_variant == "alg1"
+def test_loss_config_carries_the_loss_knobs():
+    cfg = TrainConfig(loss_mode="hasa", tau=0.5, m_structure=9, debias_variant="alg1",
+                      floor_epsilon=1e-3)
+    assert cfg.loss_config() == LossConfig(tau=0.5, floor_epsilon=1e-3, debias_variant="alg1")
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +260,6 @@ def test_hasa_at_tau_zero_alg1_trains_identically_to_hard():
         np.testing.assert_allclose(hasa.model.aggregator[key],
                                    hard.model.aggregator[key],
                                    rtol=1e-9, atol=1e-13)
-
-
-def test_hasa_at_tau_zero_eq7_matches_self_normalized_hard():
-    kg = chain_kg(12)
-    shared = dict(aggregator="mlp", dim=5, batch_size=4, epochs=3,
-                  learning_rate=0.01, weight_decay=1e-4, seed=9)
-    hard = train(TrainConfig(loss_mode="hard", self_normalized=True, **shared), kg)
-    hasa = train(TrainConfig(loss_mode="hasa", tau=0.0, m_structure=4,
-                             debias_variant="eq7", **shared), kg)
-    assert models_equal(hard.model, hasa.model)
 
 
 @pytest.mark.parametrize("mode", ["simple", "hard", "hasa", "hasa_plus"])
@@ -438,12 +439,11 @@ def test_the_ring_table_is_built_once_per_index_and_only_by_debiased_runs(monkey
     assert built == [idx]
 
 
-def test_sweep_tau_zero_row_matches_self_normalized_hard_metrics():
+def test_sweep_tau_zero_row_matches_a_hasa_run_at_tau_zero():
     kg = chain_kg(10)
-    shared = dict(aggregator="sum", dim=6, batch_size=4, epochs=2,
-                  learning_rate=0.05, weight_decay=0.0, seed=3)
-    rows = sweep_tau(TrainConfig(loss_mode="hasa", m_structure=2, **shared),
-                     [0.0], kg)
-    hard = train(TrainConfig(loss_mode="hard", self_normalized=True, **shared), kg)
-    assert rows[0]["mrr"] == hard.final_valid.mrr
-    assert rows[0]["mr"] == hard.final_valid.mr
+    cfg = TrainConfig(loss_mode="hasa", m_structure=2, aggregator="sum", dim=6, batch_size=4,
+                      epochs=2, learning_rate=0.05, weight_decay=0.0, seed=3)
+    rows = sweep_tau(cfg, [0.0], kg)
+    baseline = train(dataclasses.replace(cfg, tau=0.0), kg)
+    assert rows[0]["mrr"] == baseline.final_valid.mrr
+    assert rows[0]["mr"] == baseline.final_valid.mr
