@@ -37,8 +37,11 @@ kg = load_dataset(paths["train"], paths["valid"], paths["test"])
 print("entities:", kg.num_entities(), "relations:", kg.num_relations())
 print("train/valid/test shapes:", kg.train.shape, kg.valid.shape, kg.test.shape)
 
+# The vocabularies are dicts from name to id, in id order, so list() reads
+# the names back by id.
 head, relation, tail = kg.train[0].tolist()
-names = (kg.entities.token_of(head), kg.relations.token_of(relation), kg.entities.token_of(tail))
+entity_names, relation_names = list(kg.entities), list(kg.relations)
+names = (entity_names[head], relation_names[relation], entity_names[tail])
 print("first train triple:", names, "->", (head, relation, tail))
 
 _, tails = kg.tails_of(kg.known_facts, [head], [relation])

@@ -4,7 +4,6 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -19,46 +18,6 @@ class ParseError(ValueError):
     """A dataset file contains a line that is not three tab-separated fields."""
 
 
-class Vocabulary:
-    """Bijection between surface strings and dense integer ids.
-
-    Ids are assigned by first appearance, so the construction order fully
-    determines the mapping.
-    """
-
-    def __init__(self, tokens: Iterable[str] = ()):
-        self._tokens: list[str] = []
-        self._ids: dict[str, int] = {}
-        for token in tokens:
-            self.add(token)
-
-    def add(self, token: str) -> int:
-        idx = self._ids.get(token)
-        if idx is None:
-            idx = len(self._tokens)
-            self._tokens.append(token)
-            self._ids[token] = idx
-        return idx
-
-    def id_of(self, token: str) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise KeyError(f"unknown token {token!r}") from None
-
-    def token_of(self, idx: int) -> str:
-        return self._tokens[idx]
-
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-
 def fact_keys(triples: np.ndarray, num_relations: int, num_entities: int) -> np.ndarray:
     """The (n x 3) triples as sorted unique int64 keys (h * R + r) * N + t, one per fact."""
     h, r, t = triples.T
@@ -69,9 +28,10 @@ def fact_keys(triples: np.ndarray, num_relations: int, num_entities: int) -> np.
 class KnowledgeGraph:
     """Encoded train/valid/test triples and their facts as fact_keys.
 
-    Each split is a read-only (n x 3) int64 array of (head, relation, tail)
-    rows, copied from what the constructor is given; an id outside the
-    vocabularies is a ValueError.
+    The vocabularies entities and relations map each name to its id, in id
+    order: ids 0, 1, ... by first appearance. Each split is a read-only
+    (n x 3) int64 array of (head, relation, tail) rows, copied from what the
+    constructor is given; an id outside the vocabularies is a ValueError.
 
     known_facts covers all three splits and backs filtered ranking;
     train_facts covers the train split only and backs negative filtering
@@ -80,8 +40,8 @@ class KnowledgeGraph:
     dataclasses.replace builds its own.
     """
 
-    entities: Vocabulary
-    relations: Vocabulary
+    entities: dict[str, int]
+    relations: dict[str, int]
     train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
@@ -116,12 +76,13 @@ class KnowledgeGraph:
         raw = {"train": list(train), "valid": list(valid), "test": list(test)}
         if not raw["train"]:
             raise ValueError("train split is empty")
-        entities = Vocabulary()
-        relations = Vocabulary()
+        entities: dict[str, int] = {}
+        relations: dict[str, int] = {}
         encoded = {}
         for split in SPLIT_NAMES:
             rows = np.array(
-                [(entities.add(h), relations.add(r), entities.add(t)) for h, r, t in raw[split]],
+                [(entities.setdefault(h, len(entities)), relations.setdefault(r, len(relations)),
+                  entities.setdefault(t, len(entities))) for h, r, t in raw[split]],
                 dtype=np.int64,
             ).reshape(-1, 3)
             # the first copy of each fact, in input order
@@ -211,16 +172,15 @@ def augment_reverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     """
     if kg.reverse_augmented:
         raise ValueError("knowledge graph is already reverse-augmented")
-    base_tokens = kg.relations.tokens()
-    base_set = set(base_tokens)
-    for token in base_tokens:
+    for token in kg.relations:
         twin = token + REVERSE_SUFFIX
-        if twin in base_set:
+        if twin in kg.relations:
             raise ValueError(
                 f"relation {twin!r} already exists; cannot add a reverse twin for {token!r}"
             )
-    relations = Vocabulary(base_tokens + [t + REVERSE_SUFFIX for t in base_tokens])
-    offset = len(base_tokens)
+    offset = kg.num_relations()
+    twins = {token + REVERSE_SUFFIX: offset + i for token, i in kg.relations.items()}
+    relations = {**kg.relations, **twins}
     splits = {}
     for name in SPLIT_NAMES:
         triples = kg.split(name)

@@ -38,16 +38,11 @@ class StructureIndex:
         smallest integer dtype that holds N - 1. Both arrays are read-only."""
         return _ring_table(self)
 
-    def neighbors(self, entity: int) -> np.ndarray:
-        self._check_entity(entity)
-        return self.indices[self.indptr[entity] : self.indptr[entity + 1]]
-
     def _check_entity(self, entity: int) -> None:
         if not 0 <= entity < self.entity_count:
             raise ValueError(
                 f"entity id {entity} out of range [0, {self.entity_count})"
             )
-
 
 
 def _index_from_triples(triples: np.ndarray, entity_count: int) -> StructureIndex:

@@ -69,6 +69,8 @@ class EmbeddingModel:
 
     def __init__(self, params: np.ndarray, num_entities: int, num_relations: int, dim: int,
                  kind: str):
+        if num_entities < 1 or num_relations < 1 or dim < 1:
+            raise ValueError("num_entities, num_relations and dim must all be >= 1")
         rows = num_entities + num_relations
         self.params = params
         self.kind = kind
@@ -103,8 +105,6 @@ def init_model(
     """Uniform(-init_scale, init_scale) initialization of params, drawn in
     checkpoint order from one seeded generator, so a seed pins the whole
     model."""
-    if num_entities < 1 or num_relations < 1 or dim < 1:
-        raise ValueError("num_entities, num_relations and dim must all be >= 1")
     size = (num_entities + num_relations) * dim + _aggregator_size(kind, dim)
     params = np.random.default_rng(seed).uniform(-init_scale, init_scale, size=size)
     return EmbeddingModel(params, num_entities, num_relations, dim, kind)

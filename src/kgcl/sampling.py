@@ -20,8 +20,6 @@ LABELS = ("true", "false")
 
 LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 
-DEFAULT_HARD_K = 3
-
 # cells per chunk of a (rows x columns) scan: a top-k pass, or the softmax
 # draw's comparisons; B=256 over at most 4,096 entities takes one top-k pass
 CELL_BUDGET = 1 << 20
@@ -85,7 +83,7 @@ def assemble_training_negatives(
     m_structure: int,
     seed: int,
     mode: str,
-    hard_k: int = DEFAULT_HARD_K,
+    hard_k: int,
 ) -> NegativeSampleBatch:
     """Build the NegativeSampleBatch for one step.
 
@@ -166,26 +164,6 @@ class FalseNegReport:
     @property
     def total_sampled(self) -> dict[str, int]:
         return dict(zip(LABELS, self.histogram.sum(axis=1).tolist()))
-
-    def _row(self, label: str) -> np.ndarray:
-        if label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {label!r}")
-        row = self.histogram[LABELS.index(label)]
-        if not row.any():
-            raise ValueError(f"no sampled negatives labeled {label!r}")
-        return row
-
-    def mean_distance(self, label: str) -> float:
-        """Mean bucketed distance; the overflow column counts as the cap."""
-        row = self._row(label)
-        return int(row @ np.arange(row.size)) / int(row.sum())
-
-    def fraction_within(self, label: str, max_distance: int) -> float:
-        """Share of the label's draws at most max_distance hops away; the
-        overflow column never counts as near."""
-        row = self._row(label)
-        near = row[:-1] @ (np.arange(self.distance_cap) <= max_distance)
-        return int(near) / int(row.sum())
 
 
 def draw_in_batch_negatives(tails: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,8 @@ a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
 of the logistic function, a dict BFS and the per-head 1-/2-hop ring read
 from it, the contrastive core's earlier batched form, a model built from
-its parts, and a tiny cycle graph.
+its parts, a tiny cycle graph, and two summaries of one label's row of a
+false-negative report's hop histogram.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -27,6 +28,7 @@ from kgcl.data import KnowledgeGraph
 from kgcl.graph import StructureIndex
 from kgcl.losses import _LOWEST, LossValue, _mean_exp, _term
 from kgcl.model import EmbeddingModel, aggregate_batch, backward
+from kgcl.sampling import LABELS
 
 
 def triple_rows(*triples) -> np.ndarray:
@@ -278,3 +280,27 @@ def toy_cycle_kg(ring_size: int = 6) -> KnowledgeGraph:
     valid = facts[::3]
     test = facts[1::3]
     return KnowledgeGraph.from_string_triples(facts, valid, test)
+
+
+def _label_row(report, label: str) -> np.ndarray:
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+    row = report.histogram[LABELS.index(label)]
+    if not row.any():
+        raise ValueError(f"no sampled negatives labeled {label!r}")
+    return row
+
+
+def mean_distance(report, label: str) -> float:
+    """Mean bucketed hop distance of the report's draws labeled label; the
+    overflow column counts as the cap."""
+    row = _label_row(report, label)
+    return int(row @ np.arange(row.size)) / int(row.sum())
+
+
+def fraction_within(report, label: str, max_distance: int) -> float:
+    """Share of the report's draws labeled label at most max_distance hops
+    from the head; the overflow column never counts as near."""
+    row = _label_row(report, label)
+    near = row[:-1] @ (np.arange(report.distance_cap) <= max_distance)
+    return int(near) / int(row.sum())

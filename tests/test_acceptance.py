@@ -53,7 +53,16 @@ from kgcl.sampling import (
 )
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from kgcl.training import TrainConfig, sweep_tau, train
-from support import grad_row, known_tails, query, sum_model, toy_cycle_kg, triple_rows
+from support import (
+    fraction_within,
+    grad_row,
+    known_tails,
+    mean_distance,
+    query,
+    sum_model,
+    toy_cycle_kg,
+    triple_rows,
+)
 
 WN18RR_DIR = os.environ.get("KGCL_WN18RR_DIR", "")
 
@@ -336,7 +345,7 @@ def test_sampler_draw_frequencies_match_their_declared_distributions():
             ("v3", "r", "v4"), ("v4", "r", "v5")]
     kg = KnowledgeGraph.from_string_triples(rows, [], [])
     idx = build_structure_index(kg)
-    head = kg.entities.id_of("v0")
+    head = kg.entities["v0"]
     dist = alpha_distribution(idx, head)
     assert dist.support.size == 4  # v1, v2, v3, v4
     draws = draw_ring_samples(idx, np.array([head]), draws_n, np.random.default_rng(17))[0]
@@ -447,10 +456,10 @@ def assert_false_negative_pattern(simple_counts, hard_counts, pooled, k_grid):
         assert simple_counts[k] > 0, f"simple sampler found nothing at K={k}"
         ratio = hard_counts[k] / simple_counts[k]
         assert ratio >= 1.5, f"K={k}: hard/simple ratio {ratio:.2f} below 1.5"
-    mean_false = pooled.mean_distance("false")
-    mean_true = pooled.mean_distance("true")
+    mean_false = mean_distance(pooled, "false")
+    mean_true = mean_distance(pooled, "true")
     assert mean_false < mean_true, (mean_false, mean_true)
-    fraction = pooled.fraction_within("false", 2)
+    fraction = fraction_within(pooled, "false", 2)
     assert fraction >= 0.70, f"only {fraction:.2f} of false negatives within 2 hops"
 
 

@@ -16,19 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kgcl"
 BENCHMARK = ROOT / "perfbench"
 
-# documented library API that no product path calls
-ALLOWED = {
-    # the vocabulary's bijection, both ways
-    "data.Vocabulary.id_of",
-    "data.Vocabulary.token_of",
-    # one entity's neighbours, id-checked, from the structure index's CSR
-    "graph.StructureIndex.neighbors",
-    # summaries of a false-negative report's histogram
-    "sampling.FalseNegReport.mean_distance",
-    "sampling.FalseNegReport.fraction_within",
-}
-
-
 def public_definitions(path: Path) -> dict[str, str]:
     """{qualified name: bare name} of the module's public functions and
     classes and their public methods."""
@@ -69,7 +56,5 @@ def test_every_public_name_has_a_product_caller():
         *(used_names(p, strings=False) for p in PACKAGE.glob("*.py")),
         *(used_names(p, strings=True) for p in BENCHMARK.glob("*.py")),
     )
-    dead = sorted(q for q, name in defined.items() if name not in used and q not in ALLOWED)
+    dead = sorted(q for q, name in defined.items() if name not in used)
     assert not dead, f"public names with no caller in src/kgcl or perfbench: {dead}"
-    stale = sorted(q for q in ALLOWED if q not in defined)
-    assert not stale, f"allowlisted names that no longer exist: {stale}"

@@ -1,6 +1,7 @@
 """Config file parsing, flag precedence, and end-to-end subcommand runs."""
 
 import argparse
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 import kgcl.cli
 import kgcl.training
-from kgcl.cli import build_train_config, main, read_config_file
+from kgcl.cli import build_parser, build_train_config, main, read_config_file
 from kgcl.data import load_dataset
 from kgcl.model import init_model, save_checkpoint
 
@@ -63,6 +64,15 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.dim == 8
     assert cfg.epochs == 1
     assert cfg.seed == 9
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-tau"])
+def test_every_config_field_has_a_flag(command):
+    """TrainConfig's fields and the config flags are two lists of one set of
+    knobs: each field is a key of the parsed namespace."""
+    args = vars(build_parser().parse_args([command]))
+    missing = [f.name for f in dataclasses.fields(kgcl.training.TrainConfig) if f.name not in args]
+    assert not missing, f"{command} has no flag for {missing}"
 
 
 def test_worker_count_falls_back_to_the_environment(monkeypatch):
@@ -385,3 +395,14 @@ def test_eval_rejects_a_checkpoint_with_non_finite_parameters(tmp_path, capsys):
                  "--train", paths[0], "--valid", paths[1], "--test", paths[2]])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, doubles", [("KGE v1 -2 3 4 sum", 4), ("KGE v1 3 1 0 sum", 0)])
+def test_eval_rejects_a_checkpoint_with_a_size_below_1(tmp_path, capsys, header, doubles):
+    data, _ = gen_dataset(tmp_path, capsys)
+    checkpoint = tmp_path / "model.kge"
+    checkpoint.write_bytes(f"{header}\n".encode("ascii") + bytes(8 * doubles))
+    code = main(["eval", "--checkpoint", str(checkpoint), "--no-augment",
+                 *(f"--{split}={data / f'{split}.tsv'}" for split in ("train", "valid", "test"))])
+    assert code == 2
+    assert "must all be >= 1" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from kgcl.data import (
     REVERSE_SUFFIX,
     KnowledgeGraph,
     ParseError,
-    Vocabulary,
     augment_reverse,
     fact_keys,
     load_dataset,
@@ -23,25 +22,20 @@ from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from support import tails_by_query, triple_rows
 
 
-def test_vocabulary_assigns_ids_by_first_appearance():
-    vocab = Vocabulary(["b", "a", "b", "c"])
-    assert len(vocab) == 3
-    assert vocab.id_of("b") == 0
-    assert vocab.id_of("a") == 1
-    assert vocab.id_of("c") == 2
-    assert vocab.token_of(1) == "a"
-    assert vocab.tokens() == ["b", "a", "c"]
-    assert "a" in vocab and "z" not in vocab
-    with pytest.raises(KeyError):
-        vocab.id_of("z")
-
-
-def test_vocabulary_add_is_idempotent():
-    vocab = Vocabulary()
-    first = vocab.add("x")
-    second = vocab.add("x")
-    assert first == second == 0
-    assert len(vocab) == 1
+def test_vocabularies_are_dicts_with_ids_by_first_appearance():
+    kg = KnowledgeGraph.from_string_triples(
+        [("b", "r", "a"), ("b", "s", "a"), ("c", "r", "b")],
+        [("d", "t", "a")],
+        [("a", "s", "e"), ("e", "u", "d")],
+    )
+    # train, then valid, then test; a repeated name keeps its first id
+    assert kg.entities == {"b": 0, "a": 1, "c": 2, "d": 3, "e": 4}
+    assert kg.relations == {"r": 0, "s": 1, "t": 2, "u": 3}
+    assert type(kg.entities) is dict and type(kg.relations) is dict
+    # insertion order is id order, so list() reads names by id
+    assert list(kg.entities) == ["b", "a", "c", "d", "e"]
+    assert list(kg.entities.values()) == list(range(kg.num_entities()))
+    assert kg.test.tolist() == [[1, 1, 4], [4, 3, 3]]
 
 
 def test_from_string_triples_encodes_in_split_order():
@@ -52,8 +46,8 @@ def test_from_string_triples_encodes_in_split_order():
     )
     assert kg.num_entities() == 3
     assert kg.num_relations() == 2
-    assert kg.entities.id_of("a") == 0
-    assert kg.relations.id_of("knows") == 1
+    assert kg.entities["a"] == 0
+    assert kg.relations["knows"] == 1
     assert kg.train.tolist() == [[0, 0, 1], [1, 0, 2]]
     assert kg.valid.tolist() == [[2, 1, 0]]
     assert kg.test.tolist() == [[0, 1, 2]]
@@ -86,8 +80,8 @@ def test_fact_keys_separate_training_from_evaluation():
         [("a", "r", "d")],
         [],
     )
-    a, r = kg.entities.id_of("a"), kg.relations.id_of("r")
-    b, c, d = (kg.entities.id_of(x) for x in "bcd")
+    a, r = kg.entities["a"], kg.relations["r"]
+    b, c, d = (kg.entities[x] for x in "bcd")
     assert kg.tails_of(kg.known_facts, [a], [r])[1].tolist() == sorted([b, c, d])
     assert kg.tails_of(kg.train_facts, [a], [r])[1].tolist() == sorted([b, c])
 
@@ -111,8 +105,8 @@ def test_split_lookup_validates_name():
 def test_replace_train_rebuilds_facts_and_shares_vocab():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("b", "r", "c")], [("c", "r", "a")], [])
-    a, b, c = (kg.entities.id_of(x) for x in "abc")
-    r = kg.relations.id_of("r")
+    a, b, c = (kg.entities[x] for x in "abc")
+    r = kg.relations["r"]
     assert kg.tails_of(kg.train_facts, [b], [r])[1].tolist() == [c]
     smaller = kg.replace_train(kg.train[:1])
     assert smaller.entities is kg.entities
@@ -299,9 +293,13 @@ def test_augment_reverse_doubles_every_split():
     assert aug.reverse_augmented
     assert len(aug.train) == 4 and len(aug.valid) == 2 and len(aug.test) == 2
     assert aug.num_relations() == 4
-    r = kg.relations.id_of("r")
-    assert aug.relations.token_of(r + 2) == "r" + REVERSE_SUFFIX
-    a, b = kg.entities.id_of("a"), kg.entities.id_of("b")
+    r = kg.relations["r"]
+    # relation r's twin sits at id R + r, after every original relation
+    assert aug.relations == {"r": 0, "s": 1, "r" + REVERSE_SUFFIX: 2, "s" + REVERSE_SUFFIX: 3}
+    assert list(aug.relations)[r + 2] == "r" + REVERSE_SUFFIX
+    assert kg.relations == {"r": 0, "s": 1}  # the input graph keeps its map
+    assert aug.entities is kg.entities
+    a, b = kg.entities["a"], kg.entities["b"]
     assert aug.train[2].tolist() == [b, r + 2, a]  # reversed copy of (a, r, b)
     # row for row: the originals in order, then each one reversed in order
     for name in ("train", "valid", "test"):
@@ -319,8 +317,14 @@ def test_augment_reverse_twice_is_an_error():
 def test_augment_reverse_rejects_colliding_relation_names():
     kg = KnowledgeGraph.from_string_triples(
         [("a", "r", "b"), ("b", "r" + REVERSE_SUFFIX, "a")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="already exists"):
         augment_reverse(kg)
+    # the clash is found whichever of the two names comes first
+    kg = KnowledgeGraph.from_string_triples(
+        [("a", "s" + REVERSE_SUFFIX, "b"), ("b", "s", "a")])
+    with pytest.raises(ValueError, match="already exists"):
+        augment_reverse(kg)
+    assert kg.relations == {"s" + REVERSE_SUFFIX: 0, "s": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def test_batch_entities_lists_heads_then_tails():
     heads = [h for h, _, _ in batch.tolist()]
     tails = [t for _, _, t in batch.tolist()]
     model = init_model(kg.num_entities(), kg.num_relations(), 4, seed=0)
-    negatives = assemble_training_negatives(batch, model, kg, None, 0, 0, "simple")
+    negatives = assemble_training_negatives(batch, model, kg, None, 0, 0, "simple", 3)
     assert negatives.hard_and_batch_negatives.tolist() == [
         [-1 if e == t else e for e in heads + tails] for t in tails]
 

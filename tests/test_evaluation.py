@@ -163,8 +163,8 @@ def test_filtered_ranking_removes_other_known_tails():
         [],
     )
     model = one_hot_model(kg.num_entities())
-    a = kg.entities.id_of("a")
-    b = kg.entities.id_of("b")
+    a = kg.entities["a"]
+    b = kg.entities["b"]
     # b scores below every other candidate, so its rank is the number of
     # candidates left
     model.entity_table[b, a] = -1.0
@@ -220,7 +220,7 @@ def test_subsample_filters_known_tails_with_the_gold_outside_the_pool():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="mlp", seed=3,
                        init_scale=0.8)
     pool = seeded_pool(kg.num_entities(), 6, seed=9)
-    known = known_tails(kg)[(kg.entities.id_of("a"), kg.relations.id_of("r"))]
+    known = known_tails(kg)[(kg.entities["a"], kg.relations["r"])]
     gold_outside = [t for t in kg.valid[:, 2].tolist() if t not in pool]
     assert gold_outside and any(e in known for e in pool.tolist())
     filtered = evaluate(model, kg, split="valid", filtered=True, candidate_limit=6, seed=9)

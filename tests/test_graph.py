@@ -78,14 +78,12 @@ def test_direction_relation_and_duplicates_are_ignored():
     )
     idx = _index_from_triples(triples, 3)
     assert idx.indices.size == 2  # one undirected edge, stored both ways
-    assert idx.neighbors(2).size == 0
-    np.testing.assert_array_equal(idx.neighbors(0), [1])
-    np.testing.assert_array_equal(idx.neighbors(1), [0])
+    assert [row.tolist() for row in np.split(idx.indices, idx.indptr[1:-1])] == [[1], [0], []]
     # no triples, or only self-loops: no edges, and BFS stays at its source
     for edgeless in (triple_rows(), triple_rows((0, 0, 0), (2, 1, 2))):
         idx = _index_from_triples(edgeless, 3)
         assert idx.indices.size == 0
-        assert [idx.neighbors(e).size for e in range(3)] == [0, 0, 0]
+        assert idx.indptr.tolist() == [0, 0, 0, 0]
         assert distances_within(idx, 1, 3) == {1: 0}
 
 
@@ -97,10 +95,10 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
         idx = _index_from_triples(triples, n)
         pairs = {(min(h, t), max(h, t)) for h, _, t in triples.tolist() if h != t}
         oracle = floyd_warshall(n, pairs)
+        assert not idx.indptr.flags.writeable and not idx.indices.flags.writeable
         for e in range(n):
             partners = sorted({v for u, v in pairs if u == e} | {u for u, v in pairs if v == e})
-            np.testing.assert_array_equal(idx.neighbors(e), partners)
-            assert not idx.neighbors(e).flags.writeable
+            np.testing.assert_array_equal(idx.indices[idx.indptr[e] : idx.indptr[e + 1]], partners)
         for src in range(n):
             got = distances_within(idx, src, n)
             assert bfs_distances(idx, src, n) == got  # the tests' BFS oracle
@@ -281,16 +279,14 @@ def test_structure_index_uses_train_split_only():
         [("c", "r", "d")],
     )
     idx = build_structure_index(kg)
-    a, b, c = kg.entities.id_of("a"), kg.entities.id_of("b"), kg.entities.id_of("c")
+    a, b, c = kg.entities["a"], kg.entities["b"], kg.entities["c"]
     assert distances_within(idx, a, 5).get(c) == 2  # not 1: the valid edge is unseen
-    d = kg.entities.id_of("d")
-    assert idx.neighbors(d).size == 0
+    d = kg.entities["d"]
+    assert idx.indptr[d] == idx.indptr[d + 1]  # no neighbours
 
 
 def test_entity_range_checks():
     idx = _index_from_triples(triple_rows((0, 0, 1)), 2)
-    with pytest.raises(ValueError):
-        idx.neighbors(2)
     with pytest.raises(ValueError):
         distances_within(idx, -1, 2)
     for head in (-1, 2, 5):

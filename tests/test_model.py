@@ -305,3 +305,10 @@ def test_checkpoint_rejects_corrupt_files(tmp_path):
     not_a_checkpoint.write_text("just some text\n")
     with pytest.raises(ValueError):
         load_checkpoint(str(not_a_checkpoint))
+
+    # sizes below 1, each with exactly the payload its header asks for
+    for header, doubles in (("KGE v1 -2 3 4 sum", 4), ("KGE v1 3 1 0 sum", 0)):
+        small = tmp_path / "small.kge"
+        small.write_bytes(f"{header}\n".encode("ascii") + np.zeros(doubles).tobytes())
+        with pytest.raises(ValueError, match="must all be >= 1"):
+            load_checkpoint(str(small))

@@ -17,7 +17,6 @@ from kgcl.graph import (
 )
 from kgcl.model import aggregate_batch, init_model
 from kgcl.sampling import (
-    DEFAULT_HARD_K,
     LABELS,
     CELL_BUDGET,
     FalseNegReport,
@@ -35,8 +34,10 @@ from kgcl.sampling import (
 from kgcl.synthetic import SyntheticKGSpec, generate_knowledge_graph
 from support import (
     bfs_distances,
+    fraction_within,
     hard_negative_softmax_sample,
     in_batch_negative_sample,
+    mean_distance,
     query,
     tails_by_query,
     triple_rows,
@@ -275,7 +276,7 @@ def test_simple_mode_uses_batch_slots_minus_own_tail():
     kg = chain_kg(6)
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0)
     (batch,) = make_batches(kg, batch_size=5, seed=2)
-    out = assemble_training_negatives(batch, model, kg, None, 0, seed=9, mode="simple")
+    out = assemble_training_negatives(batch, model, kg, None, 0, seed=9, mode="simple", hard_k=3)
     slots = batch_slots(batch)
     for i, (_, _, tail) in enumerate(batch.tolist()):
         expected = slots[slots != tail]
@@ -290,8 +291,8 @@ def test_simple_and_hard_modes_ignore_the_seed():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="gru", seed=1)
     (batch,) = make_batches(kg, batch_size=5, seed=2)
     for mode in ("simple", "hard"):
-        a = assemble_training_negatives(batch, model, kg, None, 0, seed=1, mode=mode)
-        b = assemble_training_negatives(batch, model, kg, None, 0, seed=99, mode=mode)
+        a = assemble_training_negatives(batch, model, kg, None, 0, seed=1, mode=mode, hard_k=3)
+        b = assemble_training_negatives(batch, model, kg, None, 0, seed=99, mode=mode, hard_k=3)
         for x, y in zip(a.hard_and_batch_negatives, b.hard_and_batch_negatives):
             np.testing.assert_array_equal(x, y)
 
@@ -333,7 +334,8 @@ def test_topk_rows_in_chunks_match_one_block(monkeypatch):
     model.entity_table[...] = rng.integers(-2, 3, size=model.entity_table.shape) / 8
     model.relation_table[...] = rng.integers(-2, 3, size=model.relation_table.shape) / 8
     batch = make_batches(kg, batch_size=20, seed=5)[0]
-    whole = assemble_training_negatives(batch, model, kg, idx, 4, seed=6, mode="hasa_plus")
+    whole = assemble_training_negatives(batch, model, kg, idx, 4, seed=6,
+                                        mode="hasa_plus", hard_k=3)
     calls = []
     select = kgcl.sampling._select_topk
 
@@ -345,7 +347,8 @@ def test_topk_rows_in_chunks_match_one_block(monkeypatch):
     for rows in (1, 3, 7):
         monkeypatch.setattr(kgcl.sampling, "CELL_BUDGET", rows * kg.num_entities())
         calls.clear()
-        chunked = assemble_training_negatives(batch, model, kg, idx, 4, seed=6, mode="hasa_plus")
+        chunked = assemble_training_negatives(batch, model, kg, idx, 4, seed=6,
+                                              mode="hasa_plus", hard_k=3)
         assert calls == [min(rows, len(batch) - at) for at in range(0, len(batch), rows)]
         for block in ("hard_and_batch_negatives", "structure_samples", "negative_contexts"):
             np.testing.assert_array_equal(getattr(chunked, block), getattr(whole, block))
@@ -356,14 +359,14 @@ def test_hasa_mode_draws_structure_samples_from_the_hop_ring():
     idx = build_structure_index(kg)
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=2)
     batch = make_batches(kg, batch_size=4, seed=1)[0]
-    out = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa")
+    out = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa", hard_k=3)
     for i, (head, _, _) in enumerate(batch.tolist()):
         support = set(alpha_distribution(idx, head).support.tolist())
         draws = filled(out.structure_samples[i])
         assert draws.size == 6
         assert set(draws.tolist()) <= support
-    again = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa")
-    other = assemble_training_negatives(batch, model, kg, idx, 6, seed=4, mode="hasa")
+    again = assemble_training_negatives(batch, model, kg, idx, 6, seed=3, mode="hasa", hard_k=3)
+    other = assemble_training_negatives(batch, model, kg, idx, 6, seed=4, mode="hasa", hard_k=3)
     for a, b in zip(out.structure_samples, again.structure_samples):
         np.testing.assert_array_equal(a, b)
     assert any(
@@ -376,7 +379,7 @@ def test_hasa_plus_mode_lists_other_batch_positions():
     idx = build_structure_index(kg)
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=2)
     batch = make_batches(kg, batch_size=4, seed=1)[0]
-    out = assemble_training_negatives(batch, model, kg, idx, 2, seed=0, mode="hasa_plus")
+    out = assemble_training_negatives(batch, model, kg, idx, 2, seed=0, mode="hasa_plus", hard_k=3)
     for i in range(len(batch)):
         np.testing.assert_array_equal(
             filled(out.negative_contexts[i]), [j for j in range(len(batch)) if j != i])
@@ -387,9 +390,9 @@ def test_assembly_validates_mode_and_index():
     model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0)
     (batch,) = make_batches(kg, batch_size=4, seed=1)
     with pytest.raises(ValueError):
-        assemble_training_negatives(batch, model, kg, None, 0, seed=0, mode="weird")
+        assemble_training_negatives(batch, model, kg, None, 0, seed=0, mode="weird", hard_k=3)
     with pytest.raises(ValueError):
-        assemble_training_negatives(batch, model, kg, None, 2, seed=0, mode="hasa")
+        assemble_training_negatives(batch, model, kg, None, 2, seed=0, mode="hasa", hard_k=3)
 
 
 def test_mean_negative_count():
@@ -473,30 +476,30 @@ def cap3_report(true_row, false_row):
 def test_report_arithmetic():
     report = cap3_report(true_row=[0, 0, 5, 5], false_row=[0, 6, 0, 2])
     assert report.total_sampled == {"true": 10, "false": 8}
-    np.testing.assert_allclose(report.mean_distance("false"), (6 * 1 + 2 * 3) / 8.0)
-    np.testing.assert_allclose(report.mean_distance("true"), (5 * 2 + 5 * 3) / 10.0)
-    np.testing.assert_allclose(report.fraction_within("false", 2), 6 / 8.0)
-    np.testing.assert_allclose(report.fraction_within("true", 2), 5 / 10.0)
+    np.testing.assert_allclose(mean_distance(report, "false"), (6 * 1 + 2 * 3) / 8.0)
+    np.testing.assert_allclose(mean_distance(report, "true"), (5 * 2 + 5 * 3) / 10.0)
+    np.testing.assert_allclose(fraction_within(report, "false", 2), 6 / 8.0)
+    np.testing.assert_allclose(fraction_within(report, "true", 2), 5 / 10.0)
     # at or beyond the cap the overflow column still never counts as near
     for d in (3, 4, 10):
-        np.testing.assert_allclose(report.fraction_within("false", d), 6 / 8.0)
-        np.testing.assert_allclose(report.fraction_within("true", d), 5 / 10.0)
-    assert report.fraction_within("false", 0) == report.fraction_within("false", -1) == 0.0
+        np.testing.assert_allclose(fraction_within(report, "false", d), 6 / 8.0)
+        np.testing.assert_allclose(fraction_within(report, "true", d), 5 / 10.0)
+    assert fraction_within(report, "false", 0) == fraction_within(report, "false", -1) == 0.0
     with pytest.raises(ValueError):
-        report.mean_distance("other")
+        mean_distance(report, "other")
     with pytest.raises(ValueError):
-        report.fraction_within("other", 2)
+        fraction_within(report, "other", 2)
     empty = cap3_report(true_row=[1, 0, 0, 0], false_row=[0, 0, 0, 0])
     with pytest.raises(ValueError, match="no sampled negatives labeled 'false'"):
-        empty.mean_distance("false")
+        mean_distance(empty, "false")
     with pytest.raises(ValueError, match="no sampled negatives labeled 'false'"):
-        empty.fraction_within("false", 2)
+        fraction_within(empty, "false", 2)
 
 
 def test_mean_distance_counts_the_overflow_column_at_the_cap():
     report = cap3_report(true_row=[0, 0, 0, 4], false_row=[1, 0, 0, 3])
-    assert report.mean_distance("true") == 3.0
-    assert report.mean_distance("false") == (0 * 1 + 3 * 3) / 4.0
+    assert mean_distance(report, "true") == 3.0
+    assert mean_distance(report, "false") == (0 * 1 + 3 * 3) / 4.0
 
 
 def test_reports_pool_by_adding_their_histograms():
@@ -505,10 +508,10 @@ def test_reports_pool_by_adding_their_histograms():
     pooled = replace(a, histogram=a.histogram + b.histogram)
     # true: 2 at 0, 1 at 1, 1 at 2, 4 overflow; false: 4 at 1, 2 at 2, 1 overflow
     assert pooled.total_sampled == {"true": 8, "false": 7}
-    assert pooled.mean_distance("true") == (0 * 2 + 1 * 1 + 2 * 1 + 3 * 4) / 8.0
-    assert pooled.mean_distance("false") == (1 * 4 + 2 * 2 + 3 * 1) / 7.0
-    assert pooled.fraction_within("true", 1) == 3 / 8.0
-    assert pooled.fraction_within("false", 2) == 6 / 7.0
+    assert mean_distance(pooled, "true") == (0 * 2 + 1 * 1 + 2 * 1 + 3 * 4) / 8.0
+    assert mean_distance(pooled, "false") == (1 * 4 + 2 * 2 + 3 * 1) / 7.0
+    assert fraction_within(pooled, "true", 1) == 3 / 8.0
+    assert fraction_within(pooled, "false", 2) == 6 / 7.0
 
 
 def planted_kg_and_seed():

@@ -94,7 +94,7 @@ def test_written_files_round_trip(tmp_path):
     direct = generate_knowledge_graph(spec)
     for name in ("train", "valid", "test"):
         assert kg.split(name).tolist() == direct.split(name).tolist()
-    assert kg.entities.tokens() == direct.entities.tokens()
+    assert list(kg.entities) == list(direct.entities)
 
 
 
@@ -118,8 +118,8 @@ def test_toy_cycle_graph_shape():
     assert len(kg.train) == 24
     assert kg.valid.tolist() == kg.train[::3].tolist()
     assert kg.test.tolist() == kg.train[1::3].tolist()
-    next_id = kg.relations.id_of("next")
-    n0, n1 = kg.entities.id_of("n0"), kg.entities.id_of("n1")
+    next_id = kg.relations["next"]
+    n0, n1 = kg.entities["n0"], kg.entities["n1"]
     assert [n0, next_id, n1] in kg.train.tolist()
     with pytest.raises(ValueError):
         toy_cycle_kg(2)
