@@ -3,8 +3,7 @@ gen-synthetic subcommands.
 
 Train-like subcommands accept --config FILE holding flat key=value lines
 (# starts a comment); explicit flags win over file values, which win over
-defaults. The worker count defaults to the KGE_WORKERS environment
-variable."""
+defaults."""
 
 import argparse
 import dataclasses
@@ -27,13 +26,6 @@ from .synthetic import SyntheticKGSpec, generate_synthetic_kg, write_dataset_fil
 from .training import TrainConfig, sweep_tau, train, write_sweep_csv
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-
-def _default_workers() -> int:
-    raw = os.environ.get("KGE_WORKERS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"KGE_WORKERS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
 
 def _non_negative(text: str) -> int:
     value = int(text)
@@ -70,8 +62,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_train_config(args: argparse.Namespace, **defaults) -> TrainConfig:
-    """Config file values over defaults, then explicit flags over both. The
-    worker count falls back to KGE_WORKERS, read only when none is given."""
+    """Config file values over defaults, then explicit flags over both."""
     values = dict(defaults)
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
@@ -79,8 +70,6 @@ def build_train_config(args: argparse.Namespace, **defaults) -> TrainConfig:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    if "workers" not in values:
-        values["workers"] = _default_workers()
     return TrainConfig(**values)
 
 
@@ -159,7 +148,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         filtered=not args.raw,
         candidate_limit=limit,
         seed=args.seed,
-        workers=args.workers if args.workers else _default_workers(),
+        workers=args.workers,
     )
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.metrics_json:
@@ -211,6 +200,11 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     if args.max_triples is not None and args.max_triples < 1:
         raise ValueError(f"--max-triples must be >= 1, got {args.max_triples}")
     if args.synthetic:
+        given = [flag for flag, value in (("--augment", args.augment), ("--train", args.train_path),
+                                          ("--valid", args.valid_path), ("--test", args.test_path))
+                 if value]
+        if given:
+            raise ValueError(f"--synthetic generates its own dataset: drop {', '.join(given)}")
         kg = generate_knowledge_graph(_spec_from_args(args))
     else:
         kg = _load_kg(args, augment=args.augment)
@@ -229,7 +223,6 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         model = train(pre_cfg, kg.replace_train(retain)).model
-    workers = args.workers if args.workers else _default_workers()
     reports = [
         run_false_negative_experiment(
             kg,
@@ -240,7 +233,6 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
             args.seed,
             distance_cap=args.cap,
             max_triples=args.max_triples,
-            workers=workers,
         )
         for sampler in ("simple", "hard")
     ]
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--raw", action="store_true", help="skip known-positive filtering")
     p_eval.add_argument("--candidates", type=_non_negative, default=0)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--workers", type=_non_negative, default=0, help="0 reads KGE_WORKERS")
+    p_eval.add_argument("--workers", type=int, default=1)
     p_eval.add_argument("--metrics-json", dest="metrics_json")
     p_eval.add_argument("--ranks-csv", dest="ranks_csv")
     p_eval.add_argument("--no-augment", action="store_true")
@@ -322,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=5)
     p_ana.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=0.01)
     p_ana.add_argument("--max-triples", dest="max_triples", type=int, default=None)
-    p_ana.add_argument("--workers", type=_non_negative, default=0, help="0 reads KGE_WORKERS")
     p_ana.add_argument("--out-counts", dest="out_counts", default="false_negative_counts.csv")
     p_ana.add_argument(
         "--out-histogram", dest="out_histogram", default="false_negative_histogram.csv"

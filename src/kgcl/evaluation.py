@@ -111,8 +111,11 @@ def evaluate(
     candidate_limit > 0 ranks against a seeded entity subsample of that size
     (plus the gold tail when it falls outside); 0 keeps the full entity set.
     Results are deterministic for a given seed and independent of workers.
-    A model with a non-finite parameter is refused with a ValueError.
+    A worker count below 1, or a model with a non-finite parameter, is
+    refused with a ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     triples = kg.split(split)
     if not len(triples):
         return MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)

@@ -165,7 +165,6 @@ class AlphaDistribution:
     to draw.
     """
 
-    head: int
     support: np.ndarray
 
 
@@ -174,7 +173,7 @@ def alpha_distribution(idx: StructureIndex, head: int) -> AlphaDistribution:
     slice of the index's ring table, which the first call builds."""
     idx._check_entity(head)
     indptr, indices = idx.rings
-    return AlphaDistribution(head=head, support=indices[indptr[head] : indptr[head + 1]])
+    return AlphaDistribution(support=indices[indptr[head] : indptr[head + 1]])
 
 
 def _draw_segments(

@@ -123,23 +123,22 @@ class AggregationCache:
     aggregate call; backward may be invoked once or many times on it, each
     call accumulating into the tape."""
 
-    kind: str
     heads: np.ndarray
     relations: np.ndarray
     inputs: tuple = ()
 
 
-def _gru_cell_forward(x: np.ndarray, h: np.ndarray, p: dict[str, np.ndarray], tag: str):
+def _gru_cell_forward(x: np.ndarray, h: np.ndarray, p: dict[str, np.ndarray]):
     z = _sigmoid(x @ p["w_z"].T + h @ p["u_z"].T + p["b_z"])
     r = _sigmoid(x @ p["w_r"].T + h @ p["u_r"].T + p["b_r"])
     rh = r * h
     n = np.tanh(x @ p["w_n"].T + rh @ p["u_n"].T + p["b_n"])
     h_new = (1.0 - z) * n + z * h
-    return h_new, (tag, x, h, z, r, rh, n)
+    return h_new, (x, h, z, r, rh, n)
 
 
 def _gru_cell_backward(d_out: np.ndarray, cache, p: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-    _, x, h, z, r, rh, n = cache
+    x, h, z, r, rh, n = cache
     dn = d_out * (1.0 - z)
     dz = d_out * (h - n)
     dh = d_out * z
@@ -184,17 +183,17 @@ def aggregate_batch(
     er = model.relation_table[relations]
     p = model.aggregator
     if model.kind == "sum":
-        return eh + er, AggregationCache("sum", heads, relations)
+        return eh + er, AggregationCache(heads, relations)
     if model.kind == "mlp":
         x = np.concatenate([eh, er], axis=1)
         pre = x @ p["w"].T + p["b"]
         q = np.tanh(pre)
-        return q, AggregationCache("mlp", heads, relations, inputs=(x, q))
+        return q, AggregationCache(heads, relations, inputs=(x, q))
     if model.kind == "gru":
         h0 = np.zeros_like(eh)
-        h1, c1 = _gru_cell_forward(eh, h0, p, "step1")
-        h2, c2 = _gru_cell_forward(er, h1, p, "step2")
-        return h2, AggregationCache("gru", heads, relations, inputs=(c1, c2))
+        h1, c1 = _gru_cell_forward(eh, h0, p)
+        h2, c2 = _gru_cell_forward(er, h1, p)
+        return h2, AggregationCache(heads, relations, inputs=(c1, c2))
     raise ValueError(f"unknown aggregator kind {model.kind!r}")
 
 
@@ -273,10 +272,10 @@ def backward(
         raise ValueError("backward called without a forward cache")
     d_query = np.asarray(d_query, dtype=np.float64)
     p = model.aggregator
-    if cache.kind == "sum":
+    if model.kind == "sum":
         d_eh = d_query
         d_er = d_query
-    elif cache.kind == "mlp":
+    elif model.kind == "mlp":
         x, q = cache.inputs
         d_pre = d_query * (1.0 - q * q)
         tape.aggregator["w"] += d_pre.T @ x
@@ -285,12 +284,12 @@ def backward(
         dim = model.dim
         d_eh = dx[:, :dim]
         d_er = dx[:, dim:]
-    elif cache.kind == "gru":
+    elif model.kind == "gru":
         c1, c2 = cache.inputs
         d_er, dh1 = _gru_cell_backward(d_query, c2, p, tape.aggregator)
         d_eh, _ = _gru_cell_backward(dh1, c1, p, tape.aggregator)
     else:
-        raise ValueError(f"unknown aggregator kind {cache.kind!r}")
+        raise ValueError(f"unknown aggregator kind {model.kind!r}")
     tape.add_entity(cache.heads, d_eh)
     tape.add_relation(cache.relations, d_er)
 

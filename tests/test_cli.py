@@ -75,27 +75,6 @@ def test_every_config_field_has_a_flag(command):
     assert not missing, f"{command} has no flag for {missing}"
 
 
-def test_worker_count_falls_back_to_the_environment(monkeypatch):
-    monkeypatch.setenv("KGE_WORKERS", "3")
-    cfg = build_train_config(argparse.Namespace())
-    assert cfg.workers == 3
-    monkeypatch.delenv("KGE_WORKERS")
-    assert build_train_config(argparse.Namespace()).workers == 1
-    # an explicit value beats the environment, which is then not read
-    monkeypatch.setenv("KGE_WORKERS", "not-a-number")
-    cfg = build_train_config(argparse.Namespace(workers=2))
-    assert cfg.workers == 2
-
-
-@pytest.mark.parametrize("raw", ["not-a-number", "0", "-2"])
-def test_a_bad_worker_count_in_the_environment_exits_2(monkeypatch, capsys, raw):
-    monkeypatch.setenv("KGE_WORKERS", raw)
-    with pytest.raises(ValueError, match="KGE_WORKERS"):
-        build_train_config(argparse.Namespace())
-    assert main(["train", "--epochs", "1"]) == 2
-    assert "KGE_WORKERS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-4"],
                                    ["--eval-candidates", "-5"]])
 def test_train_rejects_bad_worker_and_candidate_counts(tmp_path, capsys, flags):
@@ -105,13 +84,16 @@ def test_train_rejects_bad_worker_and_candidate_counts(tmp_path, capsys, flags):
     assert not run.exists()
 
 
-@pytest.mark.parametrize("argv", [["eval", "--candidates", "-5"], ["eval", "--workers", "-2"],
-                                  ["analyze-negatives", "--workers", "-2"]])
-def test_negative_worker_and_candidate_flags_exit_2(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--candidates", "-5"], "must be >= 0"),
+    # the study runs serially: it has no worker flag
+    (["analyze-negatives", "--workers", "2"], "unrecognized arguments: --workers 2"),
+])
+def test_negative_worker_and_candidate_flags_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as stop:
         main([*argv, "--checkpoint", "model.kge"])
     assert stop.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_missing_dataset_paths_exit_with_an_error(capsys):
@@ -214,6 +196,39 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     assert json.loads(metrics_path.read_text()) == report
 
 
+def test_train_runs_to_the_end_whatever_the_environment_says(tmp_path, capsys, monkeypatch):
+    """The worker count comes from the config and its flags alone: a value
+    in the environment is not read."""
+    monkeypatch.setenv("KGE_WORKERS", "bogus")
+    data, _ = gen_dataset(tmp_path, capsys)
+    run = tmp_path / "run"
+    code = main(["train", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"),
+                 "--test", str(data / "test.tsv"),
+                 "--loss", "simple", "--aggregator", "sum", "--dim", "4",
+                 "--epochs", "1", "--batch-size", "8", "--out-dir", str(run)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["steps"] > 0
+    assert (run / "checkpoint_final.kge").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_eval_rejects_a_worker_count_below_1(tmp_path, capsys, workers):
+    data, _ = gen_dataset(tmp_path, capsys)
+    paths = [str(data / f"{split}.tsv") for split in ("train", "valid", "test")]
+    kg = load_dataset(*paths)
+    checkpoint = tmp_path / "model.kge"
+    save_checkpoint(init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum"),
+                    str(checkpoint))
+    metrics_path = tmp_path / "metrics.json"
+    code = main(["eval", "--checkpoint", str(checkpoint), "--no-augment", "--workers", workers,
+                 "--train", paths[0], "--valid", paths[1], "--test", paths[2],
+                 "--metrics-json", str(metrics_path)])
+    assert code == 2
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not metrics_path.exists()
+
+
 def test_eval_rejects_a_mismatched_checkpoint(tmp_path, capsys):
     data, _ = gen_dataset(tmp_path, capsys)
     other = tmp_path / "other"
@@ -305,6 +320,27 @@ def test_analyze_negatives_rejects_a_bad_pretraining_flag_before_pretraining(
                  "--out-histogram", str(tmp_path / "hist.csv")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not counts_path.exists()
+
+
+@pytest.mark.parametrize("flags", [["--augment"], ["--train", "nosuch.tsv"],
+                                   ["--valid", "v.tsv", "--test", "t.tsv"]])
+def test_analyze_negatives_rejects_dataset_flags_with_synthetic_before_pretraining(
+        tmp_path, capsys, monkeypatch, flags):
+    """--synthetic generates the dataset, so a flag that names or augments
+    another one would go unread: it exits 2 instead."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining ran before the dataset flags were checked")
+
+    monkeypatch.setattr(kgcl.cli, "train", no_training)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--synthetic", *flags, "--k-grid", "3",
+                 "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--synthetic" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
     assert not counts_path.exists()
 
 

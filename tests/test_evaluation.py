@@ -385,6 +385,16 @@ def test_evaluate_validates_entity_count_and_handles_empty_split():
     assert report.triple_count == 0 and report.mrr == 0.0
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("split", ["train", "valid"])
+def test_evaluate_rejects_a_worker_count_below_1(workers, split):
+    # the empty valid split is refused too, not reported as zeros
+    kg = ring_kg(6)
+    model = init_model(6, 1, 4, kind="sum", seed=0)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        evaluate(model, kg, split=split, workers=workers)
+
+
 @pytest.mark.parametrize("poison", ["nan_entity_table", "inf_gru_bias"])
 def test_evaluate_rejects_a_model_with_non_finite_parameters(poison):
     kg = ring_kg(6)
