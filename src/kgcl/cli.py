@@ -158,27 +158,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _given_flags(args: argparse.Namespace, *dests: str) -> str:
+    """The flags, named from these dests as argparse derives them, that were given."""
+    return ", ".join("--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None)
+
+
 def _spec_from_args(args: argparse.Namespace) -> SyntheticKGSpec:
-    return SyntheticKGSpec(
-        block_count=args.blocks,
-        entities_per_block=args.block_entities,
-        relation_count=args.relations,
-        intra_block_edge_probability=args.p_intra,
-        inter_block_edge_probability=args.p_inter,
-        missing_fraction=args.missing_fraction,
-        seed=args.seed,
-    )
+    fields = {"block_count": args.blocks, "entities_per_block": args.block_entities,
+              "relation_count": args.relations, "missing_fraction": args.missing_fraction,
+              "intra_block_edge_probability": args.p_intra,
+              "inter_block_edge_probability": args.p_inter}
+    return SyntheticKGSpec(seed=args.seed, **{f: v for f, v in fields.items() if v is not None})
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--blocks", type=int, default=4)
-    parser.add_argument("--block-entities", dest="block_entities", type=int, default=12)
-    parser.add_argument("--relations", type=int, default=3)
-    parser.add_argument("--p-intra", dest="p_intra", type=float, default=0.5)
-    parser.add_argument("--p-inter", dest="p_inter", type=float, default=0.02)
-    parser.add_argument(
-        "--missing-fraction", dest="missing_fraction", type=float, default=0.3
-    )
+    for flag, kind in (("--blocks", int), ("--block-entities", int), ("--relations", int),
+                       ("--p-intra", float), ("--p-inter", float), ("--missing-fraction", float)):
+        parser.add_argument(flag, type=kind)
 
 
 def _parse_k_grid(text: str) -> list[int]:
@@ -199,6 +195,9 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     if args.max_triples is not None and args.max_triples < 1:
         raise ValueError(f"--max-triples must be >= 1, got {args.max_triples}")
+    if args.checkpoint and (given := _given_flags(args, "dim", "aggregator", "pretrain_epochs",
+                                                  "pretrain_lr")):
+        raise ValueError(f"--checkpoint replaces pretraining: drop {given}")
     if args.synthetic:
         given = [flag for flag, value in (("--augment", args.augment), ("--train", args.train_path),
                                           ("--valid", args.valid_path), ("--test", args.test_path))
@@ -206,6 +205,9 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         if given:
             raise ValueError(f"--synthetic generates its own dataset: drop {', '.join(given)}")
         kg = generate_knowledge_graph(_spec_from_args(args))
+    elif given := _given_flags(args, "blocks", "block_entities", "relations", "p_intra",
+                               "p_inter", "missing_fraction"):
+        raise ValueError(f"the generator flags need --synthetic: drop {given} or add --synthetic")
     else:
         kg = _load_kg(args, augment=args.augment)
     if args.checkpoint:
@@ -214,11 +216,11 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         retain, _ = split_retain_missing(kg.train, args.removal_fraction, args.seed)
         pre_cfg = TrainConfig(
             loss_mode="simple",
-            aggregator=args.aggregator,
-            dim=args.dim,
+            aggregator="gru" if args.aggregator is None else args.aggregator,
+            dim=16 if args.dim is None else args.dim,
             batch_size=16,
-            epochs=args.pretrain_epochs,
-            learning_rate=args.pretrain_lr,
+            epochs=5 if args.pretrain_epochs is None else args.pretrain_epochs,
+            learning_rate=0.01 if args.pretrain_lr is None else args.pretrain_lr,
             weight_decay=0.0,
             seed=args.seed,
         )
@@ -309,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--k-grid", dest="k_grid", default="7,15,31")
     p_ana.add_argument("--cap", type=int, default=5)
     p_ana.add_argument("--seed", type=int, default=0)
-    p_ana.add_argument("--dim", type=int, default=16)
-    p_ana.add_argument("--aggregator", choices=AGGREGATOR_KINDS, default="gru")
-    p_ana.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int, default=5)
-    p_ana.add_argument("--pretrain-lr", dest="pretrain_lr", type=float, default=0.01)
+    p_ana.add_argument("--dim", type=int)
+    p_ana.add_argument("--aggregator", choices=AGGREGATOR_KINDS)
+    p_ana.add_argument("--pretrain-epochs", type=int)
+    p_ana.add_argument("--pretrain-lr", type=float)
     p_ana.add_argument("--max-triples", dest="max_triples", type=int, default=None)
     p_ana.add_argument("--out-counts", dest="out_counts", default="false_negative_counts.csv")
     p_ana.add_argument(

@@ -8,6 +8,7 @@ import os
 import pytest
 
 import kgcl.cli
+import kgcl.synthetic
 import kgcl.training
 from kgcl.cli import build_parser, build_train_config, main, read_config_file
 from kgcl.data import load_dataset
@@ -342,6 +343,86 @@ def test_analyze_negatives_rejects_dataset_flags_with_synthetic_before_pretraini
     assert "--synthetic" in err
     assert all(flag in err for flag in flags if flag.startswith("--"))
     assert not counts_path.exists()
+
+
+def refuse_loading_and_pretraining(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("analyze-negatives loaded or pretrained before checking its flags")
+
+    for name in ("train", "_load_kg", "_load_fitting_checkpoint"):
+        monkeypatch.setattr(kgcl.cli, name, refused)
+    monkeypatch.setattr(kgcl.synthetic, "generate_knowledge_graph", refused)
+
+
+@pytest.mark.parametrize("flags", [["--blocks", "9"],
+                                   ["--p-intra", "0.9", "--block-entities", "3"],
+                                   ["--relations", "2", "--p-inter", "0",
+                                    "--missing-fraction", "0.5"]])
+def test_analyze_negatives_rejects_generator_flags_without_synthetic_before_loading(
+        tmp_path, capsys, monkeypatch, flags):
+    """Without --synthetic the dataset comes from files, so a generator flag
+    would go unread (even one set to 0): it exits 2 instead."""
+    data, _ = gen_dataset(tmp_path, capsys)
+    refuse_loading_and_pretraining(monkeypatch)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"), "--test", str(data / "test.tsv"),
+                 *flags, "--k-grid", "3", "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "need --synthetic" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not counts_path.exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "8"], ["--aggregator", "sum"],
+                                   ["--pretrain-epochs", "0", "--pretrain-lr", "0.1"]])
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_analyze_negatives_rejects_pretraining_flags_with_a_checkpoint_before_loading(
+        tmp_path, capsys, monkeypatch, flags, synthetic):
+    """A checkpoint replaces pretraining, so a pretraining flag would go
+    unread: it exits 2 instead."""
+    data, _ = gen_dataset(tmp_path, capsys)
+    refuse_loading_and_pretraining(monkeypatch)
+    dataset = (["--synthetic"] if synthetic else
+               ["--train", str(data / "train.tsv"), "--valid", str(data / "valid.tsv"),
+                "--test", str(data / "test.tsv")])
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", *dataset, "--checkpoint", str(tmp_path / "model.kge"),
+                 *flags, "--k-grid", "3", "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--checkpoint replaces pretraining" in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not counts_path.exists()
+
+
+def test_analyze_negatives_with_a_checkpoint_runs_without_pretraining(
+        tmp_path, capsys, monkeypatch):
+    data, _ = gen_dataset(tmp_path, capsys)
+    paths = [str(data / f"{split}.tsv") for split in ("train", "valid", "test")]
+    kg = load_dataset(*paths)
+    checkpoint = tmp_path / "model.kge"
+    save_checkpoint(init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum"),
+                    str(checkpoint))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a checkpoint run pretrained")
+
+    monkeypatch.setattr(kgcl.cli, "train", no_training)
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--train", paths[0], "--valid", paths[1],
+                 "--test", paths[2], "--checkpoint", str(checkpoint), "--k-grid", "3",
+                 "--out-counts", str(counts_path), "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 0
+    assert counts_path.exists()
+
+
+def test_unset_generator_flags_keep_the_spec_defaults():
+    args = build_parser().parse_args(["gen-synthetic", "--seed", "4", "--out-dir", "out"])
+    assert kgcl.cli._spec_from_args(args) == kgcl.synthetic.SyntheticKGSpec(seed=4)
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze-negatives"])

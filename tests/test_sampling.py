@@ -86,6 +86,8 @@ def test_hard_topk_filters_known_positives_and_checks_supply():
     assert sorted(picked[0].tolist()) == [3, 4]
     with pytest.raises(ValueError):
         _select_topk(scores, known, 3)
+    # a block of no rows lacks no candidates, however few columns it has
+    assert _select_topk(np.zeros((0, 2)), np.zeros((0, 2), dtype=bool), 3).shape == (0, 3)
 
 
 def lexsort_topk(scores, known, k):
@@ -118,7 +120,7 @@ def test_batched_topk_matches_a_per_row_lexsort(k):
         for row in range(1, 7):
             while np.count_nonzero(~known[row]) < k:
                 known[row, rng.choice(np.flatnonzero(known[row]))] = False
-        picked = _select_topk(scores, known, k)
+        picked = _select_topk(scores.copy(), known, k)
         np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
         assert picked.shape == (7, k) and picked.dtype == np.int64
         assert not np.take_along_axis(known, picked, axis=1).any()
@@ -155,10 +157,64 @@ def test_topk_on_finite_blocks_matches_a_per_row_lexsort(data, k):
         while np.count_nonzero(~known[row]) < k:
             known[row, np.flatnonzero(known[row])[0]] = False
     assert np.isfinite(scores).all()
-    picked = _select_topk(scores, known, k)
+    picked = _select_topk(scores.copy(), known, k)
     np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
     assert picked.shape == (rows, k) and picked.dtype == np.int64
     assert not np.take_along_axis(known, picked, axis=1).any()
+
+
+def rows_ranked_by_key(monkeypatch):
+    """Record the rows of every block that _select_topk hands to its exact
+    int64 key."""
+    blocks = []
+    key = kgcl.sampling._key_topk
+
+    def recorded(scores, known, k):
+        blocks.append(scores.copy())
+        return key(scores, known, k)
+
+    monkeypatch.setattr(kgcl.sampling, "_key_topk", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("row, known_row, k, expected", [
+    # the NaN is picked first, and the two -inf picks after 2.0 both land on
+    # its column; restoring the picks in pick order would lose the NaN
+    ([np.nan, -np.inf, -np.inf, 2.0], [False] * 4, 4, [3, 1, 2, 0]),
+    # one number above -inf; the -inf picks land on the known columns first
+    ([5.0, 1.0, -np.inf, 0.5, -np.inf], [True, True, False, False, False], 3, [3, 2, 4]),
+])
+def test_rows_that_reach_nan_or_minus_inf_are_ranked_again_by_the_key(
+        monkeypatch, row, known_row, k, expected):
+    blocks = rows_ranked_by_key(monkeypatch)
+    # a finite row above the odd one keeps its float picks
+    finite = np.arange(len(row), dtype=np.float64)
+    scores = np.array([finite, row])
+    known = np.array([[False] * len(row), known_row])
+    picked = _select_topk(scores.copy(), known, k)
+    np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
+    assert picked[1].tolist() == expected
+    # only the odd row reaches the key, with its scores as masked, picks undone
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0], np.where(known[1:], -np.inf, scores[1:]))
+
+
+def test_a_finite_product_sized_block_never_reaches_the_key(monkeypatch):
+    def no_key(*args):
+        raise AssertionError("a finite block reached the int64 key")
+
+    monkeypatch.setattr(kgcl.sampling, "_key_topk", no_key)
+    rng = np.random.default_rng(24)
+    # 256 x 2,048 at k 3, as a mid step scores: multiples of 1/64 plant exact
+    # ties, and a fifth of the zeros are -0.0
+    scores = rng.integers(-64, 65, size=(256, 2048)) / 64.0
+    scores[(scores == 0) & (rng.random(scores.shape) < 0.2)] = -0.0
+    # some rows tie at their top score across several columns
+    scores[::7, rng.choice(2048, size=5, replace=False)] = 1.0
+    known = rng.random(scores.shape) < 0.01
+    assert np.signbit(scores[scores == 0]).any() and np.isfinite(scores).all()
+    picked = _select_topk(scores.copy(), known, 3)
+    np.testing.assert_array_equal(picked, lexsort_topk(scores, known, 3))
 
 
 def test_hard_softmax_sample_matches_analytic_distribution():

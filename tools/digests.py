@@ -14,8 +14,10 @@ from the workload's own fields on a model trained again from its seed;
 these two cover their arrays' dtypes and bytes. After the workloads, for
 each seed, it runs the analyze-negatives subcommand on a generated dataset
 through kgcl.cli.main and prints a SHA-256 of each CSV it writes and of
-what it prints. BLAS is pinned to one thread, as in the benchmark, before
-numpy is imported.
+what it prints; then a hard-mode train run at --hard-k 64 on a generated
+dataset, printing a SHA-256 of every top-k block it picks, in call order,
+and of its final checkpoint. BLAS is pinned to one thread, as in the
+benchmark, before numpy is imported.
 """
 
 import os
@@ -91,6 +93,37 @@ def cli_outputs(seed: int, scratch_dir: str) -> str:
             f"histogram={files[1]} stdout={stdout}")
 
 
+def hard_k64_outputs(seed: int, scratch_dir: str) -> str:
+    """The picks and checkpoint of `kgcl train --loss hard --hard-k 64` on a
+    generated 128-entity dataset."""
+    data, run = (os.path.join(scratch_dir, f"hard_k64_{name}") for name in ("data", "run"))
+    picks = hashlib.sha256()
+    select = kgcl.sampling._select_topk
+
+    def recorded(scores, known, k):
+        ids = select(scores, known, k)
+        picks.update(ids.dtype.str.encode() + ids.tobytes())
+        return ids
+
+    kgcl.sampling._select_topk = recorded
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            kgcl.cli.main(["gen-synthetic", "--blocks", "8", "--block-entities", "16",
+                           "--relations", "3", "--seed", str(seed), "--out-dir", data])
+            code = kgcl.cli.main([
+                "train", *(f"--{split}={os.path.join(data, split + '.tsv')}"
+                           for split in ("train", "valid", "test")),
+                "--loss", "hard", "--hard-k", "64", "--aggregator", "gru", "--dim", "8",
+                "--batch-size", "32", "--epochs", "1",
+                "--seed", str(seed), "--out-dir", run])
+    finally:
+        kgcl.sampling._select_topk = select
+    with open(os.path.join(run, "checkpoint_final.kge"), "rb") as handle:
+        checkpoint = hashlib.sha256(handle.read()).hexdigest()
+    return (f"train_hard_k64 seed={seed} exit={code} picks={picks.hexdigest()} "
+            f"checkpoint={checkpoint}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
@@ -103,6 +136,8 @@ def main() -> None:
                 print(outputs(WORKLOADS[name], seed, scratch_dir), flush=True)
         for seed in args.seeds:
             print(cli_outputs(seed, scratch_dir), flush=True)
+        for seed in args.seeds:
+            print(hard_k64_outputs(seed, scratch_dir), flush=True)
 
 
 if __name__ == "__main__":
