@@ -39,11 +39,11 @@ def _coerce(name: str, raw: str, path: str):
     if kind is None:
         raise ValueError(f"{path}: unknown config key {name!r}")
     raw = raw.strip()
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float):
-        return float(raw)
-    return raw
+    parse = int if kind in ("int", int) else float if kind in ("float", float) else str
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: config key {name!r}: {exc}") from None
 
 
 def read_config_file(path: str) -> dict:

@@ -90,7 +90,7 @@ _LOWEST = -np.finfo(np.float64).max  # a finite shift for a row without scores
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # exp overflows above it
 
 
-def _log_estimate(block: np.ndarray, variant: str):
+def _log_estimate(block: np.ndarray, variant: str, count=None):
     """Per row of a block of scores, -inf marking an empty cell: log K neg,
     where neg estimates E[exp(s)] from the row's K scores (-inf for a row
     without scores), and its derivatives by the scores, written over block.
@@ -98,18 +98,20 @@ def _log_estimate(block: np.ndarray, variant: str):
     K neg is the plain sum exp(c) sum(w). eq7 takes the self-normalized
     sum(exp(2s)) / sum(exp(s)) = exp(c) sum(w^2) / sum(w), which for samples
     drawn from a proposal estimates E[exp(s)] under the proposal tilted by
-    exp(s)."""
+    exp(s); its K is count, each row's scores above -inf, or counted here."""
     if not block.size:
         return np.full(len(block), -np.inf), block
     c = block.max(axis=1)
-    k = np.maximum((block > -np.inf).sum(axis=1), 1) if variant == "eq7" else 1
+    count = (block > -np.inf).sum(axis=1) if count is None and variant == "eq7" else count
     w = np.exp(np.subtract(block, np.maximum(c, _LOWEST)[:, None], out=block), out=block)
     # a row's maximum has w = 1, so only a row without scores sums below 1
     s1 = np.maximum(w.sum(axis=1), 1.0)
     if variant == "eq7":
-        s2 = np.maximum((w * w).sum(axis=1), 1.0)
-        d = 2.0 * w / s2[:, None] - 1.0 / s1[:, None]
-        return c + np.log(k * s2 / s1), np.multiply(w, d, out=w)
+        d = np.multiply(w, w)  # one scratch block: w^2, then 2 w / s2 - 1 / s1
+        s2 = np.maximum(d.sum(axis=1), 1.0)
+        np.divide(np.multiply(w, 2.0, out=d), s2[:, None], out=d)
+        d -= (1.0 / s1)[:, None]
+        return c + np.log(np.maximum(count, 1) * s2 / s1), np.multiply(w, d, out=w)
     return c + np.log(s1), np.divide(w, s1[:, None], out=w)
 
 
@@ -124,14 +126,14 @@ def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
     derivatives are written over the blocks of scores."""
     rate = tau if variant == "eq7" else tau * (1.0 - tau)
     debias = rate and struct is not None and struct.size
-    if floor or debias:
-        k = (neg > -np.inf).sum(axis=1)
-    log_neg, d_neg = _log_estimate(neg, variant)
+    k = (neg > -np.inf).sum(axis=1) if floor or debias or variant == "eq7" else None
+    log_neg, d_neg = _log_estimate(neg, variant, k)
     log_mass, log_fn, d_fn = log_neg - math.log1p(-tau), np.full(len(neg), -np.inf), neg[:, :0]
     if struct is not None:
-        samples = np.maximum((struct > -np.inf).sum(axis=1), 1)
-        log_fn, d_fn = _log_estimate(struct, variant)
-        log_fn -= np.log(samples)
+        samples = (struct > -np.inf).sum(axis=1)
+        log_fn, d_fn = _log_estimate(struct, variant, samples)
+        log_fn -= np.log(np.maximum(samples, 1))
+    scale = None  # d_neg's row scale, None for 1
     if debias:
         # share = rate fn / neg, with neg = K neg / K
         log_k = np.log(k, out=np.full(len(k), -np.inf), where=k > 0)
@@ -141,9 +143,8 @@ def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
         log_mass += np.log1p(-share, out=np.full(len(k), -np.inf), where=share < 1.0)
         # d log M / d neg = d log neg / (1 - share) and d log M / d struct =
         # -share d log fn / (1 - share)
-        inv = np.divide(1.0, 1.0 - share, out=np.zeros(len(k)), where=share < 1.0)
-        d_neg *= inv[:, None]
-        d_fn *= -(share * inv)[:, None]
+        scale = np.divide(1.0, 1.0 - share, out=np.zeros(len(k)), where=share < 1.0)
+        d_fn *= -(share * scale)[:, None]
     else:
         d_fn *= 0.0  # the share is 0 whatever the structure scores
     clamped = np.zeros(len(neg), dtype=bool)
@@ -152,8 +153,11 @@ def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
         log_floor = np.log(least, out=np.full(len(k), -np.inf), where=least > 0.0)
         clamped = log_mass < log_floor
         log_mass = np.where(clamped, log_floor, log_mass)
-        d_neg *= ~clamped[:, None]
+        # exact: a clamped row's factor is 0.0 and an unclamped row's 1.0
+        scale = ~clamped if scale is None else scale * ~clamped
         d_fn *= ~clamped[:, None]
+    if scale is not None:
+        d_neg *= scale[:, None]
     return log_mass, clamped, d_neg, d_fn, log_neg, log_fn
 
 
@@ -175,12 +179,13 @@ def _score(anchors, table, block, own, present):
     """Score each row's anchor against the table rows its rows of two blocks
     of ids name, -1 marking an empty cell (present is block >= 0): the shared
     columns of block with one product, every other cell, own's included,
-    with a row dot. Returns the cells, one buffer with -inf where empty,
-    ordered shared columns, rest of block, own; which of them hold an id;
-    and pull(grad, push). Given d loss / d cell over the leading columns of
-    the cells and the cells among them whose table row takes the gradient,
-    pull returns d loss / d anchors, and the table ids with their gradient
-    rows: one per shared column with a cell in push, one per other cell."""
+    with a row dot. Returns block's cells (C-contiguous: shared columns, then
+    the rest) and own's, -inf where empty; which of them hold an id, side by
+    side; and pull(grad, grad_own, push). Given d loss / d cell over block's
+    cells and own's leading columns, and the cells whose table row takes the
+    gradient, pull returns d loss / d anchors, and the table ids with their
+    gradient rows: one per shared column with a cell in push, one per other
+    cell."""
     top, unsigned = block.max(axis=0), block.dtype.char.upper()  # int64 -> uint64
     # -1 reads as the largest unsigned id, so a column whose unsigned minimum
     # is its largest id is shared, and so is one without ids
@@ -190,22 +195,25 @@ def _score(anchors, table, block, own, present):
     # a view when the shared columns lead, as a training step's slots do
     lead = present[:, :size] if shared[:size].all() else present.compress(shared, axis=1)
     filled = np.concatenate([lead, ids >= 0], axis=1)
-    cells = np.empty(filled.shape)
+    cells, own_cells, k = np.empty(block.shape), np.empty(own.shape), block.shape[1]
     np.matmul(anchors, dense.T, out=cells[:, :size])
-    np.einsum("bwd,bd->bw", rows, anchors, out=cells[:, size:])
-    np.copyto(cells, -np.inf, where=~filled)
+    np.einsum("bwd,bd->bw", rows[:, : k - size], anchors, out=cells[:, size:])
+    np.einsum("bwd,bd->bw", rows[:, k - size :], anchors, out=own_cells)
+    np.copyto(cells, -np.inf, where=~filled[:, :k])
+    np.copyto(own_cells, -np.inf, where=~filled[:, k:])
 
-    def pull(grad, push):
+    def pull(grad, grad_own, push):
         # the shared block of grad is the gradient G of their product: its
         # rows get G^T anchors and the anchors G dense
-        g_dense, g_own, width = grad[:, :size], grad[:, size:], grad.shape[1] - size
+        g_dense, g_own = grad[:, :size], np.concatenate([grad[:, size:], grad_own], axis=1)
+        width = g_own.shape[1]
         d_anchors = g_dense @ dense + np.einsum("bw,bwd->bd", g_own, rows[:, :width])
         keep, cells = push[:, :size].any(axis=0), push[:, size:]
         pushed = np.concatenate([dense_ids[keep], ids[:, :width][cells]])
         grads = [(g_dense.T @ anchors)[keep], (g_own[:, :, None] * anchors[:, None, :])[cells]]
         return d_anchors, pushed, np.concatenate(grads)
 
-    return cells, filled, pull
+    return cells, own_cells, filled, pull
 
 
 def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant="alg1",
@@ -226,17 +234,17 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
     heads, relations, tails = batch.T
     queries, cache = aggregate_batch(model, heads, relations)
     block = negatives.hard_and_batch_negatives
-    k = block.shape[1]  # the cells are the negatives', then the tail's, then the structure's
+    k = block.shape[1]
     present = block >= 0
     has_neg = present.any(axis=1)
-    own = tails[:, None]
+    own = tails[:, None]  # the tail's cell, then the structure samples'
     if structure is not None:
         # a triple without negatives contributes nothing at all
         own = np.concatenate([own, np.where(has_neg[:, None], structure, -1)], axis=1)
-    cells, filled, pull = _score(queries, model.entity_table, block, own, present)
-    s_pos = cells[:, k]  # read before the gradient is written over the cells
+    cells, own_cells, filled, pull = _score(queries, model.entity_table, block, own, present)
+    s_pos = own_cells[:, 0]  # read before the gradient is written over the cells
     log_mass, clamped, d_neg, d_rho, log_neg, log_fn = _log_mass(
-        cells[:, :k], None if structure is None else cells[:, k + 1 :], tau, variant, floor
+        cells, None if structure is None else own_cells[:, 1:], tau, variant, floor
     )
     term, p_mass = _term(s_pos, log_mass)
     total, d_pos, touched = term.sum(), -p_mass, has_neg
@@ -244,8 +252,8 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
         # the reversed term: each tail against the batch's other queries
         contexts = negatives.negative_contexts
         anchors = model.entity_table[tails]
-        ctx_cells, ctx_filled, ctx_pull = _score(anchors, queries, contexts, own[:, :0],
-                                                 contexts >= 0)
+        ctx_cells, _, ctx_filled, ctx_pull = _score(anchors, queries, contexts, own[:, :0],
+                                                    contexts >= 0)
         ctx_mass, _, d_ctx, *_ = _log_mass(ctx_cells)
         ctx_term, p_ctx = _term(s_pos, ctx_mass)
         total, d_pos = total + ctx_term.sum(), d_pos - p_ctx
@@ -257,15 +265,16 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
     # the gradient by the cells, written over them: negatives, tail, structure
     d_neg *= p_mass[:, None]
     d_rho *= p_mass[:, None]
-    cells[:, k], width = d_pos, k + 1 + (d_rho.shape[1] if tau != 0.0 else 0)
-    push = filled[:, :width]
+    own_cells[:, 0], width = d_pos, 1 + (d_rho.shape[1] if tau != 0.0 else 0)
+    push = filled[:, : k + width]
     if floor:
         push &= ~clamped[:, None]
     push[:, k] = touched
-    d_queries, ids, rows = pull(cells[:, :width], push)
+    d_queries, ids, rows = pull(d_neg, own_cells[:, :width], push)
     tape.add_entity(ids, rows)
     if bidirectional:
-        d_tails, at, rows = ctx_pull(np.multiply(d_ctx, p_ctx[:, None], out=d_ctx), ctx_filled)
+        d_ctx *= p_ctx[:, None]
+        d_tails, at, rows = ctx_pull(d_ctx, d_ctx[:, :0], ctx_filled)
         tape.add_entity(tails[touched], d_tails[touched])
         np.add.at(d_queries, at, rows)
     backward(model, cache, d_queries, tape)

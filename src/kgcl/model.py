@@ -137,6 +137,26 @@ def _gru_cell_forward(x: np.ndarray, h: np.ndarray, p: dict[str, np.ndarray]):
     return h_new, (x, h, z, r, rh, n)
 
 
+def _gru_first_cell_forward(x: np.ndarray, p: dict[str, np.ndarray]):
+    """The cell from the zero state, whose recurrent products vanish: z and n
+    read the input alone, there is no reset gate, and h1 = (1 - z) n."""
+    z = _sigmoid(x @ p["w_z"].T + p["b_z"])
+    n = np.tanh(x @ p["w_n"].T + p["b_n"])
+    return (1.0 - z) * n, (x, z, n)
+
+
+def _gru_first_cell_backward(d_out: np.ndarray, cache, p: dict[str, np.ndarray], grads: dict):
+    """d loss / d x of the first cell, whose state, u_* and reset-gate gradients are 0."""
+    x, z, n = cache
+    dan = d_out * (1.0 - z) * (1.0 - n * n)
+    daz = d_out * (0.0 - n) * z * (1.0 - z)
+    grads["w_n"] += dan.T @ x
+    grads["b_n"] += dan.sum(axis=0)
+    grads["w_z"] += daz.T @ x
+    grads["b_z"] += daz.sum(axis=0)
+    return dan @ p["w_n"] + daz @ p["w_z"]
+
+
 def _gru_cell_backward(d_out: np.ndarray, cache, p: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
     x, h, z, r, rh, n = cache
     dn = d_out * (1.0 - z)
@@ -190,8 +210,7 @@ def aggregate_batch(
         q = np.tanh(pre)
         return q, AggregationCache(heads, relations, inputs=(x, q))
     if model.kind == "gru":
-        h0 = np.zeros_like(eh)
-        h1, c1 = _gru_cell_forward(eh, h0, p)
+        h1, c1 = _gru_first_cell_forward(eh, p)
         h2, c2 = _gru_cell_forward(er, h1, p)
         return h2, AggregationCache(heads, relations, inputs=(c1, c2))
     raise ValueError(f"unknown aggregator kind {model.kind!r}")
@@ -287,7 +306,7 @@ def backward(
     elif model.kind == "gru":
         c1, c2 = cache.inputs
         d_er, dh1 = _gru_cell_backward(d_query, c2, p, tape.aggregator)
-        d_eh, _ = _gru_cell_backward(dh1, c1, p, tape.aggregator)
+        d_eh = _gru_first_cell_backward(dh1, c1, p, tape.aggregator)
     else:
         raise ValueError(f"unknown aggregator kind {model.kind!r}")
     tape.add_entity(cache.heads, d_eh)

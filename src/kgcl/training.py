@@ -143,6 +143,8 @@ class AdamState:
             (model.params[cut:], self.m[cut:], self.v[cut:], ..., tape.aggregator_grad),
         ]
         for param, m, v, rows, g in groups:
+            if not g.size:  # such as the sum aggregator's empty part
+                continue
             m_rows = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * g
             v_rows = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * g * g
             m[rows] = m_rows

@@ -1,8 +1,8 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
-of the logistic function, a dict BFS and the per-head 1-/2-hop ring read
-from it, the contrastive core's earlier batched form, a model built from
+of the logistic function, the two-cell GRU aggregator, a dict BFS and the
+per-head 1-/2-hop ring read from it, the contrastive core's earlier batched form, a model built from
 its parts, a tiny cycle graph, and two summaries of one label's row of a
 false-negative report's hop histogram.
 
@@ -12,7 +12,10 @@ sampler oracles draw one row at a time with rng.choice, so they check the
 library's batched draws id for id and stream for stream. The rank oracle
 counts one row's scores at a time, so it checks evaluate's batched counts
 rank for rank. The logistic oracle is the two-branch form with masked
-stores, so it checks model._sigmoid bit for bit. The core oracle allocates
+stores, so it checks model._sigmoid bit for bit. The GRU oracle runs two
+full cells, the first from a state of zeros with its reset gate and
+recurrent products, so it checks the model's zero-state first cell bit for
+bit. The core oracle allocates
 a fresh array at every step (np.where copies, boolean column indexing,
 concatenated score and gradient blocks), so it checks the library's one
 cell buffer, written in place, bit for bit. The BFS oracle walks one
@@ -121,6 +124,56 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def gru_cell_forward_oracle(x: np.ndarray, h: np.ndarray, p: dict[str, np.ndarray]):
+    """One full GRU cell from state h: update gate, reset gate, candidate."""
+    z = masked_sigmoid(x @ p["w_z"].T + h @ p["u_z"].T + p["b_z"])
+    r = masked_sigmoid(x @ p["w_r"].T + h @ p["u_r"].T + p["b_r"])
+    rh = r * h
+    n = np.tanh(x @ p["w_n"].T + rh @ p["u_n"].T + p["b_n"])
+    return (1.0 - z) * n + z * h, (x, h, z, r, rh, n)
+
+
+def gru_cell_backward_oracle(d_out: np.ndarray, cache, p: dict[str, np.ndarray],
+                             grads: dict[str, np.ndarray]):
+    """(d loss / d x, d loss / d h) of one full cell, its parameter
+    gradients added to grads."""
+    x, h, z, r, rh, n = cache
+    dn, dz, dh = d_out * (1.0 - z), d_out * (h - n), d_out * z
+    dan = dn * (1.0 - n * n)
+    grads["w_n"] += dan.T @ x
+    grads["u_n"] += dan.T @ rh
+    grads["b_n"] += dan.sum(axis=0)
+    dx, drh = dan @ p["w_n"], dan @ p["u_n"]
+    dr = drh * h
+    dh += drh * r
+    dar = dr * r * (1.0 - r)
+    grads["w_r"] += dar.T @ x
+    grads["u_r"] += dar.T @ h
+    grads["b_r"] += dar.sum(axis=0)
+    dx += dar @ p["w_r"]
+    dh += dar @ p["u_r"]
+    daz = dz * z * (1.0 - z)
+    grads["w_z"] += daz.T @ x
+    grads["u_z"] += daz.T @ h
+    grads["b_z"] += daz.sum(axis=0)
+    dx += daz @ p["w_z"]
+    dh += daz @ p["u_z"]
+    return dx, dh
+
+
+def gru_oracle(model: EmbeddingModel, heads, relations, d_query, tape):
+    """The gru aggregator's queries as two full cells, the first from
+    np.zeros, with d_query pushed back through both into tape."""
+    p, eh = model.aggregator, model.entity_table[heads]
+    h1, c1 = gru_cell_forward_oracle(eh, np.zeros_like(eh), p)
+    h2, c2 = gru_cell_forward_oracle(model.relation_table[relations], h1, p)
+    d_er, dh1 = gru_cell_backward_oracle(d_query, c2, p, tape.aggregator)
+    d_eh, _ = gru_cell_backward_oracle(dh1, c1, p, tape.aggregator)
+    tape.add_entity(heads, d_eh)
+    tape.add_relation(relations, d_er)
+    return h2
 
 
 def log_estimate_oracle(block: np.ndarray, variant: str):

@@ -47,6 +47,17 @@ def test_config_file_rejects_unknown_keys_and_bad_lines(tmp_path):
     assert "expected key=value" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["epochs=2.5", "dim=", "tau=high"])
+def test_config_value_that_does_not_parse_names_its_file_line_and_key(tmp_path, capsys, line):
+    key = line.partition("=")[0]
+    path = write_config(tmp_path, f"# a comment\nseed=3\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        read_config_file(path)
+    assert f"{path}:3: config key {key!r}:" in str(err.value)
+    assert main(["train", "--config", path]) == 2
+    assert f"error: {path}:3: config key {key!r}:" in capsys.readouterr().err
+
+
 def test_train_has_no_self_normalized_flag_or_key(tmp_path, capsys):
     """The hard loss with the ratio-form mass is hasa at tau 0 with eq7, so
     no knob selects it: the flag and the config key both exit 2."""

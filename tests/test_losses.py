@@ -849,8 +849,9 @@ def test_column_split_matches_the_oracle_and_pushes_the_rule_rows(case, mode):
     negatives = neg_batch(negs, structs, SPLIT_CONTEXTS)
     heads = batch[:, 0]
     ids = negatives.hard_and_batch_negatives
-    cells, filled, pull = _score(table[heads], table, ids, ids[:, :0], ids >= 0)
-    assert pull(np.zeros(cells.shape), filled)[1].size == pulled
+    cells, own_cells, filled, pull = _score(table[heads], table, ids, ids[:, :0], ids >= 0)
+    assert cells.flags.c_contiguous
+    assert pull(np.zeros(cells.shape), np.zeros(own_cells.shape), filled)[1].size == pulled
     out, tape = run_with_tape(mode, batch, negatives, model, cfg)
     expected, clamped = split_oracle(mode, table, negs, structs, cfg)
     # a clamped row's term is a difference of nearly equal logs
@@ -1012,9 +1013,11 @@ def test_score_splits_a_narrow_id_block_as_an_int64_one(case):
     table = split_table()
     wide = block(SPLIT_CASES[case][0])
     anchors = table[[head for head, _, _ in SPLIT_TRIPLES]]
-    want_cells, want_filled, _ = _score(anchors, table, wide, wide[:, :0], wide >= 0)
+    want_cells, want_own, want_filled, _ = _score(anchors, table, wide, wide[:, :0], wide >= 0)
     for dtype in (np.int32, np.int16):
         ids = wide.astype(dtype)
-        cells, filled, _ = _score(anchors, table, ids, ids[:, :0], ids >= 0)
+        cells, own_cells, filled, _ = _score(anchors, table, ids, ids[:, :0], ids >= 0)
+        assert cells.flags.c_contiguous
         assert cells.tobytes() == want_cells.tobytes()
+        assert own_cells.tobytes() == want_own.tobytes()
         assert np.array_equal(filled, want_filled)

@@ -22,7 +22,7 @@ from kgcl.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from support import grad_row, masked_sigmoid, query, sum_model
+from support import grad_row, gru_oracle, masked_sigmoid, query, sum_model
 
 
 def test_aggregator_param_shapes():
@@ -130,6 +130,26 @@ def test_gru_aggregator_matches_reference():
         q = query(model, head, relation)
         np.testing.assert_allclose(
             q, reference_gru_query(model, head, relation), rtol=1e-13)
+
+
+@pytest.mark.parametrize("init_scale", [0.05, 1.0])
+@pytest.mark.parametrize("batch_size", [1, 37])
+def test_gru_matches_two_full_cells_from_a_zero_state_bit_for_bit(init_scale, batch_size):
+    # the first cell skips the zero state's recurrent products and reset
+    # gate, whose values and gradients are exactly zero
+    rng = np.random.default_rng(batch_size)
+    model = init_model(29, 4, 6, kind="gru", seed=batch_size, init_scale=init_scale)
+    heads, relations = rng.integers(0, 29, batch_size), rng.integers(0, 4, batch_size)
+    d_query = rng.normal(size=(batch_size, 6))
+    queries, cache = aggregate_batch(model, heads, relations)
+    tape, oracle_tape = GradientTape(model), GradientTape(model)
+    backward(model, cache, d_query, tape)
+    assert queries.tobytes() == gru_oracle(model, heads, relations, d_query, oracle_tape).tobytes()
+    for got, want in ((tape.entity_rows(), oracle_tape.entity_rows()),
+                      (tape.relation_rows(), oracle_tape.relation_rows())):
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+    for name, grad in tape.aggregator.items():
+        assert grad.tobytes() == oracle_tape.aggregator[name].tobytes(), name
 
 
 def test_gru_with_zero_parameters_emits_zero():

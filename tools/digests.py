@@ -16,8 +16,10 @@ each seed, it runs the analyze-negatives subcommand on a generated dataset
 through kgcl.cli.main and prints a SHA-256 of each CSV it writes and of
 what it prints; then a hard-mode train run at --hard-k 64 on a generated
 dataset, printing a SHA-256 of every top-k block it picks, in call order,
-and of its final checkpoint. BLAS is pinned to one thread, as in the
-benchmark, before numpy is imported.
+and of its final checkpoint; then a hasa_plus train run over the mlp
+aggregator whose floor clamps rows, printing a SHA-256 of its final
+checkpoint and of its train_log.jsonl and its total clamp hits. BLAS is
+pinned to one thread, as in the benchmark, before numpy is imported.
 """
 
 import os
@@ -30,6 +32,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -74,6 +77,11 @@ def outputs(workload, seed: int, scratch_dir: str) -> str:
             f"{walk_outputs(workload, state)}")
 
 
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
 def cli_outputs(seed: int, scratch_dir: str) -> str:
     """The analyze-negatives subcommand's two CSVs and its printed lines."""
     counts, histogram = (os.path.join(scratch_dir, f"cli_{name}.csv")
@@ -84,19 +92,29 @@ def cli_outputs(seed: int, scratch_dir: str) -> str:
                               "--pretrain-epochs", "1", "--aggregator", "sum", "--dim", "8",
                               "--seed", str(seed), "--out-counts", counts,
                               "--out-histogram", histogram])
-    files = []
-    for path in (counts, histogram):
-        with open(path, "rb") as handle:
-            files.append(hashlib.sha256(handle.read()).hexdigest())
+    files = [file_sha256(path) for path in (counts, histogram)]
     stdout = hashlib.sha256(printed.getvalue().encode()).hexdigest()
     return (f"cli_analyze_negatives seed={seed} exit={code} counts={files[0]} "
             f"histogram={files[1]} stdout={stdout}")
 
 
+def train_on_generated(seed: int, scratch_dir: str, name: str, flags: list[str]) -> tuple:
+    """`kgcl train` with flags on a generated 128-entity dataset: (exit
+    code, run directory)."""
+    data, run = (os.path.join(scratch_dir, f"{name}_{part}") for part in ("data", "run"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        kgcl.cli.main(["gen-synthetic", "--blocks", "8", "--block-entities", "16",
+                       "--relations", "3", "--seed", str(seed), "--out-dir", data])
+        code = kgcl.cli.main([
+            "train", *(f"--{split}={os.path.join(data, split + '.tsv')}"
+                       for split in ("train", "valid", "test")),
+            *flags, "--dim", "8", "--batch-size", "32", "--epochs", "1",
+            "--seed", str(seed), "--out-dir", run])
+    return code, run
+
+
 def hard_k64_outputs(seed: int, scratch_dir: str) -> str:
-    """The picks and checkpoint of `kgcl train --loss hard --hard-k 64` on a
-    generated 128-entity dataset."""
-    data, run = (os.path.join(scratch_dir, f"hard_k64_{name}") for name in ("data", "run"))
+    """The picks and checkpoint of `kgcl train --loss hard --hard-k 64`."""
     picks = hashlib.sha256()
     select = kgcl.sampling._select_topk
 
@@ -107,21 +125,28 @@ def hard_k64_outputs(seed: int, scratch_dir: str) -> str:
 
     kgcl.sampling._select_topk = recorded
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            kgcl.cli.main(["gen-synthetic", "--blocks", "8", "--block-entities", "16",
-                           "--relations", "3", "--seed", str(seed), "--out-dir", data])
-            code = kgcl.cli.main([
-                "train", *(f"--{split}={os.path.join(data, split + '.tsv')}"
-                           for split in ("train", "valid", "test")),
-                "--loss", "hard", "--hard-k", "64", "--aggregator", "gru", "--dim", "8",
-                "--batch-size", "32", "--epochs", "1",
-                "--seed", str(seed), "--out-dir", run])
+        code, run = train_on_generated(seed, scratch_dir, "hard_k64", [
+            "--loss", "hard", "--hard-k", "64", "--aggregator", "gru"])
     finally:
         kgcl.sampling._select_topk = select
-    with open(os.path.join(run, "checkpoint_final.kge"), "rb") as handle:
-        checkpoint = hashlib.sha256(handle.read()).hexdigest()
+    checkpoint = file_sha256(os.path.join(run, "checkpoint_final.kge"))
     return (f"train_hard_k64 seed={seed} exit={code} picks={picks.hexdigest()} "
             f"checkpoint={checkpoint}")
+
+
+def hasa_plus_clamped_outputs(seed: int, scratch_dir: str) -> str:
+    """The checkpoint, log and clamp hits of `kgcl train --loss hasa_plus`
+    over the mlp aggregator, with a floor of 1.5 per negative that clamps
+    rows."""
+    code, run = train_on_generated(seed, scratch_dir, "hasa_plus", [
+        "--loss", "hasa_plus", "--aggregator", "mlp", "--debias-variant", "eq7",
+        "--floor-epsilon", "1.5", "--tau", "0.2"])
+    log = os.path.join(run, "train_log.jsonl")
+    with open(log, encoding="utf-8") as handle:
+        hits = sum(json.loads(line).get("clamp_hits", 0) for line in handle)
+    return (f"train_hasa_plus_clamped seed={seed} exit={code} "
+            f"checkpoint={file_sha256(os.path.join(run, 'checkpoint_final.kge'))} "
+            f"log={file_sha256(log)} clamp_hits={hits}")
 
 
 def main() -> None:
@@ -138,6 +163,8 @@ def main() -> None:
             print(cli_outputs(seed, scratch_dir), flush=True)
         for seed in args.seeds:
             print(hard_k64_outputs(seed, scratch_dir), flush=True)
+        for seed in args.seeds:
+            print(hasa_plus_clamped_outputs(seed, scratch_dir), flush=True)
 
 
 if __name__ == "__main__":
