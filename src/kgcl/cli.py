@@ -11,7 +11,8 @@ import json
 import os
 import sys
 
-from .data import KnowledgeGraph, ParseError, _write_replacing, augment_reverse, load_dataset
+from .data import (SPLIT_NAMES, KnowledgeGraph, ParseError, _write_replacing, augment_reverse,
+                   load_dataset)
 from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_json
 from .losses import DEBIAS_VARIANTS
 from .model import AGGREGATOR_KINDS, load_checkpoint
@@ -25,7 +26,19 @@ from .sampling import (
 from .synthetic import SyntheticKGSpec, generate_synthetic_kg, write_dataset_files
 from .training import TrainConfig, sweep_tau, train, write_sweep_csv
 
+# each TrainConfig field's type parses its config value and its flag; the
+# flag is --field-name unless renamed here, and three fields take choices
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_DATASET_FIELDS = ("train_path", "valid_path", "test_path")
+_FLAG_NAMES = {"train_path": "--train", "valid_path": "--valid", "test_path": "--test",
+               "loss_mode": "--loss", "learning_rate": "--lr"}
+_CHOICES = {"loss_mode": LOSS_MODES, "aggregator": AGGREGATOR_KINDS,
+            "debias_variant": DEBIAS_VARIANTS}
+
+
+def _flag(dest: str) -> str:
+    return _FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
+
 
 def _non_negative(text: str) -> int:
     value = int(text)
@@ -35,20 +48,19 @@ def _non_negative(text: str) -> int:
 
 
 def _coerce(name: str, raw: str, path: str):
-    kind = _CONFIG_FIELDS.get(name)
-    if kind is None:
+    parse = _CONFIG_FIELDS.get(name)
+    if parse is None:
         raise ValueError(f"{path}: unknown config key {name!r}")
-    raw = raw.strip()
-    parse = int if kind in ("int", int) else float if kind in ("float", float) else str
     try:
-        return parse(raw)
+        return parse(raw.strip())
     except ValueError as exc:
         raise ValueError(f"{path}: config key {name!r}: {exc}") from None
 
 
 def read_config_file(path: str) -> dict:
-    """Parse key=value lines into typed TrainConfig overrides."""
-    overrides = {}
+    """Parse key=value lines into typed TrainConfig overrides; a key set
+    twice is an error."""
+    overrides, lines = {}, {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -57,7 +69,12 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            overrides[key.strip()] = _coerce(key.strip(), value, f"{path}:{lineno}")
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set on line "
+                                 f"{lines[key]}")
+            overrides[key] = _coerce(key, value, f"{path}:{lineno}")
+            lines[key] = lineno
     return overrides
 
 
@@ -73,41 +90,21 @@ def build_train_config(args: argparse.Namespace, **defaults) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--train", dest="train_path", help="train triples TSV")
-    parser.add_argument("--valid", dest="valid_path", help="validation triples TSV")
-    parser.add_argument("--test", dest="test_path", help="test triples TSV")
-    parser.add_argument("--out-dir", dest="out_dir", help="directory for checkpoints and logs")
-    parser.add_argument("--loss", dest="loss_mode", choices=LOSS_MODES)
-    parser.add_argument("--aggregator", choices=AGGREGATOR_KINDS)
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--weight-decay", dest="weight_decay", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--m-structure", dest="m_structure", type=int)
-    parser.add_argument("--debias-variant", dest="debias_variant", choices=DEBIAS_VARIANTS)
-    parser.add_argument("--floor-epsilon", dest="floor_epsilon", type=float)
-    parser.add_argument("--hard-k", dest="hard_k", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--init-scale", dest="init_scale", type=float)
-    parser.add_argument("--eval-every", dest="eval_every", type=int)
-    parser.add_argument("--eval-candidates", dest="eval_candidates", type=int)
-    parser.add_argument("--workers", type=int)
+def _add_config_flags(parser: argparse.ArgumentParser, names=tuple(_CONFIG_FIELDS)) -> None:
+    """One flag per named TrainConfig field, its dest the field's name."""
+    for name in names:
+        parser.add_argument(_flag(name), dest=name, type=_CONFIG_FIELDS[name],
+                            choices=_CHOICES.get(name))
 
 
 def _load_kg(cfg_or_args, augment: bool) -> KnowledgeGraph:
-    train_path = getattr(cfg_or_args, "train_path", "")
-    valid_path = getattr(cfg_or_args, "valid_path", "")
-    test_path = getattr(cfg_or_args, "test_path", "")
-    for label, path in (("train", train_path), ("valid", valid_path), ("test", test_path)):
+    paths = [getattr(cfg_or_args, name, "") for name in _DATASET_FIELDS]
+    for label, path in zip(SPLIT_NAMES, paths):
         if not path:
             raise ValueError(f"missing required {label} dataset path")
         if not os.path.exists(path):
             raise ValueError(f"{label} dataset file not found: {path}")
-    kg = load_dataset(train_path, valid_path, test_path)
+    kg = load_dataset(*paths)
     return augment_reverse(kg) if augment else kg
 
 
@@ -159,8 +156,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _given_flags(args: argparse.Namespace, *dests: str) -> str:
-    """The flags, named from these dests as argparse derives them, that were given."""
-    return ", ".join("--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None)
+    """The flags of these dests that were given."""
+    return ", ".join(_flag(d) for d in dests if getattr(args, d) is not None)
 
 
 def _spec_from_args(args: argparse.Namespace) -> SyntheticKGSpec:
@@ -199,10 +196,7 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
                                                   "pretrain_lr")):
         raise ValueError(f"--checkpoint replaces pretraining: drop {given}")
     if args.synthetic:
-        given = [flag for flag, value in (("--augment", args.augment), ("--train", args.train_path),
-                                          ("--valid", args.valid_path), ("--test", args.test_path))
-                 if value]
-        if given:
+        if given := [_flag(d) for d in ("augment", *_DATASET_FIELDS) if getattr(args, d)]:
             raise ValueError(f"--synthetic generates its own dataset: drop {', '.join(given)}")
         kg = generate_knowledge_graph(_spec_from_args(args))
     elif given := _given_flags(args, "blocks", "block_entities", "relations", "p_intra",
@@ -247,9 +241,12 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> int:
+    try:
+        taus = [float(v) for v in args.taus.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--taus must be comma-separated numbers, got {args.taus!r}") from None
     cfg = build_train_config(args, loss_mode="hasa")
     kg = _load_kg(cfg, augment=not args.no_augment)
-    taus = [float(v) for v in args.taus.split(",") if v]
     rows = sweep_tau(cfg, taus, kg)
     _write_replacing(write_sweep_csv, rows, args.out)
     for row in rows:
@@ -273,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model")
+    p_train.add_argument("--config", help="flat key=value config file")
     _add_config_flags(p_train)
     p_train.add_argument(
         "--no-augment",
@@ -283,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--train", dest="train_path")
-    p_eval.add_argument("--valid", dest="valid_path")
-    p_eval.add_argument("--test", dest="test_path")
+    _add_config_flags(p_eval, _DATASET_FIELDS)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
     p_eval.add_argument("--raw", action="store_true", help="skip known-positive filtering")
     p_eval.add_argument("--candidates", type=_non_negative, default=0)
@@ -300,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze-negatives",
         help="count sampled negatives that are hidden true facts",
     )
-    p_ana.add_argument("--train", dest="train_path")
-    p_ana.add_argument("--valid", dest="valid_path")
-    p_ana.add_argument("--test", dest="test_path")
+    _add_config_flags(p_ana, _DATASET_FIELDS)
     p_ana.add_argument("--synthetic", action="store_true", help="use a generated dataset")
     _add_spec_flags(p_ana)
     p_ana.add_argument("--augment", action="store_true")
@@ -323,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(func=cmd_analyze_negatives)
 
     p_sweep = sub.add_parser("sweep-tau", help="train once per tau and tabulate metrics")
+    p_sweep.add_argument("--config", help="flat key=value config file")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--taus", default="1e-06,2e-05,1e-04,5e-04,1e-03,2e-03")
     p_sweep.add_argument("--out", default="tau_sweep.csv")

@@ -15,7 +15,7 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 
 class ParseError(ValueError):
-    """A dataset file contains a line that is not three tab-separated fields."""
+    """A dataset file contains a line that is not three non-empty tab-separated fields."""
 
 
 def fact_keys(triples: np.ndarray, num_relations: int, num_entities: int) -> np.ndarray:
@@ -152,6 +152,8 @@ def _read_tsv(path: str) -> list[tuple[str, str, str]]:
                 raise ParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
+            if not all(fields):
+                raise ParseError(f"{path}:{lineno}: empty field in {line!r}")
             rows.append((fields[0], fields[1], fields[2]))
     return rows
 

@@ -82,18 +82,15 @@ def _rank_chunk(model, kg, known, candidates, slot, triples):
     queries, _ = aggregate_batch(model, heads, rels)
     scores = queries @ candidates.T
     golds = _gold_scores(model.entity_table, gold, queries)
-    # count over every pool column, then take back the cells of each row's
-    # gold and other known tails; slot P is an entity outside the pool
+    # blank each row's gold and other known tails with NaN, which is neither
+    # above nor tied with any gold; slot P is an entity outside the pool
     known_rows, known_tails = kg.tails_of(known, heads, rels)
     rows = np.concatenate([np.arange(len(triples)), known_rows])
-    width = len(candidates) + 1
-    cells = np.unique(rows * width + slot[np.concatenate([gold, known_tails])])
-    rows, cols = np.divmod(cells[cells % width < len(candidates)], width)
-    taken, taken_golds = scores[rows, cols], golds[rows, 0]
+    cols = slot[np.concatenate([gold, known_tails])]
+    inside = cols < len(candidates)
+    scores[rows[inside], cols[inside]] = np.nan
     above = np.add.reduce((scores > golds).view(np.int8), axis=1, dtype=np.int32)
-    above -= np.bincount(rows[taken > taken_golds], minlength=len(triples))
     ties = np.add.reduce((scores == golds).view(np.int8), axis=1, dtype=np.int32)
-    ties -= np.bincount(rows[taken == taken_golds], minlength=len(triples))
     return (1 + above + (ties + 1) // 2).tolist()
 
 
@@ -137,7 +134,7 @@ def evaluate(
     step = max(1, sampling.CELL_BUDGET // pool.size)
     chunks = [triples[i : i + step] for i in range(0, len(triples), step)]
     # built here, before any worker thread could race to build it; raw
-    # ranking takes back only the gold
+    # ranking blanks only the gold
     known = kg.known_facts if filtered else np.empty(0, dtype=np.int64)
     rank = partial(_rank_chunk, model, kg, known, candidates, slot)
     if workers > 1 and len(chunks) > 1:

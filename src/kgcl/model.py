@@ -209,11 +209,9 @@ def aggregate_batch(
         pre = x @ p["w"].T + p["b"]
         q = np.tanh(pre)
         return q, AggregationCache(heads, relations, inputs=(x, q))
-    if model.kind == "gru":
-        h1, c1 = _gru_first_cell_forward(eh, p)
-        h2, c2 = _gru_cell_forward(er, h1, p)
-        return h2, AggregationCache(heads, relations, inputs=(c1, c2))
-    raise ValueError(f"unknown aggregator kind {model.kind!r}")
+    h1, c1 = _gru_first_cell_forward(eh, p)
+    h2, c2 = _gru_cell_forward(er, h1, p)
+    return h2, AggregationCache(heads, relations, inputs=(c1, c2))
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
@@ -231,28 +229,26 @@ class GradientTape:
 
     def __init__(self, model: EmbeddingModel):
         self._dim = model.dim
-        self._entity_ids: list[np.ndarray] = []
-        self._entity_grads: list[np.ndarray] = []
-        self._relation_ids: list[np.ndarray] = []
-        self._relation_grads: list[np.ndarray] = []
+        # per table, the (id arrays, gradient row blocks) added so far
+        self._entity: tuple[list, list] = ([], [])
+        self._relation: tuple[list, list] = ([], [])
         # the aggregator part of params' gradient, and its views by name
         self.aggregator_grad = np.zeros(model.params.size - model.tables.size)
         shapes = aggregator_param_shapes(model.kind, self._dim)
         self.aggregator = _views(self.aggregator_grad, shapes)
 
-    def add_entity(self, ids: np.ndarray, grads: np.ndarray) -> None:
+    def _add(self, table: tuple[list, list], ids: np.ndarray, grads: np.ndarray) -> None:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         grads = np.asarray(grads, dtype=np.float64).reshape(ids.size, self._dim)
         if ids.size:
-            self._entity_ids.append(ids)
-            self._entity_grads.append(grads)
+            table[0].append(ids)
+            table[1].append(grads)
+
+    def add_entity(self, ids: np.ndarray, grads: np.ndarray) -> None:
+        self._add(self._entity, ids, grads)
 
     def add_relation(self, ids: np.ndarray, grads: np.ndarray) -> None:
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        grads = np.asarray(grads, dtype=np.float64).reshape(ids.size, self._dim)
-        if ids.size:
-            self._relation_ids.append(ids)
-            self._relation_grads.append(grads)
+        self._add(self._relation, ids, grads)
 
     @staticmethod
     def _coalesce(id_chunks, grad_chunks, dim):
@@ -269,10 +265,10 @@ class GradientTape:
 
     def entity_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted unique ids, summed gradient rows) for the entity table."""
-        return self._coalesce(self._entity_ids, self._entity_grads, self._dim)
+        return self._coalesce(*self._entity, self._dim)
 
     def relation_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._coalesce(self._relation_ids, self._relation_grads, self._dim)
+        return self._coalesce(*self._relation, self._dim)
 
 
 def backward(
@@ -303,12 +299,10 @@ def backward(
         dim = model.dim
         d_eh = dx[:, :dim]
         d_er = dx[:, dim:]
-    elif model.kind == "gru":
+    else:
         c1, c2 = cache.inputs
         d_er, dh1 = _gru_cell_backward(d_query, c2, p, tape.aggregator)
         d_eh = _gru_first_cell_backward(dh1, c1, p, tape.aggregator)
-    else:
-        raise ValueError(f"unknown aggregator kind {model.kind!r}")
     tape.add_entity(cache.heads, d_eh)
     tape.add_relation(cache.relations, d_er)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KnowledgeGraph, _write_replacing
+from .data import SPLIT_NAMES, KnowledgeGraph, _write_replacing
 
 StringTriple = tuple[str, str, str]
 
@@ -88,19 +88,12 @@ def generate_synthetic_kg(spec: SyntheticKGSpec) -> dict[str, list[StringTriple]
             covered[partner] = True
     order = rng.permutation(len(facts))
     n_missing = int(round(spec.missing_fraction * len(facts)))
-    missing_idx = order[:n_missing]
     n_valid = math.ceil(n_missing / 2)
-    valid_idx = set(missing_idx[:n_valid].tolist())
-    test_idx = set(missing_idx[n_valid:].tolist())
-    dataset = {"train": [], "valid": [], "test": []}
-    for i, fact in enumerate(facts):
-        if i in valid_idx:
-            dataset["valid"].append(fact)
-        elif i in test_idx:
-            dataset["test"].append(fact)
-        else:
-            dataset["train"].append(fact)
-    return dataset
+    # each fact's split, as its index in SPLIT_NAMES
+    split = np.zeros(len(facts), dtype=np.int8)
+    split[order[:n_valid]], split[order[n_valid:n_missing]] = 1, 2
+    return {name: [facts[i] for i in np.flatnonzero(split == code)]
+            for code, name in enumerate(SPLIT_NAMES)}
 
 
 def generate_knowledge_graph(spec: SyntheticKGSpec) -> KnowledgeGraph:

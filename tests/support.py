@@ -2,9 +2,10 @@
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
 of the logistic function, the two-cell GRU aggregator, a dict BFS and the
-per-head 1-/2-hop ring read from it, the contrastive core's earlier batched form, a model built from
-its parts, a tiny cycle graph, and two summaries of one label's row of a
-false-negative report's hop histogram.
+per-head 1-/2-hop ring read from it, the contrastive core's earlier
+batched form, the synthetic generator's set-and-loop splits, a model built
+from its parts, a tiny cycle graph, and two summaries of one label's row of
+a false-negative report's hop histogram.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -21,7 +22,10 @@ concatenated score and gradient blocks), so it checks the library's one
 cell buffer, written in place, bit for bit. The BFS oracle walks one
 source level by level through Python dicts, so it checks the package's
 blocked hop walk (the ring table, hop_table and distances_within) id for
-id and hop for hop."""
+id and hop for hop. The synthetic-split oracle is the generator's earlier
+form, whose partition puts the held-out fact indices in two Python sets
+and tests each fact's membership in a loop, so it checks the library's
+split codes fact for fact and order for order."""
 
 import math
 
@@ -292,6 +296,53 @@ def contrastive_oracle(batch, negatives, model, tape, structure=None, tau=0.0, v
         np.add.at(d_queries, at, rows)
     backward(model, cache, d_queries, tape)
     return value
+
+
+def synthetic_splits_oracle(spec) -> dict[str, list[tuple[str, str, str]]]:
+    """generate_synthetic_kg's splits: the same fact stream and shuffle, with
+    the held-out indices kept in sets and each fact placed by a membership
+    loop."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.num_entities()
+    per_block = spec.entities_per_block
+    names = [f"b{b}_e{i}" for b in range(spec.block_count) for i in range(per_block)]
+    relations = [f"rel_{j}" for j in range(spec.relation_count)]
+    facts = []
+    covered = np.zeros(n, dtype=bool)
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            same_block = u // per_block == v // per_block
+            p = (spec.intra_block_edge_probability if same_block
+                 else spec.inter_block_edge_probability)
+            if rng.random() < p:
+                rel = relations[int(rng.integers(spec.relation_count))]
+                facts.append((names[u], rel, names[v]))
+                covered[u] = covered[v] = True
+    for u in range(n):
+        if not covered[u]:
+            block = u // per_block
+            partner = block * per_block + (u % per_block + 1) % per_block
+            if partner == u:
+                partner = (u + 1) % n
+            facts.append((names[u], relations[u % spec.relation_count], names[partner]))
+            covered[u] = covered[partner] = True
+    order = rng.permutation(len(facts))
+    n_missing = int(round(spec.missing_fraction * len(facts)))
+    missing_idx = order[:n_missing]
+    n_valid = math.ceil(n_missing / 2)
+    valid_idx = set(missing_idx[:n_valid].tolist())
+    test_idx = set(missing_idx[n_valid:].tolist())
+    dataset = {"train": [], "valid": [], "test": []}
+    for i, fact in enumerate(facts):
+        if i in valid_idx:
+            dataset["valid"].append(fact)
+        elif i in test_idx:
+            dataset["test"].append(fact)
+        else:
+            dataset["train"].append(fact)
+    return dataset
 
 
 def grad_row(rows: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:

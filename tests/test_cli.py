@@ -58,6 +58,15 @@ def test_config_value_that_does_not_parse_names_its_file_line_and_key(tmp_path, 
     assert f"error: {path}:3: config key {key!r}:" in capsys.readouterr().err
 
 
+def test_config_key_set_twice_names_the_key_and_both_lines(tmp_path, capsys):
+    path = write_config(tmp_path, "dim=4\nseed=3\n\ndim=8\n")
+    with pytest.raises(ValueError) as err:
+        read_config_file(path)
+    assert f"{path}:4: config key 'dim' is already set on line 1" in str(err.value)
+    assert main(["train", "--config", path]) == 2
+    assert f"error: {path}:4: config key 'dim' is already set on line 1" in capsys.readouterr().err
+
+
 def test_train_has_no_self_normalized_flag_or_key(tmp_path, capsys):
     """The hard loss with the ratio-form mass is hasa at tau 0 with eq7, so
     no knob selects it: the flag and the config key both exit 2."""
@@ -509,6 +518,18 @@ def test_sweep_tau_rejects_bad_taus_before_any_training(tmp_path, capsys, monkey
     assert "tau" in capsys.readouterr().err
     assert not out_csv.exists()
     assert not (tmp_path / "runs").exists()
+
+
+def test_sweep_tau_rejects_taus_that_do_not_parse_before_loading(tmp_path, capsys, monkeypatch):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before --taus was parsed")
+
+    monkeypatch.setattr(kgcl.cli, "_load_kg", no_loading)
+    missing = str(tmp_path / "nope.tsv")
+    code = main(["sweep-tau", "--train", missing, "--valid", missing, "--test", missing,
+                 "--taus", "0.1,abc", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "error: --taus must be comma-separated numbers, got '0.1,abc'" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_checkpoint_with_non_finite_parameters(tmp_path, capsys):

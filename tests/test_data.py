@@ -282,6 +282,20 @@ def test_malformed_line_reports_path_and_line_number(tmp_path):
     assert "expected 3 tab-separated fields, got 1" in message
 
 
+@pytest.mark.parametrize("line", ["b\tr\t", "a\t\tb", "\t\t", "\tr\tb"])
+def test_a_line_with_an_empty_field_reports_path_and_line_number(tmp_path, line):
+    """An empty field would name an entity or a relation "": it is a parse
+    error instead."""
+    (tmp_path / "train.tsv").write_text(f"a\tr\tb\n{line}\n", encoding="utf-8")
+    write_tsv(tmp_path / "valid.tsv", [])
+    write_tsv(tmp_path / "test.tsv", [])
+    with pytest.raises(ParseError) as err:
+        load_dataset(
+            str(tmp_path / "train.tsv"), str(tmp_path / "valid.tsv"),
+            str(tmp_path / "test.tsv"))
+    assert "train.tsv:2: empty field" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # reverse augmentation
 

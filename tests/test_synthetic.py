@@ -1,5 +1,6 @@
 """Block-community generator, and the toy cycle graph the tests train on."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from kgcl.synthetic import (
     generate_synthetic_kg,
     write_dataset_files,
 )
-from support import toy_cycle_kg
+from support import synthetic_splits_oracle, toy_cycle_kg
 
 
 def test_spec_validation():
@@ -46,6 +47,19 @@ def test_split_sizes_follow_the_missing_fraction():
     assert len(ds["valid"]) == math.ceil(n_missing / 2)
     assert len(ds["test"]) == n_missing - len(ds["valid"])
     assert len(ds["train"]) == total - n_missing
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("missing", [0, 1, 7, 10])
+def test_splits_match_the_set_and_loop_oracle(seed, missing):
+    """Each split holds its facts in generation order, for held-out counts of
+    0, 1, odd and even (valid takes the odd one)."""
+    base = SyntheticKGSpec(block_count=3, entities_per_block=5, seed=seed)
+    total = sum(len(rows) for rows in generate_synthetic_kg(base).values())
+    spec = dataclasses.replace(base, missing_fraction=max(missing, 0.4) / total)
+    ds = generate_synthetic_kg(spec)
+    assert (len(ds["valid"]), len(ds["test"])) == (math.ceil(missing / 2), missing // 2)
+    assert ds == synthetic_splits_oracle(spec)
 
 
 def test_splits_are_disjoint_and_facts_unique():

@@ -7,14 +7,17 @@ Run from the root of a checkout; kgcl is imported from its src/ directory
 and the workloads from perfbench/workloads.py, unchanged. For each workload
 and seed it runs one repetition, as the benchmark does, and prints one line:
 the checkpoint digest, the validation MR, a SHA-256 of the step losses
-(their float64 bytes), the false-negative counts, and a SHA-256 of the hop
-walk's outputs: a train workload's ring table (idx.rings), or the distance
-histograms of the analyze workload's two studies, which the tool runs again
-from the workload's own fields on a model trained again from its seed;
-these two cover their arrays' dtypes and bytes. After the workloads, for
-each seed, it runs the analyze-negatives subcommand on a generated dataset
-through kgcl.cli.main and prints a SHA-256 of each CSV it writes and of
-what it prints; then a hard-mode train run at --hard-k 64 on a generated
+(their float64 bytes), the false-negative counts, a SHA-256 of the ranks
+of every evaluate call the run makes, in call order, with the number of
+calls, and a SHA-256 of the hop walk's outputs: a train workload's ring
+table (idx.rings), or the distance histograms of the analyze workload's
+two studies, which the tool runs again from the workload's own fields on
+a model trained again from its seed; these two cover their arrays' dtypes
+and bytes. After the workloads, for each seed, it prints a SHA-256 of each
+TSV the gen-synthetic subcommand writes with its default spec; then it
+runs the analyze-negatives subcommand on a generated dataset through
+kgcl.cli.main and prints a SHA-256 of each CSV it writes and of what it
+prints; then a hard-mode train run at --hard-k 64 on a generated
 dataset, printing a SHA-256 of every top-k block it picks, in call order,
 and of its final checkpoint; then a hasa_plus train run over the mlp
 aggregator whose floor clamps rows, printing a SHA-256 of its final
@@ -45,6 +48,34 @@ import kgcl.cli  # noqa: E402
 from workloads import WORKLOADS, AnalyzeWorkload  # noqa: E402
 
 
+@contextlib.contextmanager
+def recording(module, name: str, part):
+    """Rebind module.name, in every kgcl module that binds the same function,
+    to a wrapper that appends part(result) of each call to the yielded list;
+    the original comes back on exit."""
+    original = getattr(module, name)
+    holders = [mod for key, mod in list(sys.modules.items())
+               if key.split(".")[0] == "kgcl" and getattr(mod, name, None) is original]
+    parts = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        parts.append(part(result))
+        return result
+
+    for mod in holders:
+        setattr(mod, name, recorded)
+    try:
+        yield parts
+    finally:
+        for mod in holders:
+            setattr(mod, name, original)
+
+
+def report_ranks(report) -> np.ndarray:
+    return np.array(report.ranks, dtype=np.int64)
+
+
 def sha256(*arrays: np.ndarray) -> str:
     digest = hashlib.sha256()
     for array in arrays:
@@ -70,16 +101,27 @@ def walk_outputs(workload, state) -> str:
 
 def outputs(workload, seed: int, scratch_dir: str) -> str:
     state = workload.setup(kgcl, workload.inputs(seed), seed)
-    out = workload.run(kgcl, state, scratch_dir)
+    with recording(kgcl.evaluation, "evaluate", report_ranks) as ranks:
+        out = workload.run(kgcl, state, scratch_dir)
     losses = hashlib.sha256(np.array(out.step_losses, dtype=np.float64).tobytes()).hexdigest()
     return (f"{workload.name} seed={seed} digest={out.digest} mr={out.mr!r} "
             f"losses={losses} false_counts={list(out.false_counts)} "
-            f"{walk_outputs(workload, state)}")
+            f"ranks={sha256(*ranks)} evaluations={len(ranks)} {walk_outputs(workload, state)}")
 
 
 def file_sha256(path: str) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def gen_synthetic_outputs(seed: int, scratch_dir: str) -> str:
+    """The three TSVs of the gen-synthetic subcommand at its default spec."""
+    data = os.path.join(scratch_dir, "gen_synthetic")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = kgcl.cli.main(["gen-synthetic", "--seed", str(seed), "--out-dir", data])
+    files = " ".join(f"{split}={file_sha256(os.path.join(data, split + '.tsv'))}"
+                     for split in ("train", "valid", "test"))
+    return f"gen_synthetic seed={seed} exit={code} {files}"
 
 
 def cli_outputs(seed: int, scratch_dir: str) -> str:
@@ -115,22 +157,11 @@ def train_on_generated(seed: int, scratch_dir: str, name: str, flags: list[str])
 
 def hard_k64_outputs(seed: int, scratch_dir: str) -> str:
     """The picks and checkpoint of `kgcl train --loss hard --hard-k 64`."""
-    picks = hashlib.sha256()
-    select = kgcl.sampling._select_topk
-
-    def recorded(scores, known, k):
-        ids = select(scores, known, k)
-        picks.update(ids.dtype.str.encode() + ids.tobytes())
-        return ids
-
-    kgcl.sampling._select_topk = recorded
-    try:
+    with recording(kgcl.sampling, "_select_topk", lambda ids: ids) as picks:
         code, run = train_on_generated(seed, scratch_dir, "hard_k64", [
             "--loss", "hard", "--hard-k", "64", "--aggregator", "gru"])
-    finally:
-        kgcl.sampling._select_topk = select
     checkpoint = file_sha256(os.path.join(run, "checkpoint_final.kge"))
-    return (f"train_hard_k64 seed={seed} exit={code} picks={picks.hexdigest()} "
+    return (f"train_hard_k64 seed={seed} exit={code} picks={sha256(*picks)} "
             f"checkpoint={checkpoint}")
 
 
@@ -159,6 +190,8 @@ def main() -> None:
         for name in args.workload or WORKLOADS:
             for seed in args.seeds:
                 print(outputs(WORKLOADS[name], seed, scratch_dir), flush=True)
+        for seed in args.seeds:
+            print(gen_synthetic_outputs(seed, scratch_dir), flush=True)
         for seed in args.seeds:
             print(cli_outputs(seed, scratch_dir), flush=True)
         for seed in args.seeds:
