@@ -15,7 +15,7 @@ SPLIT_NAMES = ("train", "valid", "test")
 
 
 class ParseError(ValueError):
-    """A dataset file contains a line that is not three non-empty tab-separated fields."""
+    """A dataset line is not three non-empty tab-separated fields free of outer whitespace."""
 
 
 def fact_keys(triples: np.ndarray, num_relations: int, num_entities: int) -> np.ndarray:
@@ -152,8 +152,9 @@ def _read_tsv(path: str) -> list[tuple[str, str, str]]:
                 raise ParseError(
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
-            if not all(fields):
-                raise ParseError(f"{path}:{lineno}: empty field in {line!r}")
+            if bad := [f for f in fields if f != f.strip() or not f]:
+                what = f"whitespace around field {bad[0]!r}" if bad[0] else "empty field"
+                raise ParseError(f"{path}:{lineno}: {what} in {line!r}")
             rows.append((fields[0], fields[1], fields[2]))
     return rows
 

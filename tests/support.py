@@ -3,9 +3,9 @@ a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
 of the logistic function, the two-cell GRU aggregator, a dict BFS and the
 per-head 1-/2-hop ring read from it, the contrastive core's earlier
-batched form, the synthetic generator's set-and-loop splits, a model built
-from its parts, a tiny cycle graph, and two summaries of one label's row of
-a false-negative report's hop histogram.
+batched form, the synthetic generator's pair loop and set-and-loop
+splits, a model built from its parts, a tiny cycle graph, and two
+summaries of one label's row of a false-negative report's hop histogram.
 
 The fact oracle is plain Python sets over the splits' triples, so it checks
 the library's int64 fact keys without sharing any code with them. The
@@ -22,10 +22,15 @@ concatenated score and gradient blocks), so it checks the library's one
 cell buffer, written in place, bit for bit. The BFS oracle walks one
 source level by level through Python dicts, so it checks the package's
 blocked hop walk (the ring table, hop_table and distances_within) id for
-id and hop for hop. The synthetic-split oracle is the generator's earlier
-form, whose partition puts the held-out fact indices in two Python sets
-and tests each fact's membership in a loop, so it checks the library's
-split codes fact for fact and order for order."""
+id and hop for hop. The synthetic oracles are the generator's earlier
+form. Its pair loop calls rng.random() once per ordered pair and
+rng.integers() once per accept, so it checks the library's array reads of
+the same PCG64 words (integer thresholds, buffered 32-bit halves, the
+generator handed back) fact for fact and state for state; a numpy whose
+stream changes fails those tests rather than changing data silently. Its
+partition puts the held-out fact indices in two Python sets and tests each
+fact's membership in a loop, so it checks the library's split codes fact
+for fact and order for order."""
 
 import math
 
@@ -298,17 +303,15 @@ def contrastive_oracle(batch, negatives, model, tape, structure=None, tau=0.0, v
     return value
 
 
-def synthetic_splits_oracle(spec) -> dict[str, list[tuple[str, str, str]]]:
-    """generate_synthetic_kg's splits: the same fact stream and shuffle, with
-    the held-out indices kept in sets and each fact placed by a membership
-    loop."""
+def synthetic_pair_loop(spec) -> tuple[list[tuple[int, int, int]], np.random.Generator]:
+    """The sampled facts as (head, relation, tail) ids in loop order, and the
+    generator as the loop leaves it: one rng.random() per ordered pair
+    u != v, accepted below the pair's block probability, and one
+    rng.integers(relation_count) per accept."""
     rng = np.random.default_rng(spec.seed)
     n = spec.num_entities()
     per_block = spec.entities_per_block
-    names = [f"b{b}_e{i}" for b in range(spec.block_count) for i in range(per_block)]
-    relations = [f"rel_{j}" for j in range(spec.relation_count)]
-    facts = []
-    covered = np.zeros(n, dtype=bool)
+    edges = []
     for u in range(n):
         for v in range(n):
             if u == v:
@@ -317,9 +320,23 @@ def synthetic_splits_oracle(spec) -> dict[str, list[tuple[str, str, str]]]:
             p = (spec.intra_block_edge_probability if same_block
                  else spec.inter_block_edge_probability)
             if rng.random() < p:
-                rel = relations[int(rng.integers(spec.relation_count))]
-                facts.append((names[u], rel, names[v]))
-                covered[u] = covered[v] = True
+                edges.append((u, int(rng.integers(spec.relation_count)), v))
+    return edges, rng
+
+
+def synthetic_splits_oracle(spec) -> dict[str, list[tuple[str, str, str]]]:
+    """generate_synthetic_kg's splits: the pair loop's facts, the fallback
+    facts and the shuffle, with the held-out indices kept in sets and each
+    fact placed by a membership loop."""
+    edges, rng = synthetic_pair_loop(spec)
+    n = spec.num_entities()
+    per_block = spec.entities_per_block
+    names = [f"b{b}_e{i}" for b in range(spec.block_count) for i in range(per_block)]
+    relations = [f"rel_{j}" for j in range(spec.relation_count)]
+    facts = [(names[u], relations[r], names[v]) for u, r, v in edges]
+    covered = np.zeros(n, dtype=bool)
+    for u, _, v in edges:
+        covered[u] = covered[v] = True
     for u in range(n):
         if not covered[u]:
             block = u // per_block

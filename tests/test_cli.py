@@ -145,6 +145,18 @@ def test_malformed_tsv_reports_file_and_line(capsys, tmp_path):
     assert "3 tab-separated fields" in err
 
 
+def test_a_tsv_field_with_outer_whitespace_exits_2_naming_the_field(capsys, tmp_path):
+    bad = tmp_path / "train.tsv"
+    bad.write_text("a\trel\tb\nb\trel\tc \n")
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    code = main(["train", "--train", str(bad), "--valid", str(empty),
+                 "--test", str(empty), "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "train.tsv:2: whitespace around field 'c '" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def gen_dataset(tmp_path, capsys, seed=0):
     out = tmp_path / "data"
     code = main(["gen-synthetic", "--blocks", "2", "--block-entities", "5",
@@ -372,6 +384,18 @@ def refuse_loading_and_pretraining(monkeypatch):
     for name in ("train", "_load_kg", "_load_fitting_checkpoint"):
         monkeypatch.setattr(kgcl.cli, name, refused)
     monkeypatch.setattr(kgcl.synthetic, "generate_knowledge_graph", refused)
+
+
+@pytest.mark.parametrize("command", [["gen-synthetic", "--out-dir", "data"],
+                                     ["analyze-negatives", "--synthetic", "--k-grid", "3"]])
+def test_a_negative_generator_seed_exits_2_naming_seed(tmp_path, capsys, monkeypatch, command):
+    """The spec refuses the seed when it is built, before any generation."""
+    refuse_loading_and_pretraining(monkeypatch)
+    monkeypatch.setattr(kgcl.cli, "generate_synthetic_kg", lambda spec: 1 / 0)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seed", "-1"]) == 2
+    assert "error: seed must be an int >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--blocks", "9"],

@@ -296,6 +296,22 @@ def test_a_line_with_an_empty_field_reports_path_and_line_number(tmp_path, line)
     assert "train.tsv:2: empty field" in str(err.value)
 
 
+@pytest.mark.parametrize("line, field", [("a\tr\tb ", "b "), (" a\tr\tb", " a"),
+                                         ("a\t r\tb", " r"), ("a\tr \tb", "r "),
+                                         ("a\tr\tb\xa0", "b\xa0")])
+def test_a_field_with_outer_whitespace_reports_path_line_and_field(tmp_path, line, field):
+    """'b ' would name an entity apart from 'b', silently: it is a parse error
+    naming the field instead."""
+    (tmp_path / "train.tsv").write_text(f"b\tr\tc\n{line}\n", encoding="utf-8")
+    write_tsv(tmp_path / "valid.tsv", [])
+    write_tsv(tmp_path / "test.tsv", [])
+    with pytest.raises(ParseError) as err:
+        load_dataset(
+            str(tmp_path / "train.tsv"), str(tmp_path / "valid.tsv"),
+            str(tmp_path / "test.tsv"))
+    assert f"train.tsv:2: whitespace around field {field!r}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # reverse augmentation
 
