@@ -133,6 +133,8 @@ def _load_fitting_checkpoint(path: str, kg: KnowledgeGraph):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {args.seed}")
     kg = _load_kg(args, augment=not args.no_augment)
     model = _load_fitting_checkpoint(args.checkpoint, kg)
     limit = default_candidate_limit(kg.num_entities(), args.candidates)
@@ -190,6 +192,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     k_values = _parse_k_grid(args.k_grid)
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {args.seed}")
     if args.max_triples is not None and args.max_triples < 1:
         raise ValueError(f"--max-triples must be >= 1, got {args.max_triples}")
     if args.checkpoint and (given := _given_flags(args, "dim", "aggregator", "pretrain_epochs",

@@ -89,8 +89,8 @@ def _hop_blocks(idx: StructureIndex, sources: np.ndarray, cap: int):
     the depths 0..cap at which v lay within reach of sources[first + i]:
     cap + 1 - hop, or 0 beyond cap hops. The first hop's pairs are the next
     frontier (a source's neighbours are distinct), a later one the cells
-    counted once; each later depth is walked in pieces of at most the
-    block's cell count of steps plus one entity's degree."""
+    counted once; each later depth is walked in pieces of at most a quarter
+    of the block's cell count of steps (in cache) plus one entity's degree."""
     n = idx.entity_count
     degree = np.diff(idx.indptr)
     step = max(1, HOP_BLOCK_CELLS // max(n, 1))
@@ -105,7 +105,8 @@ def _hop_blocks(idx: StructureIndex, sources: np.ndarray, cap: int):
                 rows, nodes = _walk(idx, rows, nodes)
                 seen[rows, nodes] = True
             else:
-                cuts = (np.flatnonzero(np.diff(np.cumsum(degree[nodes]) // seen.size)) + 1).tolist()
+                piece = max(1, seen.size // 4)
+                cuts = (np.flatnonzero(np.diff(np.cumsum(degree[nodes]) // piece)) + 1).tolist()
                 for lo, hi in zip([0, *cuts], [*cuts, nodes.size]):
                     seen[_walk(idx, rows[lo:hi], nodes[lo:hi])] = True
             block += seen.view(np.uint8)
@@ -126,12 +127,17 @@ def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.nd
         raise ValueError(f"source ids must lie in [0, {n})")
     cap = max(0, min(cap, n))
     dtype = np.min_scalar_type(-1 - cap)  # signed, and holds every depth a BFS reaches
-    keys, hops = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    pieces, hops = [(0, np.zeros(0, dtype=np.uint8))], [np.zeros(0, dtype=dtype)]
     for first, block in _hop_blocks(idx, sources, cap):
         reached = np.flatnonzero(block != 0)
-        keys.append(reached + first * n)
+        pieces.append((first * n, reached.astype(np.min_scalar_type(block.size))))
         hops.append((cap + 1 - block.ravel()[reached]).astype(dtype))
-    return np.concatenate(keys), np.concatenate(hops)
+    # narrow cells, then the int64 keys: never two int64 copies of the keys
+    keys, at = np.concatenate([cells for _, cells in pieces], dtype=np.int64), 0
+    for offset, cells in pieces:
+        keys[at : at + cells.size] += offset
+        at += cells.size
+    return keys, np.concatenate(hops)
 
 
 def _ring_table(idx: StructureIndex) -> tuple[np.ndarray, np.ndarray]:

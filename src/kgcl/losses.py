@@ -145,7 +145,7 @@ def _log_mass(neg: np.ndarray, struct=None, tau=0.0, variant="alg1", floor=0.0):
         # -share d log fn / (1 - share)
         scale = np.divide(1.0, 1.0 - share, out=np.zeros(len(k)), where=share < 1.0)
         d_fn *= -(share * scale)[:, None]
-    else:
+    elif d_fn.size:
         d_fn *= 0.0  # the share is 0 whatever the structure scores
     clamped = np.zeros(len(neg), dtype=bool)
     if floor:
@@ -190,14 +190,17 @@ def _score(anchors, table, block, own, present):
     # -1 reads as the largest unsigned id, so a column whose unsigned minimum
     # is its largest id is shared, and so is one without ids
     shared = block.view(unsigned).min(axis=0) >= top.view(unsigned)
-    dense_ids, ids = top[shared], np.concatenate([block.compress(~shared, axis=1), own], axis=1)
+    every, k = shared.all(), block.shape[1]
+    dense_ids = top if every else top[shared]
+    ids = own if every else np.concatenate([block.compress(~shared, axis=1), own], axis=1)
     dense, rows, size = table[dense_ids], table[ids], dense_ids.size
     # a view when the shared columns lead, as a training step's slots do
-    lead = present[:, :size] if shared[:size].all() else present.compress(shared, axis=1)
+    lead = present[:, :size] if every or shared[:size].all() else present.compress(shared, axis=1)
     filled = np.concatenate([lead, ids >= 0], axis=1)
-    cells, own_cells, k = np.empty(block.shape), np.empty(own.shape), block.shape[1]
+    cells, own_cells = np.empty(block.shape), np.empty(own.shape)
     np.matmul(anchors, dense.T, out=cells[:, :size])
-    np.einsum("bwd,bd->bw", rows[:, : k - size], anchors, out=cells[:, size:])
+    if k > size:  # an einsum costs its dispatch even over no cells
+        np.einsum("bwd,bd->bw", rows[:, : k - size], anchors, out=cells[:, size:])
     np.einsum("bwd,bd->bw", rows[:, k - size :], anchors, out=own_cells)
     np.copyto(cells, -np.inf, where=~filled[:, :k])
     np.copyto(own_cells, -np.inf, where=~filled[:, k:])
@@ -205,7 +208,8 @@ def _score(anchors, table, block, own, present):
     def pull(grad, grad_own, push):
         # the shared block of grad is the gradient G of their product: its
         # rows get G^T anchors and the anchors G dense
-        g_dense, g_own = grad[:, :size], np.concatenate([grad[:, size:], grad_own], axis=1)
+        g_dense = grad[:, :size]
+        g_own = grad_own if k == size else np.concatenate([grad[:, size:], grad_own], axis=1)
         width = g_own.shape[1]
         d_anchors = g_dense @ dense + np.einsum("bw,bwd->bd", g_own, rows[:, :width])
         keep, cells = push[:, :size].any(axis=0), push[:, size:]
@@ -258,14 +262,15 @@ def _contrastive(batch, negatives, model, tape, structure=None, tau=0.0, variant
         ctx_term, p_ctx = _term(s_pos, ctx_mass)
         total, d_pos = total + ctx_term.sum(), d_pos - p_ctx
         touched = has_neg | ctx_filled.any(axis=1)
-    pos, neg, false_neg, neg_hasa = _mean_exp(np.array([s_pos, log_neg, log_fn, log_mass]))
-    value = LossValue(float(total), n, pos, neg, false_neg, neg_hasa, int(clamped.sum()))
+    value = LossValue(float(total), n, *_mean_exp(np.array([s_pos, log_neg, log_fn, log_mass])),
+                      int(clamped.sum()) if floor else 0)
     if tape is None:
         return value
     # the gradient by the cells, written over them: negatives, tail, structure
     d_neg *= p_mass[:, None]
-    d_rho *= p_mass[:, None]
     own_cells[:, 0], width = d_pos, 1 + (d_rho.shape[1] if tau != 0.0 else 0)
+    if width > 1:  # the structure gradient is read only when it is pushed
+        d_rho *= p_mass[:, None]
     push = filled[:, : k + width]
     if floor:
         push &= ~clamped[:, None]

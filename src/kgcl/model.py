@@ -215,7 +215,7 @@ def aggregate_batch(
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+    if ids.size and ids.view(np.uint64).max() >= bound:  # a negative id reads as >= 2**63
         raise ValueError(f"{what} id out of range [0, {bound})")
 
 
@@ -256,10 +256,15 @@ class GradientTape:
             return np.zeros(0, dtype=np.int64), np.zeros((0, dim))
         ids = np.concatenate(id_chunks)
         grads = np.concatenate(grad_chunks, axis=0)
-        unique, inverse = np.unique(ids, return_inverse=True)
+        # np.unique(ids, return_inverse=True) written out, runs counted from 1
+        order = ids.argsort()
+        run = ids[order]
+        first = np.concatenate(([True], run[1:] != run[:-1]))  # the first id of each run
+        inverse, unique = np.empty_like(order), run[first]
+        inverse[order] = first.cumsum()
         # one flat bincount adds each cell's rows in row order from 0.0, as
-        # np.add.at would
-        cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+        # np.add.at would; run r's cells are (r - 1) * dim + 0..dim-1
+        cells = (inverse[:, None] * dim + np.arange(-dim, 0)).ravel()
         summed = np.bincount(cells, grads.ravel(), minlength=unique.size * dim)
         return unique, summed.reshape(unique.size, dim)
 

@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: (n x 3) triple rows, a set oracle of
 a graph's facts built from its splits, one-pair queries and gradient rows,
 per-row oracles of the study's two negative samplers, of tail ranking and
-of the logistic function, the two-cell GRU aggregator, a dict BFS and the
+of the logistic function, the two-cell GRU aggregator, the tape's
+coalesce, a dict BFS and the
 per-head 1-/2-hop ring read from it, the contrastive core's earlier
 batched form, the synthetic generator's pair loop and set-and-loop
 splits, a model built from its parts, a tiny cycle graph, and two
@@ -16,7 +17,9 @@ rank for rank. The logistic oracle is the two-branch form with masked
 stores, so it checks model._sigmoid bit for bit. The GRU oracle runs two
 full cells, the first from a state of zeros with its reset gate and
 recurrent products, so it checks the model's zero-state first cell bit for
-bit. The core oracle allocates
+bit. The coalesce oracle is the tape's earlier np.unique and flat bincount
+form, so it checks the tape's written-out sort id for id and byte for
+byte. The core oracle allocates
 a fresh array at every step (np.where copies, boolean column indexing,
 concatenated score and gradient blocks), so it checks the library's one
 cell buffer, written in place, bit for bit. The BFS oracle walks one
@@ -183,6 +186,20 @@ def gru_oracle(model: EmbeddingModel, heads, relations, d_query, tape):
     tape.add_entity(heads, d_eh)
     tape.add_relation(relations, d_er)
     return h2
+
+
+def coalesce_oracle(id_chunks, grad_chunks, dim):
+    """(sorted unique ids, summed rows) as GradientTape's entity_rows and
+    relation_rows return them: np.unique's inverse, then one flat bincount
+    that adds each cell's rows in row order from 0.0."""
+    if not id_chunks:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, dim))
+    ids = np.concatenate(id_chunks)
+    grads = np.concatenate(grad_chunks, axis=0)
+    unique, inverse = np.unique(ids, return_inverse=True)
+    cells = (inverse[:, None] * dim + np.arange(dim)).ravel()
+    summed = np.bincount(cells, grads.ravel(), minlength=unique.size * dim)
+    return unique, summed.reshape(unique.size, dim)
 
 
 def log_estimate_oracle(block: np.ndarray, variant: str):

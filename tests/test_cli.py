@@ -398,6 +398,27 @@ def test_a_negative_generator_seed_exits_2_naming_seed(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze-negatives", "--k-grid", "3", "--out-counts", "counts.csv",
+     "--out-histogram", "hist.csv"],
+    ["eval", "--checkpoint", "model.kge", "--candidates", "5", "--metrics-json", "metrics.json"],
+])
+def test_a_negative_seed_on_dataset_files_exits_2_naming_seed_before_loading(
+        tmp_path, capsys, monkeypatch, command):
+    """Without --synthetic no spec checks the seed, so the command does, before
+    it loads the dataset or a checkpoint, and it writes nothing."""
+    data, _ = gen_dataset(tmp_path, capsys)
+    save_checkpoint(init_model(3, 1, 4, kind="sum"), str(tmp_path / "model.kge"))
+    refuse_loading_and_pretraining(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code = main([*command, "--train", str(data / "train.tsv"), "--valid", str(data / "valid.tsv"),
+                 "--test", str(data / "test.tsv"), "--seed", "-1"])
+    assert code == 2
+    assert "error: seed must be an int >= 0, got -1" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("flags", [["--blocks", "9"],
                                    ["--p-intra", "0.9", "--block-entities", "3"],
                                    ["--relations", "2", "--p-inter", "0",

@@ -224,9 +224,9 @@ def traced_peak(call):
 
 def one_block_bytes(n):
     """The bytes one hop block may hold at HOP_BLOCK_CELLS = 4096: its cells,
-    and a walk of at most 4096 steps plus one entity's degree (< n), five
-    int64s a step."""
-    return 4096 + 5 * 8 * (4096 + n)
+    and a walk piece of at most a quarter of them (1024 steps) plus one
+    entity's degree (< n), five int64s a step."""
+    return 4096 + 5 * 8 * (1024 + n)
 
 
 def test_the_ring_build_holds_the_table_and_one_block(monkeypatch):

@@ -22,7 +22,7 @@ from kgcl.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from support import grad_row, gru_oracle, masked_sigmoid, query, sum_model
+from support import coalesce_oracle, grad_row, gru_oracle, masked_sigmoid, query, sum_model
 
 
 def test_aggregator_param_shapes():
@@ -165,10 +165,17 @@ def test_aggregate_batch_validates_ids_and_shapes():
     model = init_model(3, 2, 4, kind="sum", seed=0)
     with pytest.raises(ValueError):
         aggregate_batch(model, np.array([0, 1]), np.array([0]))
-    with pytest.raises(ValueError):
-        aggregate_batch(model, np.array([3]), np.array([0]))
-    with pytest.raises(ValueError):
-        aggregate_batch(model, np.array([0]), np.array([2]))
+    # the check reads ids as unsigned, where -1 and int64 min lie above any bound
+    lowest = np.iinfo(np.int64).min
+    for heads, relations, what in [([3], [0], "entity"), ([0], [2], "relation"),
+                                   ([-1], [0], "entity"), ([0], [-1], "relation"),
+                                   ([0, lowest], [0, 0], "entity"), ([0], [lowest], "relation")]:
+        with pytest.raises(ValueError, match=f"^{what} id out of range"):
+            aggregate_batch(model, np.array(heads), np.array(relations))
+    queries, _ = aggregate_batch(model, np.array([2, 0]), np.array([1, 1]))  # N - 1 and R - 1
+    np.testing.assert_array_equal(queries, model.entity_table[[2, 0]] + model.relation_table[1])
+    queries, _ = aggregate_batch(model, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert queries.shape == (0, 4)
 
 
 def test_aggregate_is_deterministic():
@@ -276,6 +283,43 @@ def test_tape_coalescing_matches_add_at_bit_for_bit(seed):
     got_ids, got = tape.entity_rows()
     np.testing.assert_array_equal(got_ids, unique)
     assert got.tobytes() == expected.tobytes()
+
+
+def coalesce_cases():
+    """(name, entities, relations, dim, [(table, ids, rows) per add])."""
+    rng = np.random.default_rng(29)
+    repeated = [("entity", [3, 1, 3], [[1.0, 0.0], [0.5, 0.5], [2.0, 1.0]]),
+                ("relation", [1, 0], [[0.25, -1.0], [1e-300, 3.0]]),
+                ("entity", [1, 4, 3, 3], [[0.5, -0.5], [7.0, 8.0], [1e16, 1.0], [-1e16, 2.0]]),
+                ("relation", [1], [[-0.25, 1.0]])]
+    zeros = [("entity", [2, 2, 0], [[-0.0, -0.0], [-0.0, 1.0], [-0.0, -0.0]]),
+             ("relation", [0, 0], [[-0.0, 0.0], [-0.0, -0.0]])]
+    ends = [("entity", [4, 0, 4], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            ("relation", [1, 0], [[1.0, 1.0], [2.0, 2.0]])]
+    ids, rows = rng.integers(0, 2048, size=4096), rng.normal(size=(4096, 32))
+    rows *= 10.0 ** rng.integers(-8, 8, size=rows.shape)
+    rows[rng.random(rows.shape) < 0.05] = -0.0
+    many = [("entity", ids[at : at + 1024], rows[at : at + 1024]) for at in range(0, 4096, 1024)]
+    many.append(("relation", ids[:300] % 5, rows[:300]))
+    return [("repeated_ids", 5, 2, 2, repeated), ("negative_zeros", 5, 2, 2, zeros),
+            ("single_row", 5, 2, 2, [("entity", [3], [[1.5, -0.0]])]),
+            ("first_and_last_ids", 5, 2, 2, ends), ("random_4096_rows", 2048, 5, 32, many)]
+
+
+@pytest.mark.parametrize("case", coalesce_cases(), ids=lambda case: case[0])
+def test_tape_rows_match_the_coalesce_oracle_byte_for_byte(case):
+    _, entities, relations, dim, adds = case
+    tape = GradientTape(init_model(entities, relations, dim, kind="sum", seed=0))
+    chunks = {"entity": ([], []), "relation": ([], [])}
+    for table, ids, rows in adds:
+        ids, rows = np.array(ids, dtype=np.int64), np.array(rows, dtype=np.float64)
+        getattr(tape, f"add_{table}")(ids, rows)
+        chunks[table][0].append(ids)
+        chunks[table][1].append(rows)
+    for table, got in (("entity", tape.entity_rows()), ("relation", tape.relation_rows())):
+        want = coalesce_oracle(*chunks[table], dim)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
