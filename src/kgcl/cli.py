@@ -24,7 +24,7 @@ from .sampling import (
     write_false_negative_histogram,
 )
 from .synthetic import SyntheticKGSpec, generate_synthetic_kg, write_dataset_files
-from .training import TrainConfig, sweep_tau, train, write_sweep_csv
+from .training import TrainConfig, sweep_tau, tau_sweep_configs, train, write_sweep_csv
 
 # each TrainConfig field's type parses its config value and its flag; the
 # flag is --field-name unless renamed here, and three fields take choices
@@ -135,6 +135,8 @@ def _load_fitting_checkpoint(path: str, kg: KnowledgeGraph):
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {args.seed}")
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     kg = _load_kg(args, augment=not args.no_augment)
     model = _load_fitting_checkpoint(args.checkpoint, kg)
     limit = default_candidate_limit(kg.num_entities(), args.candidates)
@@ -192,6 +194,8 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     k_values = _parse_k_grid(args.k_grid)
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
+    if not 0.0 < args.removal_fraction < 1.0:
+        raise ValueError(f"--removal-fraction must lie in (0, 1), got {args.removal_fraction}")
     if args.seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {args.seed}")
     if args.max_triples is not None and args.max_triples < 1:
@@ -250,6 +254,7 @@ def cmd_sweep_tau(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--taus must be comma-separated numbers, got {args.taus!r}") from None
     cfg = build_train_config(args, loss_mode="hasa")
+    tau_sweep_configs(cfg, taus)
     kg = _load_kg(cfg, augment=not args.no_augment)
     rows = sweep_tau(cfg, taus, kg)
     _write_replacing(write_sweep_csv, rows, args.out)

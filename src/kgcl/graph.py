@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import KnowledgeGraph
 
-# cells per dense (sources x N) hop block of the ring table and hop_table
+# cells per dense (sources x N) hop block of the ring table and hops_at
 HOP_BLOCK_CELLS = 2**19
 
 
@@ -69,10 +69,12 @@ def build_structure_index(kg: KnowledgeGraph) -> StructureIndex:
 
 def distances_within(idx: StructureIndex, source: int, cap: int) -> dict[int, int]:
     """Every entity at distance <= cap from source, mapped to its exact
-    distance, the source itself at 0: hop_table's row for one source."""
+    distance, the source itself at 0: the hop walk's one block for source."""
     idx._check_entity(source)
-    keys, hops = hop_table(idx, np.array([source]), cap)
-    return dict(zip(keys.tolist(), hops.tolist()))
+    cap = max(0, min(cap, idx.entity_count))
+    row = next(_hop_blocks(idx, np.array([source]), cap))[1][0]
+    reached = np.flatnonzero(row)
+    return dict(zip(reached.tolist(), (cap + 1 - row[reached]).tolist()))
 
 
 def _walk(idx: StructureIndex, rows: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -118,26 +120,22 @@ def _hop_blocks(idx: StructureIndex, sources: np.ndarray, cap: int):
         yield first, block
 
 
-def hop_table(idx: StructureIndex, sources: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
-    """distances_within for many sources at once: the sorted int64 keys
-    i * N + v of every entity v within cap hops of sources[i], and each
-    key's hop count, read from the dense hop blocks of _hop_blocks."""
+def hops_at(idx: StructureIndex, sources: np.ndarray, cap: int, keys: np.ndarray) -> np.ndarray:
+    """The int64 hop count from sources[i] to v at each key i * N + v, or
+    cap + 1 when v lies beyond cap hops or the key beyond the sources: the
+    keys argsorted once, then read from the blocks of _hop_blocks in turn."""
     n = idx.entity_count
     if sources.size and not (0 <= sources.min() and sources.max() < n):
         raise ValueError(f"source ids must lie in [0, {n})")
-    cap = max(0, min(cap, n))
-    dtype = np.min_scalar_type(-1 - cap)  # signed, and holds every depth a BFS reaches
-    pieces, hops = [(0, np.zeros(0, dtype=np.uint8))], [np.zeros(0, dtype=dtype)]
-    for first, block in _hop_blocks(idx, sources, cap):
-        reached = np.flatnonzero(block != 0)
-        pieces.append((first * n, reached.astype(np.min_scalar_type(block.size))))
-        hops.append((cap + 1 - block.ravel()[reached]).astype(dtype))
-    # narrow cells, then the int64 keys: never two int64 copies of the keys
-    keys, at = np.concatenate([cells for _, cells in pieces], dtype=np.int64), 0
-    for offset, cells in pieces:
-        keys[at : at + cells.size] += offset
-        at += cells.size
-    return keys, np.concatenate(hops)
+    depth = max(0, min(cap, n))  # no BFS reaches deeper than N hops
+    # a block cell counts depth + 1 - hop, or 0 beyond the walk
+    hop_of = np.append(cap + 1, np.arange(depth, -1, -1))
+    order = np.argsort(keys)
+    ordered, hops = keys[order], np.full(keys.size, cap + 1, dtype=np.int64)
+    for first, block in _hop_blocks(idx, sources, depth):
+        lo, hi = np.searchsorted(ordered, [first * n, (first + len(block)) * n])
+        hops[order[lo:hi]] = hop_of[block.ravel()[ordered[lo:hi] - first * n]]
+    return hops
 
 
 def _ring_table(idx: StructureIndex) -> tuple[np.ndarray, np.ndarray]:

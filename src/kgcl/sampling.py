@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KnowledgeGraph, fact_keys
-from .graph import StructureIndex, _draw_segments, _index_from_triples, draw_ring_samples, hop_table
+from .graph import StructureIndex, _draw_segments, _index_from_triples, draw_ring_samples, hops_at
 from .model import EmbeddingModel, aggregate_batch
 
 SAMPLER_KINDS = ("simple", "hard")
@@ -231,18 +231,9 @@ def draw_softmax_negatives(
     return np.take_along_axis(candidates, picks, axis=1)
 
 
-def _experiment_batch(
-    triples: np.ndarray,
-    k: int,
-    sampler: str,
-    model: EmbeddingModel | None,
-    reached: tuple[np.ndarray, np.ndarray, np.ndarray],
-    hidden: np.ndarray,
-    relation_count: int,
-    entity_count: int,
-    cap: int,
-    seed_key: list[int],
-) -> np.ndarray:
+def _experiment_batch(triples: np.ndarray, k: int, sampler: str, model: EmbeddingModel | None,
+                      relation_count: int, entity_count: int, seed_key: list[int]) -> np.ndarray:
+    """The batch's draws as int64 fact keys (h * R + r) * N + t, row by row."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     heads, rels, tails = triples.T
     if sampler == "simple":
@@ -251,17 +242,7 @@ def _experiment_batch(
         queries, _ = aggregate_batch(model, heads, rels)
         support = np.unique(np.concatenate([heads, tails]))
         drawn = draw_softmax_negatives(model, queries, support, tails, k, rng)
-    filled = drawn >= 0
-    owner, drawn = np.nonzero(filled)[0], drawn[filled]
-    sources, keys, hops = reached
-    wanted = np.searchsorted(sources, heads[owner]) * entity_count + drawn
-    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    # a draw beyond cap - 1 hops, or unreachable, falls in the last column;
-    # the int64 hops keep a cap above the hop dtype's range from wrapping
-    column = np.where(keys[at] == wanted, hops[at].astype(np.int64), cap)
-    facts = (heads[owner] * relation_count + rels[owner]) * entity_count + drawn
-    cells = (hidden[np.searchsorted(hidden, facts)] == facts) * (cap + 1) + column
-    return np.bincount(cells, minlength=2 * (cap + 1)).reshape(2, cap + 1)
+    return (((heads * relation_count + rels) * entity_count)[:, None] + drawn)[drawn >= 0]
 
 
 def run_false_negative_experiment(
@@ -284,11 +265,11 @@ def run_false_negative_experiment(
     simple sampler from the batch tail-frequency distribution
     (draw_in_batch_negatives), the hard sampler from the softmax of model
     scores over the distinct batch entities (draw_softmax_negatives); both
-    exclude the triple's own tail and renormalize. A sampled negative t is
-    labeled false when (h, r, t) is one of the hidden facts, and counted in
-    the report's histogram under its label and its hop distance from h in
-    the retained graph, read from one hop_table over the distinct heads; the
-    batches' count arrays are summed. K values must be distinct."""
+    exclude the triple's own tail and renormalize. Then every draw of every
+    K is labeled at once: a sampled negative t is false when (h, r, t) is
+    one of the hidden facts, and counted in the report's histogram under its
+    label and its hop distance from h in the retained graph, read by one
+    hops_at walk from the distinct heads. K values must be distinct."""
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLER_KINDS}")
     if sampler == "hard" and model is None:
@@ -309,38 +290,38 @@ def run_false_negative_experiment(
         sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         chosen = np.sort(sub_rng.choice(len(retain), size=max_triples, replace=False))
         retain = retain[chosen]
-    # each distinct head's entities within cap - 1 hops, read by every batch
-    sources = np.unique(retain[:, 0])
-    reached = (sources, *hop_table(idx, sources, distance_cap - 1))
     sampler_id = SAMPLER_KINDS.index(sampler)
-    counts = []
-    hist = np.zeros((len(LABELS), distance_cap + 1), dtype=np.int64)
+    # every batch's draws, after an empty array so that a study of no batches
+    # concatenates; ends[i] is where the draws of k_values[i] end
+    facts, ends = [np.zeros(0, dtype=np.int64)], []
     for k_pos, k in enumerate(k_values):
         batch_size = max(1, (k + 1) // 2)
         order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2, k_pos]))
         order = order_rng.permutation(len(retain))
-        batches = [retain[order[start : start + batch_size]]
-                   for start in range(0, len(order), batch_size)]
         jobs = [
-            (chunk, k, sampler, model, reached, hidden, r, n, distance_cap,
+            (retain[order[start : start + batch_size]], k, sampler, model, r, n,
              [seed, 3, sampler_id, k_pos, b])
-            for b, chunk in enumerate(batches)
+            for b, start in enumerate(range(0, len(order), batch_size))
         ]
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda j: _experiment_batch(*j), jobs))
+                facts += pool.map(lambda j: _experiment_batch(*j), jobs)
         else:
-            results = [_experiment_batch(*j) for j in jobs]
-        k_hist = sum(results, np.zeros_like(hist))
-        counts.append((k, sampler, int(k_hist[LABELS.index("false")].sum())))
-        hist += k_hist
-    return FalseNegReport(
-        sampler=sampler,
-        removal_fraction=removal_fraction,
-        distance_cap=distance_cap,
-        counts=counts,
-        histogram=hist,
-    )
+            facts += [_experiment_batch(*j) for j in jobs]
+        ends.append(sum(map(len, facts)))
+    facts = np.concatenate(facts)
+    false = hidden[np.searchsorted(hidden, facts)] == facts
+    counts = [(k, sampler, int(np.count_nonzero(labels)))
+              for k, labels in zip(k_values, np.split(false, ends))]
+    # each draw's hop from its head, or distance_cap beyond distance_cap - 1 hops,
+    # then its cell label * (distance_cap + 1) + hop
+    sources = np.unique(retain[:, 0])
+    cells = hops_at(idx, sources, distance_cap - 1,
+                    np.searchsorted(sources, facts // (r * n)) * n + facts % n)
+    cells[false] += distance_cap + 1
+    hist = np.bincount(cells, minlength=len(LABELS) * (distance_cap + 1))
+    return FalseNegReport(sampler, removal_fraction, distance_cap, counts,
+                          hist.reshape(len(LABELS), distance_cap + 1))
 
 
 def write_false_negative_counts(reports: list[FalseNegReport], path: str) -> None:

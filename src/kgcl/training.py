@@ -295,6 +295,21 @@ def write_log(log: list[dict], path: str) -> None:
             handle.write("\n")
 
 
+def tau_sweep_configs(cfg: TrainConfig, tau_values: list[float]) -> list[TrainConfig]:
+    """One config per tau, in input order, each writing under its own
+    tau_<tau:g> directory of cfg.out_dir; every config is built, and so
+    validated, before the first run writes."""
+    if cfg.loss_mode not in ("hasa", "hasa_plus"):
+        raise ValueError("the tau sweep applies to the debiased loss modes")
+    if not tau_values:
+        raise ValueError("the tau sweep needs at least one tau value")
+    names = [f"tau_{tau:g}" for tau in tau_values]
+    if len(set(names)) < len(names):
+        raise ValueError(f"the taus {tau_values} give two runs one directory name tau_<tau:g>")
+    return [replace(cfg, tau=tau, out_dir=cfg.out_dir and os.path.join(cfg.out_dir, name))
+            for tau, name in zip(tau_values, names)]
+
+
 def sweep_tau(
     cfg: TrainConfig,
     tau_values: list[float],
@@ -304,27 +319,12 @@ def sweep_tau(
     """Train one model per tau, sharing the seed and every other knob, and
     report final validation metrics per value. Rows come back in the input
     tau order."""
-    if cfg.loss_mode not in ("hasa", "hasa_plus"):
-        raise ValueError("the tau sweep applies to the debiased loss modes")
-    if not tau_values:
-        raise ValueError("the tau sweep needs at least one tau value")
-    # every config is built, and so validated, before the first run writes
-    names = [f"tau_{tau:g}" for tau in tau_values]
-    if len(set(names)) < len(names):
-        raise ValueError(f"the taus {tau_values} give two runs one directory name tau_<tau:g>")
-    run_cfgs = [
-        replace(cfg, tau=tau, out_dir=cfg.out_dir and os.path.join(cfg.out_dir, name))
-        for tau, name in zip(tau_values, names)
-    ]
-    if idx is None:
-        idx = build_structure_index(kg)
+    run_cfgs = tau_sweep_configs(cfg, tau_values)
+    idx = build_structure_index(kg) if idx is None else idx
     rows = []
     for run_cfg in run_cfgs:
-        result = train(run_cfg, kg, idx)
-        row = {"tau": run_cfg.tau}
-        if result.final_valid is not None:
-            row.update(result.final_valid.to_dict())
-        rows.append(row)
+        valid = train(run_cfg, kg, idx).final_valid
+        rows.append({"tau": run_cfg.tau, **(valid.to_dict() if valid is not None else {})})
     return rows
 
 

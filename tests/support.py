@@ -24,8 +24,8 @@ a fresh array at every step (np.where copies, boolean column indexing,
 concatenated score and gradient blocks), so it checks the library's one
 cell buffer, written in place, bit for bit. The BFS oracle walks one
 source level by level through Python dicts, so it checks the package's
-blocked hop walk (the ring table, hop_table and distances_within) id for
-id and hop for hop. The synthetic oracles are the generator's earlier
+blocked hop walk (the ring table, distances_within, and hops_at, which
+the false-negative study reads) id for id and hop for hop. The synthetic oracles are the generator's earlier
 form. Its pair loop calls rng.random() once per ordered pair and
 rng.integers() once per accept, so it checks the library's array reads of
 the same PCG64 words (integer thresholds, buffered 32-bit halves, the

@@ -32,7 +32,7 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
     draw_ring_samples,
-    hop_table,
+    hops_at,
 )
 from kgcl.losses import (
     LossConfig,
@@ -274,10 +274,11 @@ def random_graph_kg(rng, n, n_edges):
 def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
     """On 50 random undirected graphs of up to 50 nodes, capped
     breadth-first distances equal an independently coded Floyd-Warshall
-    exactly: one source at a time (distances_within, hop_table's row for
-    that source), and every source at once at every cap from 1 to n
-    (hop_table, which the false-negative study reads), so the package's one
-    hop walk is checked from each source alone and from all together. The
+    exactly: one source at a time (distances_within, the hop walk's block
+    for that source), and every source at once at every cap from 1 to n
+    (hops_at at every (source, entity) key, cap + 1 beyond the cap, as the
+    false-negative study reads it), so the package's one hop walk is checked
+    from each source alone and from all together. The
     1-/2-hop ring that training's structure draws use (the support of
     alpha_distribution, a row of the index's ring table) equals the
     distance-1 and distance-2 slices of that matrix."""
@@ -299,11 +300,10 @@ def test_bounded_bfs_matches_floyd_warshall_and_hop_slices():
         assert got == {v: d for v, d in enumerate(oracle[0]) if d <= 2}
         matrix = np.array(oracle)
         for cap in range(1, n + 1):
-            keys, hops = hop_table(idx, np.arange(n), cap)
-            table = np.full((n, n), math.inf)
-            table.flat[keys] = hops
+            hops = hops_at(idx, np.arange(n), cap, np.arange(n * n))
             np.testing.assert_array_equal(
-                table, np.where(matrix <= cap, matrix, math.inf), f"trial {trial} cap {cap}")
+                hops.reshape(n, n), np.where(matrix <= cap, matrix, cap + 1),
+                f"trial {trial} cap {cap}")
     assert time.monotonic() - started < 60.0
 
 

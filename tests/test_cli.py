@@ -246,7 +246,8 @@ def test_train_runs_to_the_end_whatever_the_environment_says(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
-def test_eval_rejects_a_worker_count_below_1(tmp_path, capsys, workers):
+def test_eval_rejects_a_worker_count_below_1(tmp_path, capsys, monkeypatch, workers):
+    """Refused before the dataset or the checkpoint is loaded."""
     data, _ = gen_dataset(tmp_path, capsys)
     paths = [str(data / f"{split}.tsv") for split in ("train", "valid", "test")]
     kg = load_dataset(*paths)
@@ -254,6 +255,7 @@ def test_eval_rejects_a_worker_count_below_1(tmp_path, capsys, workers):
     save_checkpoint(init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum"),
                     str(checkpoint))
     metrics_path = tmp_path / "metrics.json"
+    refuse_loading_and_pretraining(monkeypatch)
     code = main(["eval", "--checkpoint", str(checkpoint), "--no-augment", "--workers", workers,
                  "--train", paths[0], "--valid", paths[1], "--test", paths[2],
                  "--metrics-json", str(metrics_path)])
@@ -333,6 +335,24 @@ def test_analyze_negatives_rejects_a_bad_cap_before_pretraining(
                  "--out-histogram", str(tmp_path / "hist.csv")])
     assert code == 2
     assert "--cap must be >= 1" in capsys.readouterr().err
+    assert not counts_path.exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "1", "0", "-0.2"])
+@pytest.mark.parametrize("source", ["files", "synthetic"])
+def test_analyze_negatives_rejects_a_removal_fraction_outside_0_1_before_loading(
+        tmp_path, capsys, monkeypatch, fraction, source):
+    refuse_loading_and_pretraining(monkeypatch)
+    missing = str(tmp_path / "nope.tsv")
+    data = (["--synthetic"] if source == "synthetic"
+            else ["--train", missing, "--valid", missing, "--test", missing])
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", *data, "--removal-fraction", fraction,
+                 "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    assert (f"error: --removal-fraction must lie in (0, 1), got {float(fraction)}"
+            in capsys.readouterr().err)
     assert not counts_path.exists()
 
 
@@ -529,9 +549,17 @@ def test_sweep_tau_writes_the_table(tmp_path, capsys):
     assert len(csv_lines) == 3
 
 
+def refuse_loading(monkeypatch, what):
+    def no_loading(*args, **kwargs):
+        raise AssertionError(f"the dataset was loaded before {what} was checked")
+
+    monkeypatch.setattr(kgcl.cli, "_load_kg", no_loading)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_sweep_tau_rejects_a_loss_that_is_not_debiased(tmp_path, capsys, source):
+def test_sweep_tau_rejects_a_loss_that_is_not_debiased(tmp_path, capsys, monkeypatch, source):
     data, _ = gen_dataset(tmp_path, capsys)
+    refuse_loading(monkeypatch, "the loss")
     if source == "flag":
         loss_args = ["--loss", "hard"]
     else:
@@ -553,6 +581,7 @@ def test_sweep_tau_rejects_bad_taus_before_any_training(tmp_path, capsys, monkey
 
     monkeypatch.setattr(kgcl.training, "train", no_training)
     data, _ = gen_dataset(tmp_path, capsys)
+    refuse_loading(monkeypatch, "every tau")
     out_csv = tmp_path / "sweep.csv"
     code = main(["sweep-tau", "--train", str(data / "train.tsv"),
                  "--valid", str(data / "valid.tsv"),
@@ -566,10 +595,7 @@ def test_sweep_tau_rejects_bad_taus_before_any_training(tmp_path, capsys, monkey
 
 
 def test_sweep_tau_rejects_taus_that_do_not_parse_before_loading(tmp_path, capsys, monkeypatch):
-    def no_loading(*args, **kwargs):
-        raise AssertionError("the dataset was loaded before --taus was parsed")
-
-    monkeypatch.setattr(kgcl.cli, "_load_kg", no_loading)
+    refuse_loading(monkeypatch, "--taus")
     missing = str(tmp_path / "nope.tsv")
     code = main(["sweep-tau", "--train", missing, "--valid", missing, "--test", missing,
                  "--taus", "0.1,abc", "--out", str(tmp_path / "sweep.csv")])

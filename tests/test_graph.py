@@ -20,7 +20,7 @@ from kgcl.graph import (
     build_structure_index,
     distances_within,
     draw_ring_samples,
-    hop_table,
+    hops_at,
 )
 from support import bfs_distances, ring_oracle, triple_rows
 
@@ -118,33 +118,39 @@ def test_bfs_matches_floyd_warshall_on_random_graphs():
             assert got_d == int(expect)
 
 
-def test_hop_table_one_source_per_block_matches_one_block(monkeypatch):
-    """The hop table walked one source per block equals the table walked as
-    one block; sources may repeat and may be isolated."""
+def test_hops_at_one_source_per_block_matches_one_block(monkeypatch):
+    """The hops read one source per block equal the hops read from one
+    block, at every cell of every source, asked in descending and then in
+    ascending order; sources may repeat and may be isolated."""
     rng = np.random.default_rng(107)
     for _ in range(20):
         n = int(rng.integers(2, 40))
         idx = _index_from_triples(random_triples(rng, n, int(rng.integers(1, 2 * n))), n)
         sources = rng.integers(0, n, size=int(rng.integers(1, 30)))
         cap = int(rng.integers(0, 6))
+        cells = np.arange(sources.size * n)
+        keys = np.concatenate([cells[::-1], cells])
         monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", sources.size * n)
-        whole_keys, whole_hops = hop_table(idx, sources, cap)
+        whole = hops_at(idx, sources, cap, keys)
         monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 1)
-        keys, hops = hop_table(idx, sources, cap)
-        np.testing.assert_array_equal(keys, whole_keys)
-        np.testing.assert_array_equal(hops, whole_hops)
-        assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+        hops = hops_at(idx, sources, cap, keys)
+        np.testing.assert_array_equal(hops, whole)
+        np.testing.assert_array_equal(hops[: cells.size], hops[cells.size :][::-1])
+        assert hops.dtype == np.int64 and hops.min() >= 0 and hops.max() <= cap + 1
         # each source reaches itself at hop 0
-        assert np.count_nonzero(hops == 0) == sources.size
+        assert np.count_nonzero(hops[cells.size :] == 0) == sources.size
 
 
-def test_hop_table_checks_sources_and_takes_none():
+def test_hops_at_checks_sources_and_takes_none():
     idx = _index_from_triples(triple_rows((0, 0, 1)), 3)
+    none = np.zeros(0, dtype=np.int64)
     for bad in ([3], [-1, 0]):
         with pytest.raises(ValueError, match="source ids"):
-            hop_table(idx, np.array(bad), 2)
-    keys, hops = hop_table(idx, np.zeros(0, dtype=np.int64), 2)
-    assert keys.size == hops.size == 0
+            hops_at(idx, np.array(bad), 2, none)
+    hops = hops_at(idx, none, 2, none)
+    assert hops.size == 0 and hops.dtype == np.int64
+    # a key beyond the one source's row reads as beyond the cap
+    assert hops_at(idx, np.array([0]), 2, np.array([-1, 3, 1, 2])).tolist() == [3, 3, 1, 3]
 
 
 def test_two_hop_neighborhoods_match_distance_slices():
@@ -243,19 +249,22 @@ def test_the_ring_build_holds_the_table_and_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [2, 3])
-def test_hop_table_from_hubs_holds_its_output_and_one_block(monkeypatch, cap):
-    """hop_table from the eight hubs of that graph peaks at no more than its
-    output plus one block, where a walk of a whole depth from the hubs'
-    frontier at once would fail that bound, and the table walked in those
-    pieces equals the table walked in one block."""
+def test_hops_at_from_hubs_holds_its_keys_their_order_its_output_and_one_block(
+        monkeypatch, cap):
+    """hops_at at every cell of the eight hubs of that graph peaks at no
+    more than a sorted copy of its keys, their order, its output and one
+    block, where a walk of a whole depth from the hubs' frontier at once
+    would fail that bound, and the hops read in those pieces equal the hops
+    read from one block."""
     idx = hub_index()
-    whole_keys, whole_hops = hop_table(idx, np.arange(8), cap)
+    keys = np.arange(8 * idx.entity_count)
+    whole = hops_at(idx, np.arange(8), cap, keys)
     monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 4096)
-    (keys, hops), peak = traced_peak(lambda: hop_table(idx, np.arange(8), cap))
-    assert peak <= keys.nbytes + hops.nbytes + one_block_bytes(idx.entity_count)
-    np.testing.assert_array_equal(keys, whole_keys)
-    np.testing.assert_array_equal(hops, whole_hops)
-    assert hops.dtype == whole_hops.dtype == np.int8
+    hops, peak = traced_peak(lambda: hops_at(idx, np.arange(8), cap, keys))
+    # a sorted copy of the keys, their int64 order, the output and one block
+    assert peak <= keys.nbytes + 8 * keys.size + hops.nbytes + one_block_bytes(idx.entity_count)
+    np.testing.assert_array_equal(hops, whole)
+    assert np.count_nonzero(hops <= cap) > 8
 
 
 def test_a_dropped_index_is_freed_without_the_cycle_collector():

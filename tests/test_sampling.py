@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgcl.graph
 import kgcl.sampling
 from kgcl.data import KnowledgeGraph, make_batches
 from kgcl.graph import (
@@ -640,14 +641,16 @@ def test_a_cap_beyond_the_int8_hop_range_files_far_draws_in_its_last_column():
     assert not report.histogram[:, 12:300].any()
 
 
-def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key):
-    """Reference for one experiment batch: the same draws, each labelled by
-    set membership and placed by its own BFS from the head."""
+def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key, kg):
+    """Reference for one experiment batch: the same draws as fact keys
+    (h * R + r) * N + t in row order, and their (2 x cap + 1) counts, each
+    draw labelled by set membership and placed by its own BFS from the head."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     rows = triples.tolist()
     heads = np.array([h for h, _, _ in rows])
     tails = np.array([t for _, _, t in rows])
     support = np.unique(np.concatenate([heads, tails]))
+    facts = []
     counts = np.zeros((2, cap + 1), dtype=np.int64)
     for head, relation, tail in rows:
         if sampler == "simple":
@@ -660,14 +663,17 @@ def per_draw_counts(triples, k, sampler, model, hidden_facts, idx, cap, seed_key
             draws = hard_negative_softmax_sample(e_hr, cand, model, k, rng)
         dist = bfs_distances(idx, head, cap - 1)
         for neg in draws.tolist():
+            facts.append((head * kg.num_relations() + relation) * kg.num_entities() + neg)
             hidden = (head, relation, neg) in hidden_facts
             counts[LABELS.index("false" if hidden else "true"), dist.get(neg, cap)] += 1
-    return counts
+    return np.array(facts, dtype=np.int64), counts
 
 
 @pytest.mark.parametrize("sampler", ["simple", "hard"])
 @pytest.mark.parametrize("cap", [1, 2, 5])
 def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
+    """Each batch's fact keys equal the per-draw loop's draws, and the
+    report's counts and histogram equal the loop's counts summed."""
     spec = SyntheticKGSpec(block_count=3, entities_per_block=8, relation_count=1,
                            intra_block_edge_probability=0.5,
                            inter_block_edge_probability=0.05, seed=4)
@@ -678,23 +684,58 @@ def test_batch_counts_match_a_per_draw_loop(monkeypatch, sampler, cap):
     hidden = {tuple(t) for t in missing.tolist()}
     idx = _index_from_triples(retain, kg.num_entities())
     batches = []
-    batch_counts = kgcl.sampling._experiment_batch
+    batch_draws = kgcl.sampling._experiment_batch
 
     def recorded(*args):
-        batches.append((args, batch_counts(*args)))
+        batches.append((args, batch_draws(*args)))
         return batches[-1][1]
 
     monkeypatch.setattr(kgcl.sampling, "_experiment_batch", recorded)
     report = run_false_negative_experiment(kg, 0.3, sampler, model, [3, 15], seed=2,
                                            distance_cap=cap)
-    total = 0
-    for (triples, k, *_, seed_key), counts in batches:
-        np.testing.assert_array_equal(
-            counts, per_draw_counts(triples, k, sampler, model, hidden, idx, cap, seed_key))
+    total, false_by_k = 0, {3: 0, 15: 0}
+    for (triples, k, *_, seed_key), facts in batches:
+        want_facts, counts = per_draw_counts(triples, k, sampler, model, hidden, idx, cap,
+                                             seed_key, kg)
+        np.testing.assert_array_equal(facts, want_facts)
+        assert facts.dtype == np.int64
         total = total + counts
+        false_by_k[k] += int(counts[LABELS.index("false")].sum())
     np.testing.assert_array_equal(report.histogram, total)
+    assert report.counts == [(k, sampler, false_by_k[k]) for k in (3, 15)]
     assert report.histogram[LABELS.index("false")].sum() > 0
     assert report.histogram[LABELS.index("true"), :cap].sum() > 0
+
+
+@pytest.mark.parametrize("sampler", ["simple", "hard"])
+def test_an_empty_retained_split_gives_zero_counts_and_a_zero_histogram(sampler):
+    kg = KnowledgeGraph.from_string_triples([("a", "r", "b")])
+    # round(0.6 * 1) hides the one fact
+    assert split_retain_missing(kg.train, 0.6, 0)[0].size == 0
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=1)
+    report = run_false_negative_experiment(kg, 0.6, sampler, model, [3, 7], seed=0,
+                                           distance_cap=4)
+    assert report.counts == [(3, sampler, 0), (7, sampler, 0)]
+    np.testing.assert_array_equal(report.histogram, np.zeros((2, 5), dtype=np.int64))
+    assert report.histogram.dtype == np.int64
+
+
+@pytest.mark.parametrize("sampler", ["simple", "hard"])
+@pytest.mark.parametrize("cap", [1, 3, 5])
+def test_the_report_is_unchanged_with_one_source_per_hop_block(monkeypatch, sampler, cap):
+    spec = SyntheticKGSpec(block_count=4, entities_per_block=10, relation_count=2,
+                           intra_block_edge_probability=0.3,
+                           inter_block_edge_probability=0.03, seed=6)
+    kg = generate_knowledge_graph(spec)
+    model = init_model(kg.num_entities(), kg.num_relations(), 4, kind="sum", seed=0,
+                       init_scale=0.5)
+    args = (kg, 0.3, sampler, model, [3, 7, 15], 5)
+    whole = run_false_negative_experiment(*args, distance_cap=cap)
+    monkeypatch.setattr(kgcl.graph, "HOP_BLOCK_CELLS", 1)
+    blocked = run_false_negative_experiment(*args, distance_cap=cap)
+    assert blocked.counts == whole.counts
+    np.testing.assert_array_equal(blocked.histogram, whole.histogram)
+    assert whole.histogram[:, 1:cap].sum() > 0 or cap == 1
 
 
 def test_experiment_is_deterministic_and_thread_count_invariant():

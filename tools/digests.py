@@ -13,11 +13,14 @@ calls, and a SHA-256 of the hop walk's outputs: a train workload's ring
 table (idx.rings), or the distance histograms of the analyze workload's
 two studies, which the tool runs again from the workload's own fields on
 a model trained again from its seed; these two cover their arrays' dtypes
-and bytes. After the workloads, for each seed, it prints a SHA-256 of each
-TSV the gen-synthetic subcommand writes with its default spec; then it
-runs the analyze-negatives subcommand on a generated dataset through
-kgcl.cli.main and prints a SHA-256 of each CSV it writes and of what it
-prints; then a hard-mode train run at --hard-k 64 on a generated
+and bytes. The analyze workload prints a second line: the same two
+histograms with HOP_BLOCK_CELLS set to the entity count, so that the hop
+walk takes one source per block, a path the workload's graph, which fits
+one block, never takes. After the workloads, for each seed, it prints a
+SHA-256 of each TSV the gen-synthetic subcommand writes with its default
+spec; then it runs the analyze-negatives subcommand on a generated dataset
+through kgcl.cli.main and prints a SHA-256 of each CSV it writes and of
+what it prints; then a hard-mode train run at --hard-k 64 on a generated
 dataset, printing a SHA-256 of every top-k block it picks, in call order,
 and of its final checkpoint; then a hasa_plus train run over the mlp
 aggregator whose floor clamps rows, printing a SHA-256 of its final
@@ -37,6 +40,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -83,12 +87,7 @@ def sha256(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def walk_outputs(workload, state) -> str:
-    if not isinstance(workload, AnalyzeWorkload):
-        _, idx, _ = state
-        return f"rings={sha256(*idx.rings)}"
-    kg, retain, cfg = state
-    model = kgcl.training.train(cfg, kg.replace_train(retain)).model
+def study_histograms(workload, kg, cfg, model) -> str:
     reports = [
         kgcl.sampling.run_false_negative_experiment(
             kg, workload.removal_fraction, sampler, model, list(workload.k_values), cfg.seed,
@@ -96,7 +95,21 @@ def walk_outputs(workload, state) -> str:
         )
         for sampler in ("simple", "hard")
     ]
-    return f"histograms={sha256(*(report.histogram for report in reports))}"
+    return sha256(*(report.histogram for report in reports))
+
+
+def walk_outputs(workload, seed: int, state) -> str:
+    if not isinstance(workload, AnalyzeWorkload):
+        _, idx, _ = state
+        return f"rings={sha256(*idx.rings)}"
+    kg, retain, cfg = state
+    model = kgcl.training.train(cfg, kg.replace_train(retain)).model
+    whole = study_histograms(workload, kg, cfg, model)
+    n = kg.num_entities()
+    with mock.patch.object(kgcl.graph, "HOP_BLOCK_CELLS", n):
+        blocked = study_histograms(workload, kg, cfg, model)
+    return (f"histograms={whole}\n{workload.name} seed={seed} hop_block_cells={n} "
+            f"histograms={blocked}")
 
 
 def outputs(workload, seed: int, scratch_dir: str) -> str:
@@ -106,7 +119,8 @@ def outputs(workload, seed: int, scratch_dir: str) -> str:
     losses = hashlib.sha256(np.array(out.step_losses, dtype=np.float64).tobytes()).hexdigest()
     return (f"{workload.name} seed={seed} digest={out.digest} mr={out.mr!r} "
             f"losses={losses} false_counts={list(out.false_counts)} "
-            f"ranks={sha256(*ranks)} evaluations={len(ranks)} {walk_outputs(workload, state)}")
+            f"ranks={sha256(*ranks)} evaluations={len(ranks)} "
+            f"{walk_outputs(workload, seed, state)}")
 
 
 def file_sha256(path: str) -> str:
