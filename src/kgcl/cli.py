@@ -18,6 +18,7 @@ from .losses import DEBIAS_VARIANTS
 from .model import AGGREGATOR_KINDS, load_checkpoint
 from .sampling import (
     LOSS_MODES,
+    TrainingDiverged,
     run_false_negative_experiment,
     split_retain_missing,
     write_false_negative_counts,
@@ -203,6 +204,16 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
     if args.checkpoint and (given := _given_flags(args, "dim", "aggregator", "pretrain_epochs",
                                                   "pretrain_lr")):
         raise ValueError(f"--checkpoint replaces pretraining: drop {given}")
+    pre_cfg = None if args.checkpoint else TrainConfig(
+        loss_mode="simple",
+        aggregator="gru" if args.aggregator is None else args.aggregator,
+        dim=16 if args.dim is None else args.dim,
+        batch_size=16,
+        epochs=5 if args.pretrain_epochs is None else args.pretrain_epochs,
+        learning_rate=0.01 if args.pretrain_lr is None else args.pretrain_lr,
+        weight_decay=0.0,
+        seed=args.seed,
+    )
     if args.synthetic:
         if given := [_flag(d) for d in ("augment", *_DATASET_FIELDS) if getattr(args, d)]:
             raise ValueError(f"--synthetic generates its own dataset: drop {', '.join(given)}")
@@ -212,20 +223,10 @@ def cmd_analyze_negatives(args: argparse.Namespace) -> int:
         raise ValueError(f"the generator flags need --synthetic: drop {given} or add --synthetic")
     else:
         kg = _load_kg(args, augment=args.augment)
-    if args.checkpoint:
+    if pre_cfg is None:
         model = _load_fitting_checkpoint(args.checkpoint, kg)
     else:
         retain, _ = split_retain_missing(kg.train, args.removal_fraction, args.seed)
-        pre_cfg = TrainConfig(
-            loss_mode="simple",
-            aggregator="gru" if args.aggregator is None else args.aggregator,
-            dim=16 if args.dim is None else args.dim,
-            batch_size=16,
-            epochs=5 if args.pretrain_epochs is None else args.pretrain_epochs,
-            learning_rate=0.01 if args.pretrain_lr is None else args.pretrain_lr,
-            weight_decay=0.0,
-            seed=args.seed,
-        )
         model = train(pre_cfg, kg.replace_train(retain)).model
     reports = [
         run_false_negative_experiment(
@@ -347,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,11 @@ LOSS_MODES = ("simple", "hard", "hasa", "hasa_plus")
 CELL_BUDGET = 1 << 20
 
 
+class TrainingDiverged(RuntimeError):
+    """Raised when a training step meets a non-finite value: a NaN or -inf
+    top-k pick, or a non-finite loss."""
+
+
 @dataclass
 class NegativeSampleBatch:
     """The negative material of one training batch as three (B x width)
@@ -54,8 +59,9 @@ class NegativeSampleBatch:
 def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (B x N) score block, which it writes over, the k columns
     of highest score that known does not mark, best first: a tie goes to the
-    lower column and NaN ranks below every number, as in a per-row lexsort of
-    (column, -score). Raises ValueError when a row has under k unmarked columns."""
+    lower column, as in a per-row lexsort of (column, -score). Raises
+    ValueError when a row has under k unmarked columns, and TrainingDiverged
+    when a row picks a NaN or its k-th pick is -inf."""
     # the fewest unmarked columns of a row, or k for no rows, with no ~known block
     free = known.shape[1] - np.count_nonzero(known, axis=1).max(initial=known.shape[1] - k)
     if free < k:
@@ -68,28 +74,9 @@ def _select_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
         ids[:, [j]] = at = np.argmax(scores, axis=1, keepdims=True)
         picked[:, [j]] = np.take_along_axis(scores, at, axis=1)
         np.put_along_axis(scores, at, -np.inf, axis=1)
-    # a pick not above -inf is a NaN or a -inf cell, maybe known or picked twice:
-    # its row is restored, last pick first, and ranked again by the exact key
-    if (redo := np.flatnonzero(~(picked > -np.inf).all(axis=1))).size:
-        for j in reversed(range(k)):
-            scores[redo, ids[redo, j]] = picked[redo, j]
-        ids[redo] = _key_topk(scores[redo], known[redo], k)
-    return ids
-
-
-def _key_topk(scores: np.ndarray, known: np.ndarray, k: int) -> np.ndarray:
-    """_select_topk's picks by an int64 key; leaves the scores as they are."""
-    # an order-preserving int64 key of score (x + 0.0 folds -0.0 into 0.0), then
-    # NaN below -inf and a known column below everything
-    work = np.add(scores, 0.0, dtype=np.float64).view(np.int64)
-    work ^= (work >> 63) & np.iinfo(np.int64).max
-    floor = np.iinfo(np.int64).min
-    np.copyto(work, floor + 1, where=np.isnan(scores))
-    np.copyto(work, floor, where=known)
-    ids = np.zeros((len(work), k), dtype=np.int64)
-    for j in range(k):
-        ids[:, j] = np.argmax(work, axis=1)
-        np.put_along_axis(work, ids[:, [j]], floor, axis=1)
+    # argmax picks a NaN first, and a -inf pick may be a known or picked column
+    if bad := np.count_nonzero(~(picked > -np.inf).all(axis=1)):
+        raise TrainingDiverged(f"{bad} of {len(scores)} rows pick NaN or -inf in their top-{k}")
     return ids
 
 

@@ -21,7 +21,7 @@ from .evaluation import MetricsReport, default_candidate_limit, evaluate, write_
 from .graph import StructureIndex, build_structure_index
 from .losses import LossConfig, hard_infonce, hasa_loss, hasa_plus_loss, simple_infonce
 from .model import AGGREGATOR_KINDS, EmbeddingModel, GradientTape, init_model, save_checkpoint
-from .sampling import LOSS_MODES, assemble_training_negatives
+from .sampling import LOSS_MODES, TrainingDiverged, assemble_training_negatives
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -30,10 +30,6 @@ ADAM_EPSILON = 1e-8
 # stream tags keep the per-purpose random streams disjoint
 _STREAM_BATCHES = 11
 _STREAM_STRUCTURE = 22
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a step produces a non-finite loss."""
 
 
 @dataclass
@@ -154,18 +150,6 @@ class AdamState:
             param[rows] -= lr * (m_rows / bc1) / (np.sqrt(v_rows / bc2) + ADAM_EPSILON)
 
 
-def _dump_diverged_batch(cfg: TrainConfig, epoch, step, batch, value) -> None:
-    if not cfg.out_dir:
-        return
-    payload = {
-        "epoch": epoch,
-        "step": step,
-        "loss": repr(value.loss),
-        "triples": batch.tolist(),
-    }
-    _write_replacing(write_json, payload, os.path.join(cfg.out_dir, "diverged_batch.json"))
-
-
 def train(
     cfg: TrainConfig, kg: KnowledgeGraph, idx: StructureIndex | None = None
 ) -> TrainResult:
@@ -246,15 +230,25 @@ def train(
             if cfg.loss_mode in ("hasa", "hasa_plus"):
                 stream = np.random.SeedSequence([cfg.seed, _STREAM_STRUCTURE, step])
                 structure_seed = int(stream.generate_state(1)[0])
-            negatives = assemble_training_negatives(batch, model, kg, idx, cfg.m_structure,
-                                                    structure_seed, cfg.loss_mode, cfg.hard_k)
-            tape = GradientTape(model)
-            value = loss(batch, negatives, model, tape=tape)
-            if not np.isfinite(value.loss):
-                _dump_diverged_batch(cfg, epoch, step, batch, value)
-                raise TrainingDiverged(
-                    f"non-finite loss {value.loss!r} at epoch {epoch} step {step}"
-                )
+            value = None
+            try:  # the top-k refuses a NaN or -inf pick, the step a non-finite loss
+                negatives = assemble_training_negatives(batch, model, kg, idx, cfg.m_structure,
+                                                        structure_seed, cfg.loss_mode, cfg.hard_k)
+                tape = GradientTape(model)
+                value = loss(batch, negatives, model, tape=tape)
+                if not np.isfinite(value.loss):
+                    raise TrainingDiverged(f"non-finite loss {value.loss!r}")
+            except TrainingDiverged as exc:
+                if cfg.out_dir:  # the loss is null when the step computed none
+                    payload = {
+                        "epoch": epoch,
+                        "step": step,
+                        "loss": None if value is None else repr(value.loss),
+                        "triples": batch.tolist(),
+                    }
+                    _write_replacing(write_json, payload,
+                                     os.path.join(cfg.out_dir, "diverged_batch.json"))
+                raise TrainingDiverged(f"{exc} at epoch {epoch} step {step}") from None
             optimizer.apply(model, tape, cfg.learning_rate, cfg.weight_decay)
             log.append(
                 {

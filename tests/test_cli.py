@@ -4,7 +4,9 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 import kgcl.cli
@@ -394,6 +396,57 @@ def test_analyze_negatives_rejects_dataset_flags_with_synthetic_before_pretraini
     err = capsys.readouterr().err
     assert "--synthetic" in err
     assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not counts_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--loss", "hard", "--lr", "1e308", "--epochs", "3", "--batch-size", "4",
+     "--out-dir", "run"],
+    ["sweep-tau", "--lr", "1e308", "--epochs", "3", "--batch-size", "4", "--taus", "0.1",
+     "--out", "tau.csv", "--out-dir", "run"],
+    ["analyze-negatives", "--pretrain-lr", "1e308", "--k-grid", "3",
+     "--out-counts", "counts.csv", "--out-histogram", "hist.csv"],
+])
+def test_a_diverged_run_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    """A step that meets a NaN or -inf ends the command with one error line
+    naming the epoch and step, not a traceback, and with no result file; a
+    run directory gets the diverged batch and no checkpoint."""
+    data, _ = gen_dataset(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([*command, "--train", str(data / "train.tsv"),
+                     "--valid", str(data / "valid.tsv"), "--test", str(data / "test.tsv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: [^\n]* at epoch \d+ step \d+\n", err)
+    assert not any(os.path.exists(name) for name in ("tau.csv", "counts.csv", "hist.csv"))
+    if "--out-dir" in command:
+        assert len(list(tmp_path.glob("run/**/diverged_batch.json"))) == 1
+        assert not list(tmp_path.glob("run/**/*.kge"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dim", "0"], "dim must be >= 1, got 0"),
+    (["--pretrain-epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["--pretrain-lr", "-1"], "learning_rate must be finite and >= 0, got -1.0"),
+])
+@pytest.mark.parametrize("source", ["missing files", "files"])
+def test_analyze_negatives_rejects_a_bad_pretraining_flag_before_loading(
+        tmp_path, capsys, monkeypatch, flags, message, source):
+    """The pretraining config depends only on the flags, so it is built, and
+    a bad flag refused, before the dataset is read or found missing."""
+    data, _ = gen_dataset(tmp_path, capsys)
+    refuse_loading_and_pretraining(monkeypatch)
+    monkeypatch.setattr(kgcl.cli, "split_retain_missing", lambda *args: 1 / 0)
+    if source == "missing files":
+        data = tmp_path / "nosuch"
+    counts_path = tmp_path / "counts.csv"
+    code = main(["analyze-negatives", "--train", str(data / "train.tsv"),
+                 "--valid", str(data / "valid.tsv"), "--test", str(data / "test.tsv"),
+                 *flags, "--k-grid", "3", "--out-counts", str(counts_path),
+                 "--out-histogram", str(tmp_path / "hist.csv")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not counts_path.exists()
 
 

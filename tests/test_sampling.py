@@ -22,6 +22,7 @@ from kgcl.sampling import (
     CELL_BUDGET,
     FalseNegReport,
     NegativeSampleBatch,
+    TrainingDiverged,
     _select_topk,
     assemble_training_negatives,
     bucket_labels,
@@ -103,11 +104,22 @@ def lexsort_topk(scores, known, k):
     return np.array(picked, dtype=np.int64).reshape(len(scores), k)
 
 
+def refused_rows(scores, known, k):
+    """The rows whose top-k is refused: for k >= 1, an unmarked NaN, or under
+    k unmarked numbers above -inf."""
+    free = ~known
+    nan = (np.isnan(scores) & free).any(axis=1)
+    return (nan | (np.count_nonzero((scores > -np.inf) & free, axis=1) < k)) & (k > 0)
+
+
 @pytest.mark.parametrize("k", [0, 1, 3, 9])
 def test_batched_topk_matches_a_per_row_lexsort(k):
+    """Rows of numbers, +inf and +-0.0 get the reference's picks; a row that
+    picks a NaN or reaches a -inf pick refuses its block, wherever it sits."""
     rng = np.random.default_rng(k)
     # NaN comes with either sign bit
     specials = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0])
+    refusals = 0
     for _ in range(40):
         # multiples of 1/8 plant exact ties; some cells are NaN, +-inf or -0.0
         scores = rng.integers(-3, 4, size=(7, 12)) / 8.0
@@ -121,17 +133,28 @@ def test_batched_topk_matches_a_per_row_lexsort(k):
         for row in range(1, 7):
             while np.count_nonzero(~known[row]) < k:
                 known[row, rng.choice(np.flatnonzero(known[row]))] = False
-        picked = _select_topk(scores.copy(), known, k)
-        np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
-        assert picked.shape == (7, k) and picked.dtype == np.int64
-        assert not np.take_along_axis(known, picked, axis=1).any()
+        refused = refused_rows(scores, known, k)
+        # rows 1 (NaN of either sign) and 3 (all -inf) refuse; row 2 (all +inf) does not
+        assert refused[[1, 3]].tolist() == [k > 0] * 2 and not refused[2]
+        picked = _select_topk(scores[~refused], known[~refused], k)
+        np.testing.assert_array_equal(picked, lexsort_topk(scores[~refused], known[~refused], k))
+        assert picked.shape == (np.count_nonzero(~refused), k) and picked.dtype == np.int64
+        assert not np.take_along_axis(known[~refused], picked, axis=1).any()
+        for row in np.flatnonzero(refused):
+            refusals += 1
+            message = f"1 of 1 rows pick NaN or -inf in their top-{k}"
+            with pytest.raises(TrainingDiverged, match=message):
+                _select_topk(scores[[row]], known[[row]], k)
         if k:
+            with pytest.raises(TrainingDiverged, match=f"{refused.sum()} of 7 rows"):
+                _select_topk(scores.copy(), known, k)
             known[4, :] = True
             known[4, : k - 1] = False
             with pytest.raises(ValueError, match=f"top-{k} requested but only {k - 1} candidates"):
                 _select_topk(scores, known, k)
             with pytest.raises(ValueError):
                 lexsort_topk(scores, known, k)
+    assert refusals > 80 if k else refusals == 0
 
 
 # finite scores full of exact ties: multiples of 1/8, both zeros, and the
@@ -164,47 +187,25 @@ def test_topk_on_finite_blocks_matches_a_per_row_lexsort(data, k):
     assert not np.take_along_axis(known, picked, axis=1).any()
 
 
-def rows_ranked_by_key(monkeypatch):
-    """Record the rows of every block that _select_topk hands to its exact
-    int64 key."""
-    blocks = []
-    key = kgcl.sampling._key_topk
-
-    def recorded(scores, known, k):
-        blocks.append(scores.copy())
-        return key(scores, known, k)
-
-    monkeypatch.setattr(kgcl.sampling, "_key_topk", recorded)
-    return blocks
-
-
-@pytest.mark.parametrize("row, known_row, k, expected", [
-    # the NaN is picked first, and the two -inf picks after 2.0 both land on
-    # its column; restoring the picks in pick order would lose the NaN
-    ([np.nan, -np.inf, -np.inf, 2.0], [False] * 4, 4, [3, 1, 2, 0]),
-    # one number above -inf; the -inf picks land on the known columns first
-    ([5.0, 1.0, -np.inf, 0.5, -np.inf], [True, True, False, False, False], 3, [3, 2, 4]),
+@pytest.mark.parametrize("row, known_row, k", [
+    # argmax picks the NaN first; after 2.0 the two -inf picks land on its column
+    ([np.nan, -np.inf, -np.inf, 2.0], [False] * 4, 4),
+    # one number above -inf; the -inf picks would land on the known columns
+    ([5.0, 1.0, -np.inf, 0.5, -np.inf], [True, True, False, False, False], 3),
 ])
-def test_rows_that_reach_nan_or_minus_inf_are_ranked_again_by_the_key(
-        monkeypatch, row, known_row, k, expected):
-    blocks = rows_ranked_by_key(monkeypatch)
-    # a finite row above the odd one keeps its float picks
+def test_a_row_that_picks_nan_or_minus_inf_refuses_the_block(row, known_row, k):
+    # a finite row above the odd one keeps its picks when alone
     finite = np.arange(len(row), dtype=np.float64)
     scores = np.array([finite, row])
     known = np.array([[False] * len(row), known_row])
-    picked = _select_topk(scores.copy(), known, k)
-    np.testing.assert_array_equal(picked, lexsort_topk(scores, known, k))
-    assert picked[1].tolist() == expected
-    # only the odd row reaches the key, with its scores as masked, picks undone
-    assert len(blocks) == 1
-    np.testing.assert_array_equal(blocks[0], np.where(known[1:], -np.inf, scores[1:]))
+    assert refused_rows(scores, known, k).tolist() == [False, True]
+    np.testing.assert_array_equal(_select_topk(scores[:1].copy(), known[:1], k),
+                                  lexsort_topk(scores[:1], known[:1], k))
+    with pytest.raises(TrainingDiverged, match=f"1 of 2 rows pick NaN or -inf in their top-{k}"):
+        _select_topk(scores.copy(), known, k)
 
 
-def test_a_finite_product_sized_block_never_reaches_the_key(monkeypatch):
-    def no_key(*args):
-        raise AssertionError("a finite block reached the int64 key")
-
-    monkeypatch.setattr(kgcl.sampling, "_key_topk", no_key)
+def test_a_finite_product_sized_block_is_never_refused_and_matches_lexsort():
     rng = np.random.default_rng(24)
     # 256 x 2,048 at k 3, as a mid step scores: multiples of 1/64 plant exact
     # ties, and a fifth of the zeros are -0.0

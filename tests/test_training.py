@@ -280,11 +280,18 @@ def test_divergence_aborts_and_dumps_the_batch(tmp_path, mode):
     out = tmp_path / "run"
     cfg = small_cfg(loss_mode=mode, learning_rate=1e308, epochs=50, out_dir=str(out))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as err:
             train(cfg, kg)
     dump = json.loads((out / "diverged_batch.json").read_text())
     assert {"epoch", "step", "loss", "triples"} <= set(dump)
     assert dump["triples"]
+    assert dump["epoch"] == 0 and str(err.value).endswith(f" at epoch 0 step {dump['step']}")
+    if mode == "simple":
+        assert str(err.value).startswith("non-finite loss ") and dump["loss"] == "nan"
+    else:
+        # the top-k refuses the block's NaN picks before the step computes a loss
+        assert dump["step"] == 2 and dump["loss"] is None
+        assert "rows pick NaN or -inf in their top-3" in str(err.value)
 
 
 @pytest.mark.parametrize("mode", ["hard", "hasa", "hasa_plus"])
